@@ -13,10 +13,12 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 
-from .cyclo import DensePoly, cyclotomic
-from .degrees import catalog, catalog_map, defect, group_order_poly
-from .labels import BetaSymbol, GroupDescriptor, UnsupportedGroupError, label_symbol
+from .cyclo import DensePoly, common_factor, cyclotomic
+from .degrees import catalog, catalog_map, defect, find_char, group_order_poly
+from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError,
+                     label_symbol)
 
 
 class BlockError(ValueError):
@@ -118,17 +120,14 @@ def _exceptional_blocks(group):
     return out
 
 
+@lru_cache(maxsize=None)
 def block_partition(group, d):
     """Partition of the unipotent characters into Phi_d-blocks."""
     chars = catalog(group)
     if group.series in ("B", "C", "D", "2D", "A", "2A"):
         keyed = {}
         for c in chars:
-            sym = label_symbol(group, c.label)
-            core = symbol_core(sym, d if group.series not in ("A", "2A") else d)
-            if group.series in ("A", "2A"):
-                # single-row symbols: plain d-hook cores on the partition
-                core = symbol_core(sym, d)
+            core = symbol_core(label_symbol(group, c.label), d)
             keyed.setdefault(core, []).append(str(c.label))
         blocks = []
         for labels in keyed.values():
@@ -216,20 +215,54 @@ class TreeReport:
         return self.status == "pass"
 
 
+def _factored_sum(degrees, signs):
+    """(C, S): sum(sign * degree) = C * S / L with C the largest monic factor
+    the degrees share and L > 0 the lcm of the cofactors' denominators.
+
+    Only the integer cofactors L * degree / C are expanded.  This is how
+    `tree_check` decides its sums without expanding whole degrees, and it
+    decides them exactly as the dense sum would: Phi_d is irreducible over Q
+    and prime to q and to every Phi_e with e != d, so Phi_d^n divides C * S
+    iff Phi_d^(n - m_d(C)) divides S.  C is monic and L > 0, so C * S / L
+    and S have leading coefficients of the same sign; C(q0) > 0 for q0 >= 2,
+    so both take values of the same sign there; and C * S = 0 iff S = 0.
+    """
+    common = common_factor(degrees)
+    cofactors = [deg.divide(common) for deg in degrees]
+    scale = lcm(*(c.scalar.denominator for c in cofactors))
+    total = DensePoly()
+    for c, sign in zip(cofactors, signs):
+        total = total + (c * (sign * scale)).expand()
+    return common, total
+
+
+def _divides(phi, k, p):
+    """True if phi^k divides the dense polynomial p."""
+    for _ in range(k):
+        p, r = p.divmod(phi)
+        if not r.is_zero():
+            return False
+    return True
+
+
 def tree_check(tree, group=None, d=None):
     """Check a Brauer tree against the catalog degrees.
 
     (i) every ordinary character on the tree has Phi_d-defect exactly 1;
     (ii) the degree sum over each edge not touching the exceptional vertex
-         is divisible by the full Phi_d-part of the group order, and the
-         alternating sum over the whole line is minus a positive multiple of
-         a putative exceptional-character degree;
+         is divisible by the full Phi_d-part Phi_d^M of the group order, and
+         the alternating sum over the whole line is minus a positive multiple
+         of a putative exceptional-character degree, divisible by Phi_d^(M-1);
     (iii) all characters lie in one block of block_partition.
+
+    The sums in (ii) are reduced in factored form: the largest monic factor
+    C = q^k * prod Phi_e^m that the summed degrees share (both degrees of an
+    edge, all degrees for the alternating sum) is pulled out, only the
+    cofactors are expanded and added, and the cofactor sum is divided by
+    Phi_d only M - m_d(C) (respectively M - 1 - m_d(C)) times.
     """
     group = group or tree.group
     d = d or tree.d
-    from .degrees import find_char
-    from .labels import LabelError
     order = group_order_poly(group)
     M = order.root_multiplicity(d)
     phi = cyclotomic(d)
@@ -251,33 +284,22 @@ def tree_check(tree, group=None, d=None):
         u, v = chain[i], chain[i + 1]
         if u is None or v is None:
             continue
-        s = cm[u].degree.expand() + cm[v].degree.expand()
-        rem = s
-        for _ in range(M):
-            q, r = rem.divmod(phi)
-            if not r.is_zero():
-                return TreeReport(tree, "fail",
-                                  f"edge {u} -- {v}: degree sum not divisible by P{d}^{M}")
-            rem = q
+        common, s = _factored_sum((cm[u].degree, cm[v].degree), (1, 1))
+        if not _divides(phi, M - common.root_multiplicity(d), s):
+            return TreeReport(tree, "fail",
+                              f"edge {u} -- {v}: degree sum not divisible by P{d}^{M}")
 
     # alternating sum reconstructs (a positive multiple of) the exceptional degree
     j = chain.index(None)
-    alt = DensePoly()
-    for i, lab in enumerate(chain):
-        if lab is None:
-            continue
-        term = cm[lab].degree.expand()
-        alt = alt + (term if i % 2 == 0 else -term)
-    exc = alt if (j % 2 == 1) else -alt
+    sign = 1 if j % 2 == 1 else -1  # exc = sign * sum over i of (-1)^i deg(chain[i])
+    common, exc = _factored_sum(
+        [cm[lab].degree for lab in tree.characters()],
+        [sign if i % 2 == 0 else -sign for i, lab in enumerate(chain) if lab is not None])
     if exc.is_zero():
         return TreeReport(tree, "fail", "alternating degree sum vanishes")
-    rem = exc
-    for _ in range(M - 1):
-        q, r = rem.divmod(phi)
-        if not r.is_zero():
-            return TreeReport(tree, "fail",
-                              f"alternating sum not divisible by P{d}^{M - 1}")
-        rem = q
+    if not _divides(phi, M - 1 - common.root_multiplicity(d), exc):
+        return TreeReport(tree, "fail",
+                          f"alternating sum not divisible by P{d}^{M - 1}")
     if exc.coeffs[-1] < 0 or any(exc(q0) <= 0 for q0 in (2, 3, 5, 7)):
         return TreeReport(tree, "fail",
                           "alternating sum is not a positive multiple of a degree")

@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .blocks import tree_check
+from .blocks import BlockError, tree_check
 from .degrees import (UnsupportedGroupError, a_value, A_value, catalog, defect,
                       perversity)
 from .hecke import HeckeError, HeckeSpec, Param, count_simples, parse_spec, product_count
@@ -24,6 +24,7 @@ from .labels import Bipartition
 
 
 def _table_filter(args):
+    """Keep a table or a tree when it matches --only and --group."""
     def keep(path, table):
         if args.only and f"d={table.d}" != args.only:
             return False
@@ -31,6 +32,24 @@ def _table_filter(args):
             return False
         return True
     return keep
+
+
+def _tree_results(args):
+    """Yield (path, status, evidence or chain) for each corpus tree kept.
+
+    A tree file that cannot be parsed or checked raises BlockError naming
+    the file.
+    """
+    keep = _table_filter(args)
+    for path, tree in corpus_trees(args.corpus):
+        if not keep(path, tree):
+            continue
+        try:
+            rep = tree_check(tree)
+        except UnsupportedGroupError as exc:
+            raise BlockError(f"{path}: {exc}") from exc
+        chain = " -- ".join(lab or "O" for lab in tree.chain)
+        yield path, rep.status, rep.evidence or chain
 
 
 def _emit(rows, header, fmt):
@@ -62,21 +81,15 @@ def cmd_verify(args):
                     failed = True
                     if args.fail_fast:
                         raise StopIteration
-        for path, tree in corpus_trees(args.corpus):
-            if args.only and f"d={tree.d}" != args.only:
-                continue
-            if args.group and str(tree.group) != args.group:
-                continue
-            rep = tree_check(tree)
-            chain = " -- ".join(lab or "O" for lab in tree.chain)
-            lines.append((path, "tree", rep.status, rep.evidence or chain))
-            if rep.status == "fail":
+        for path, status, text in _tree_results(args):
+            lines.append((path, "tree", status, text))
+            if status == "fail":
                 failed = True
                 if args.fail_fast:
                     raise StopIteration
     except StopIteration:
         pass
-    except (TableError, OSError, LabelError) as exc:
+    except (TableError, BlockError, OSError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(lines, ("table", "check", "status", "evidence"), args.format)
@@ -146,20 +159,13 @@ def cmd_induce(args):
 
 
 def cmd_trees(args):
-    failed = False
-    lines = []
-    for path, tree in corpus_trees(args.corpus):
-        if args.only and f"d={tree.d}" != args.only:
-            continue
-        if args.group and str(tree.group) != args.group:
-            continue
-        rep = tree_check(tree)
-        chain = " -- ".join(lab or "O" for lab in tree.chain)
-        lines.append((path, rep.status, chain if rep.status == "pass" else rep.evidence))
-        if rep.status == "fail":
-            failed = True
+    try:
+        lines = list(_tree_results(args))
+    except (BlockError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _emit(lines, ("file", "status", "tree"), args.format)
-    return 1 if failed else 0
+    return 1 if any(status == "fail" for _, status, _ in lines) else 0
 
 
 def main(argv=None):

@@ -6,7 +6,10 @@ Character degrees are stored in two interchangeable shapes:
 * ``FactoredPoly`` -- scalar * q**k * product of cyclotomic polynomials
   ``P<d>^<m>``, which is how the degree tables print them.
 
-Everything here is exact (``fractions.Fraction``); no floats anywhere.
+Everything here is exact: a coefficient is an ``int`` or a
+``fractions.Fraction``, never a float.  Integral coefficients are stored as
+``int``, so the monic products of cyclotomics that make up almost every
+expansion never allocate a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,17 @@ class CycloError(ValueError):
 # dense polynomials
 
 
-class DensePoly:
-    """Polynomial in q as a tuple of Fraction coefficients, lowest degree first.
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
+
+class DensePoly:
+    """Polynomial in q as a tuple of rational coefficients, lowest degree first.
+
+    A coefficient is an int when it is integral and a Fraction otherwise.
     The zero polynomial is the empty tuple; otherwise the trailing
     coefficient is nonzero.
     """
@@ -35,7 +46,7 @@ class DensePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -84,15 +95,16 @@ class DensePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _exact(other)
             return DensePoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return DensePoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for k, b in enumerate(other.coeffs, i):
+                out[k] += a * b
         return DensePoly(out)
 
     __rmul__ = __mul__
@@ -103,11 +115,11 @@ class DensePoly:
         rem = list(self.coeffs)
         d = other.degree()
         lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - d)
+        quot = [0] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i] == 0:
                 continue
-            f = rem[i] / lead
+            f = rem[i] if lead == 1 else Fraction(rem[i]) / lead
             quot[i - d] = f
             for j, c in enumerate(other.coeffs):
                 rem[i - d + j] -= f * c
@@ -121,7 +133,7 @@ class DensePoly:
 
     def __call__(self, q0):
         """Evaluate at q0 by Horner's rule, exactly."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
         return acc
@@ -209,12 +221,14 @@ class FactoredPoly:
         return self.q_exp + sum(m * euler_phi(d) for d, m in self.cyclo_mults)
 
     def expand(self):
-        acc = DensePoly.monomial(self.q_exp, self.scalar)
+        """Dense form: the monic product in integers, shifted by q^k, scaled once."""
+        acc = ONE
         for d, m in self.cyclo_mults:
             p = cyclotomic(d)
             for _ in range(m):
                 acc = acc * p
-        return acc
+        acc = DensePoly((0,) * self.q_exp + acc.coeffs)
+        return acc if self.scalar == 1 else acc * self.scalar
 
     def evaluate(self, q0):
         acc = self.scalar * Fraction(q0) ** self.q_exp
@@ -342,3 +356,16 @@ def format_factored(p):
 
 def prod_factored(factors):
     return reduce(lambda a, b: a * b, factors, FactoredPoly.one())
+
+
+def common_factor(polys):
+    """The largest monic factor q^k * prod Phi_e^m that all of `polys` share
+    (1 when there are none)."""
+    polys = list(polys)
+    if not polys:
+        return FactoredPoly.one()
+    mults = dict(polys[0].cyclo_mults)
+    for p in polys[1:]:
+        pm = dict(p.cyclo_mults)
+        mults = {e: min(m, pm[e]) for e, m in mults.items() if e in pm}
+    return FactoredPoly.from_parts(1, min(p.q_exp for p in polys), mults)

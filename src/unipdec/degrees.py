@@ -99,6 +99,7 @@ _EXC_DEGREES = {
 }
 
 
+@lru_cache(maxsize=None)
 def group_order_poly(g):
     s, n = g.series, g.rank
     if s == "A":
@@ -122,10 +123,6 @@ def group_order_poly(g):
     degrees = _EXC_DEGREES[s]
     return prod_factored([FactoredPoly.from_parts(1, sum(d - 1 for d in degrees), {})]
                          + [fp_qk_minus_1(d) for d in degrees])
-
-
-def positive_root_count(g):
-    return group_order_poly(g).q_exp
 
 
 # ---------------------------------------------------------------------------

@@ -556,9 +556,13 @@ def corpus_tables(corpus=None):
 
 
 def corpus_trees(corpus=None):
+    """Yield (relative path, BrauerTree) for every shipped tree.
+
+    A tree file that does not parse raises BlockError naming the file.
+    """
     import importlib.resources
     import pathlib
-    from .blocks import load_trees
+    from .blocks import BlockError, load_trees
     if corpus is None:
         root = importlib.resources.files("unipdec").joinpath("data")
     else:
@@ -569,8 +573,12 @@ def corpus_trees(corpus=None):
             continue
         for f in sorted(p.name for p in d_dir.iterdir() if p.name.endswith(".trees")):
             d = int(sub[1:])
-            group = GroupDescriptor.parse(f[:-len(".trees")])
-            for t in load_trees(d_dir.joinpath(f).read_text(), group, d):
+            try:
+                group = GroupDescriptor.parse(f[:-len(".trees")])
+                trees = load_trees(d_dir.joinpath(f).read_text(), group, d)
+            except (BlockError, UnsupportedGroupError) as exc:
+                raise BlockError(f"{sub}/{f}: {exc}") from exc
+            for t in trees:
                 yield f"{sub}/{f}", t
 
 

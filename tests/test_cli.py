@@ -81,3 +81,28 @@ def test_induce():
 def test_trees_subcommand():
     code, out = run(["trees", "--only", "d=14"])
     assert code == 0 and "pass" in out
+
+
+def test_verify_tsv_matches_golden_output():
+    # tests/data/verify.tsv is `unipdec --format tsv verify` over the shipped
+    # corpus; a refactor must reproduce it byte for byte.
+    code, out = run(["--corpus", str(DATA), "--format", "tsv", "verify"])
+    assert code == 0
+    golden = (pathlib.Path(__file__).parent / "data" / "verify.tsv").read_text()
+    assert out == golden
+
+
+@pytest.mark.parametrize("name, line, why", [
+    ("Q9.trees", "1^3. -- O", "cannot parse group descriptor 'Q9'"),
+    ("D4.trees", "21^2. -- O -- O", "exactly one exceptional vertex"),
+    ("E7.trees", "phi{1,0} -- O", "no E7 catalog"),
+])
+@pytest.mark.parametrize("command", ["verify", "trees"])
+def test_malformed_tree_file_exits_2(tmp_path, capsys, name, line, why, command):
+    d = tmp_path / "d3"
+    d.mkdir()
+    (d / name).write_text(line + "\n")
+    code, out = run(["--corpus", str(tmp_path), command])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: d3/{name}: ") and why in err

@@ -78,3 +78,37 @@ def test_two_evaluation_paths_agree_randomized():
 def test_factor_dense_rejects_noncyclotomic():
     with pytest.raises(Exception):
         factor_dense(DensePoly([1, 1, 1, 0, 1]))
+
+
+def test_cyclotomic_coefficients_are_ints():
+    for d in range(1, 61):
+        assert all(type(c) is int for c in cyclotomic(d).coeffs), d
+
+
+def test_divmod_by_non_monic_divisor_is_exact():
+    # (q^3 + 1) = (2q + 2) * (q^2 - q + 1)/2
+    q, r = DensePoly([1, 0, 0, 1]).divmod(DensePoly([2, 2]))
+    assert r.is_zero()
+    assert q.coeffs == (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in q.coeffs)
+    q, r = DensePoly([1, 1, 1]).divmod(DensePoly([1, 3]))
+    assert q * DensePoly([1, 3]) + r == DensePoly([1, 1, 1])
+    assert not any(isinstance(c, float) for c in q.coeffs + r.coeffs)
+    assert r.coeffs == (Fraction(7, 9),)
+
+
+def test_expand_with_half_scalar_matches_product_of_factors():
+    p = parse_factored("1/2*q^3*P1^2*P2*P4")
+    prod = DensePoly([Fraction(1, 2)]) * DensePoly.monomial(3)
+    for d in (1, 1, 2, 4):
+        prod = prod * cyclotomic(d)
+    assert p.expand() == prod
+    assert p.expand().coeffs[3] == Fraction(1, 2)
+    assert parse_factored("2*q*P3").expand().coeffs == (0, 2, 2, 2)
+
+
+def test_evaluation_stays_exact():
+    p = DensePoly([Fraction(1, 3), 0, 1])
+    assert p(Fraction(1, 2)) == Fraction(7, 12)
+    assert type(p(3)) is Fraction and p(3) == Fraction(28, 3)
+    assert cyclotomic(5)(2) == 31 and type(cyclotomic(5)(2)) is int
