@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .blocks import BlockError, tree_check
 from .degrees import (UnsupportedGroupError, a_value, A_value, catalog, defect,
                       perversity)
-from .hecke import HeckeError, HeckeSpec, Param, count_simples, parse_spec, product_count
+from .hecke import HeckeError, HeckeSpec, Param, parse_spec, product_count
 from .labels import GroupDescriptor, LabelError
 from .tables import TableError
 from .verify import corpus_tables, corpus_trees, run_table_checks
@@ -115,10 +114,6 @@ def cmd_degrees(args):
                      defect(c, d), perversity(c, d)))
     _emit(rows, ("label", "degree", "a", "A", f"defect{d}", f"pi{d}"), args.format)
     return 0
-
-
-def cmd_craven(args):
-    return cmd_degrees(args)
 
 
 def cmd_hecke(args):

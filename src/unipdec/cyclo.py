@@ -15,9 +15,9 @@ expansion never allocate a ``Fraction``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 
 class CycloError(ValueError):
@@ -355,7 +355,14 @@ def format_factored(p):
 
 
 def prod_factored(factors):
-    return reduce(lambda a, b: a * b, factors, FactoredPoly.one())
+    """The product of `factors`, built as one FactoredPoly."""
+    scalar, q_exp, mults = Fraction(1), 0, {}
+    for f in factors:
+        scalar *= f.scalar
+        q_exp += f.q_exp
+        for d, m in f.cyclo_mults:
+            mults[d] = mults.get(d, 0) + m
+    return FactoredPoly.from_parts(scalar, q_exp, mults)
 
 
 def common_factor(polys):

@@ -10,13 +10,14 @@ identities of their cyclic Phi_d-blocks.
 from __future__ import annotations
 
 import importlib.resources
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from .cyclo import FactoredPoly, parse_factored, prod_factored
-from .labels import (Bipartition, GroupDescriptor, LabelError, UnipLabel,
+from .labels import (GroupDescriptor, LabelError, UnipLabel,
                      UnsupportedGroupError, classical_label_list, label_symbol,
                      parse_label, resolve_label)
 
@@ -36,9 +37,21 @@ class UnipChar:
 # small factored building blocks
 
 @lru_cache(maxsize=None)
+def _minus_divisors(k):
+    """The e with Phi_e dividing q^k - 1."""
+    return tuple(e for e in range(1, k + 1) if k % e == 0)
+
+
+@lru_cache(maxsize=None)
+def _plus_divisors(k):
+    """The e with Phi_e dividing q^k + 1, k >= 1."""
+    return tuple(e for e in range(1, 2 * k + 1) if (2 * k) % e == 0 and k % e != 0)
+
+
+@lru_cache(maxsize=None)
 def fp_qk_minus_1(k):
     """q^k - 1 in factored form."""
-    return FactoredPoly.from_parts(1, 0, {e: 1 for e in range(1, k + 1) if k % e == 0})
+    return FactoredPoly.from_parts(1, 0, dict.fromkeys(_minus_divisors(k), 1))
 
 
 @lru_cache(maxsize=None)
@@ -46,27 +59,7 @@ def fp_qk_plus_1(k):
     """q^k + 1 in factored form (the constant 2 for k = 0)."""
     if k == 0:
         return FactoredPoly.from_parts(2, 0, {})
-    return FactoredPoly.from_parts(
-        1, 0, {e: 1 for e in range(1, 2 * k + 1) if (2 * k) % e == 0 and k % e != 0})
-
-
-def _pair_products(row):
-    """prod over s < s' in a row of (q^s' - q^s), factored."""
-    out = []
-    for i, s in enumerate(row):
-        for s2 in row[i + 1:]:
-            out.append(FactoredPoly.from_parts(1, s, {}) * fp_qk_minus_1(s2 - s))
-    return prod_factored(out)
-
-
-def _cross_products(top, bottom):
-    """prod over (s, t) of (q^s + q^t), factored."""
-    out = []
-    for s in top:
-        for t in bottom:
-            lo, hi = min(s, t), max(s, t)
-            out.append(FactoredPoly.from_parts(1, lo, {}) * fp_qk_plus_1(hi - lo))
-    return prod_factored(out)
+    return FactoredPoly.from_parts(1, 0, dict.fromkeys(_plus_divisors(k), 1))
 
 
 def _shift_exponent(ab):
@@ -80,12 +73,10 @@ def _shift_exponent(ab):
     return total
 
 
-def _entry_denominator(row):
-    out = []
-    for s in row:
-        for h in range(1, s + 1):
-            out.append(fp_qk_minus_1(2 * h))
-    return prod_factored(out)
+@lru_cache(maxsize=None)
+def _entry_divisors(s):
+    """Cyclotomic indices, with repetition, of prod_{h=1}^{s} (q^{2h} - 1)."""
+    return tuple(e for h in range(1, s + 1) for e in _minus_divisors(2 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +149,50 @@ def ennola(p):
 # symbol degrees
 
 def symbol_degree(g, sym, degenerate=False):
+    """Degree of the unipotent character with symbol `sym`, in factored form.
+
+    The numerator is the order part of |G| times, over pairs s < s' in a row,
+    q^s (q^(s'-s) - 1) and, over pairs (s, t) across the rows,
+    q^min (q^|s-t| + 1); the denominator is 2^twolog q^shift times
+    prod_{h=1}^{s} (q^(2h) - 1) for each entry s.  The q-powers, the powers
+    of 2 and the cyclotomic exponents of each side are counted directly, and
+    the quotient is taken once.
+    """
     s, n = g.series, g.rank
     top, bottom = sym.top, sym.bottom
     a, b = len(top), len(bottom)
+    twolog = (a + b - 1) // 2
+    num = Counter()
     if s in ("B", "C"):
-        first = prod_factored([fp_qk_minus_1(2 * i) for i in range(1, n + 1)])
-        twolog = (a + b - 1) // 2
+        num.update(_minus_divisors(2 * n))
     elif s == "D":
-        first = prod_factored([fp_qk_minus_1(n)]
-                              + [fp_qk_minus_1(2 * i) for i in range(1, n)])
-        twolog = (a + b - 1) // 2 + (1 if degenerate else 0)
+        num.update(_minus_divisors(n))
+        twolog += 1 if degenerate else 0
     elif s == "2D":
-        first = prod_factored([fp_qk_plus_1(n)]
-                              + [fp_qk_minus_1(2 * i) for i in range(1, n)])
-        twolog = (a + b - 1) // 2
+        num.update(_plus_divisors(n))
     else:
         raise UnsupportedGroupError(f"symbol degrees undefined for {g}")
-    num = first * _pair_products(top) * _pair_products(bottom) \
-        * _cross_products(top, bottom)
-    den = FactoredPoly.from_parts(2 ** twolog, _shift_exponent(a + b), {}) \
-        * _entry_denominator(top) * _entry_denominator(bottom)
-    return num.divide(den)
+    for i in range(1, n):
+        num.update(_minus_divisors(2 * i))
+    num_q, twos = 0, 0
+    for row in (top, bottom):
+        for i, lo in enumerate(row):
+            for hi in row[i + 1:]:
+                num_q += lo
+                num.update(_minus_divisors(hi - lo))
+    for x in top:
+        for y in bottom:
+            lo, hi = (x, y) if x <= y else (y, x)
+            num_q += lo
+            if hi == lo:
+                twos += 1
+            else:
+                num.update(_plus_divisors(hi - lo))
+    den = Counter()
+    for x in top + bottom:
+        den.update(_entry_divisors(x))
+    return FactoredPoly.from_parts(2 ** twos, num_q, num).divide(
+        FactoredPoly.from_parts(2 ** twolog, _shift_exponent(a + b), den))
 
 
 def _hooks(partition):

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .degrees import catalog
-from .labels import (BetaSymbol, GroupDescriptor, UnsupportedGroupError,
-                     label_symbol, symbol_to_bipartition)
-from .weyl import SignedClass, char_value_B, char_value_D
+from .labels import BetaSymbol, UnsupportedGroupError, label_symbol
+from .weyl import char_value_B, char_value_D
 
 
 class FourierError(ValueError):
@@ -121,16 +120,6 @@ def family_fourier(group, label_text):
         # representatives are only defined modulo complement for even |Z_1|
         row[lab] = Fraction((-1) ** (inter % 2), 2 ** (twom // 2))
     return row
-
-
-def principal_series_members(group, labels):
-    out = []
-    from .degrees import catalog_map
-    cm = catalog_map(group)
-    for lab in labels:
-        if cm[lab].hc_series == "ps":
-            out.append(lab)
-    return out
 
 
 def dl_multiplicity(group, label_text, cls):

@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .degrees import catalog, find_char
-from .labels import Bipartition, GroupDescriptor, UnsupportedGroupError, parse_label
+from .labels import UnsupportedGroupError, parse_label
 from .tables import ParamExpr
-from .weyl import induce, mult_B_dicts, regular_B, sym_to_hyper
+from .weyl import induce, sym_to_hyper
 
 
 class HCError(ValueError):
@@ -74,16 +74,6 @@ def _cover_rank(group):
 def _rel_rank(group, core):
     base = _cover_rank(group)
     return base - _CORE_RANK.get(core, 0) if core != "ps" else base
-
-
-def _induce_cover(cover_vec, m, n):
-    """Induce a W(B_m)-character vector up to W(B_n) (torus deficit filled)."""
-    out = {}
-    for bip, c in cover_vec.items():
-        res = induce([("B", {bip: 1})], n)
-        for b2, k in res.items():
-            out[b2] = out.get(b2, 0) + c * k
-    return out
 
 
 def _from_b_cover(group, cover):

@@ -1,143 +1,75 @@
 """Root systems in simple-root coordinates, for height computations.
 
-Positive roots are built in the usual ambient coordinates and re-expressed
-in the simple-root basis, so heights and projections onto subsets of simple
-roots are plain coordinate sums.  Covers the classical types and E6, E7, F4.
+Each root system is its Cartan matrix, and the positive roots are built from
+it in integers, one height at a time, by the root-string rule: if p is the
+largest k with beta - k*alpha_j a root, then beta + alpha_j is a root exactly
+when p - <beta, alpha_j^vee> > 0.  Heights and projections onto subsets of
+simple roots are then plain coordinate sums.  Covers the classical types and
+E6, E7, E8, F4; a twisted group uses the root system of its untwisted form.
+
+Simple roots are numbered as in Bourbaki: the B/C/D chains end at the short,
+the long and the forked node respectively, and E6-E8 start with the spinor
+root alpha_1, with alpha_2 attached to alpha_4.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
 
-from .labels import GroupDescriptor, UnsupportedGroupError
+from .labels import UnsupportedGroupError
 
-
-def _solve(matrix, target):
-    """Solve the square linear system over the rationals (Gaussian elimination)."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                g = aug[r][col]
-                aug[r] = [a - g * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+_UNTWISTED = {"2A": "A", "2D": "D", "2E6": "E6"}
 
 
-def _ambient(series, n):
-    """(simple roots, all roots) in ambient coordinates."""
-    def e(i, dim):
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        return v
-
-    def add(u, v, s=1):
-        return [a + s * b for a, b in zip(u, v)]
-
-    if series == "A":
-        dim = n + 1
-        simples = [add(e(i, dim), e(i + 1, dim), -1) for i in range(n)]
-        roots = [add(e(i, dim), e(j, dim), -1) for i in range(dim) for j in range(dim) if i != j]
-    elif series in ("B", "2D") and False:
-        pass
-    elif series == "B":
-        dim = n
-        simples = [add(e(i, dim), e(i + 1, dim), -1) for i in range(n - 1)] + [e(n - 1, dim)]
-        roots = []
-        for i in range(n):
-            roots += [e(i, dim), [-x for x in e(i, dim)]]
-            for j in range(i + 1, n):
-                for s1, s2 in product((1, -1), repeat=2):
-                    roots.append([s1 * a + s2 * b for a, b in zip(e(i, dim), e(j, dim))])
+def _cartan(series, n):
+    """Cartan matrix C[i][j] = <alpha_i, alpha_j^vee> (0-based Bourbaki numbering)."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    short = ()
+    if series == "B":
+        short = (n - 1,)
     elif series == "C":
-        dim = n
-        simples = [add(e(i, dim), e(i + 1, dim), -1) for i in range(n - 1)] + \
-            [[2 * x for x in e(n - 1, dim)]]
-        roots = []
-        for i in range(n):
-            roots += [[2 * x for x in e(i, dim)], [-2 * x for x in e(i, dim)]]
-            for j in range(i + 1, n):
-                for s1, s2 in product((1, -1), repeat=2):
-                    roots.append([s1 * a + s2 * b for a, b in zip(e(i, dim), e(j, dim))])
+        short = tuple(range(n - 1))
     elif series == "D":
-        dim = n
-        simples = [add(e(i, dim), e(i + 1, dim), -1) for i in range(n - 1)] + \
-            [add(e(n - 2, dim), e(n - 1, dim))]
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s1, s2 in product((1, -1), repeat=2):
-                    roots.append([s1 * a + s2 * b for a, b in zip(e(i, dim), e(j, dim))])
+        edges = [(i, i + 1) for i in range(n - 2)] + ([(n - 3, n - 1)] if n >= 3 else [])
     elif series == "F4":
-        dim = 4
-        simples = [add(e(1, dim), e(2, dim), -1), add(e(2, dim), e(3, dim), -1),
-                   e(3, dim), [Fraction(1, 2) * (1 if i == 0 else -1) for i in range(4)]]
-        roots = []
-        for i in range(4):
-            roots += [e(i, dim), [-x for x in e(i, dim)]]
-            for j in range(i + 1, 4):
-                for s1, s2 in product((1, -1), repeat=2):
-                    roots.append([s1 * a + s2 * b for a, b in zip(e(i, dim), e(j, dim))])
-        for signs in product((1, -1), repeat=4):
-            roots.append([Fraction(s, 2) for s in signs])
-    elif series in ("E6", "E7"):
-        dim = 8
-        a1 = [Fraction(1, 2), *([Fraction(-1, 2)] * 6), Fraction(1, 2)]
-        simples = [a1, add(e(0, dim), e(1, dim))] + \
-            [add(e(i + 1, dim), e(i, dim), -1) for i in range(0, {"E6": 4, "E7": 5}[series])]
-        roots = []
-        for i in range(8):
-            for j in range(i + 1, 8):
-                for s1, s2 in product((1, -1), repeat=2):
-                    roots.append([s1 * a + s2 * b for a, b in zip(e(i, dim), e(j, dim))])
-        for signs in product((1, -1), repeat=8):
-            if signs.count(-1) % 2 == 0:
-                roots.append([Fraction(s, 2) for s in signs])
-    else:
+        short = (2, 3)
+    elif series in ("E6", "E7", "E8"):
+        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    elif series != "A":
         raise UnsupportedGroupError(f"no root system for series {series}")
-    return simples, roots
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+        if (i in short) != (j in short):  # double bond: the long root sees -2
+            long_, short_ = (j, i) if i in short else (i, j)
+            cartan[long_][short_] = -2
+    return cartan
 
 
 @lru_cache(maxsize=None)
 def positive_roots(group):
     """Positive roots as integer coefficient vectors in the simple-root basis."""
-    series, n = group.series, group.rank
-    if series == "2D":
-        series = "D"  # heights live in the underlying root system
-    if series == "2A":
-        series = "A"
-    if series == "2E6":
-        series = "E6"
-    if series == "E8":
-        raise UnsupportedGroupError("E8 root system not built")
-    simples, roots = _ambient(series, n)
-    rank = len(simples)
-    dim = len(simples[0])
-    # express each root in the simple basis: least squares via normal equations
-    out = []
-    gram = [[sum(simples[i][k] * simples[j][k] for k in range(dim)) for j in range(rank)]
-            for i in range(rank)]
-    seen = set()
-    for r in roots:
-        rhs = [sum(simples[i][k] * r[k] for k in range(dim)) for i in range(rank)]
-        coeffs = _solve(gram, rhs)
-        # verify exactness and positivity
-        recon = [sum(coeffs[i] * simples[i][k] for i in range(rank)) for k in range(dim)]
-        if recon != [Fraction(x) for x in r]:
-            continue
-        if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
-            key = tuple(coeffs)
-            if key not in seen and all(c.denominator == 1 for c in coeffs):
-                seen.add(key)
-                out.append(tuple(int(c) for c in coeffs))
-    return tuple(sorted(out))
+    cartan = _cartan(_UNTWISTED.get(group.series, group.series), group.rank)
+    n = len(cartan)
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(layer)
+    while layer:
+        above = []
+        for beta in layer:
+            for j in range(n):
+                p = 0
+                down = list(beta)
+                down[j] -= 1
+                while tuple(down) in roots:
+                    p += 1
+                    down[j] -= 1
+                if p > sum(c * row[j] for c, row in zip(beta, cartan)):
+                    up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        above.append(up)
+        layer = above
+    return tuple(sorted(roots))
 
 
 def height(root):

@@ -27,11 +27,11 @@ Column i is led by row i (diagonal ones); only nonzero entries are listed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import FactoredPoly, parse_factored
-from .labels import GroupDescriptor
+from .cyclo import CycloError, parse_factored
+from .labels import GroupDescriptor, UnsupportedGroupError
 
 
 class TableError(ValueError):
@@ -354,6 +354,7 @@ class DecompTable:
 def parse(text, group=None):
     section = None
     meta = {}
+    meta_line = {}
     chars = []
     cols = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -368,12 +369,13 @@ def parse(text, group=None):
                 raise TableError(f"line {lineno}: bad key/value {line!r}")
             k, v = line.split("=", 1)
             meta[k.strip()] = v.strip()
+            meta_line[k.strip()] = lineno
         elif section == "chars":
             if "|" in line:
                 lab, deg = line.split("|", 1)
-                chars.append((lab.strip(), deg.strip()))
+                chars.append((lab.strip(), deg.strip(), lineno))
             else:
-                chars.append((line.strip(), ""))
+                chars.append((line.strip(), "", lineno))
         elif section == "cols":
             head, _, body = line.partition(":")
             tags = head.split()
@@ -398,8 +400,17 @@ def parse(text, group=None):
     if not chars:
         raise TableError("no rows")
     if group is None:
-        group = GroupDescriptor.parse(meta["group"])
-    d = int(meta.get("d", "0"))
+        if "group" not in meta:
+            raise TableError("no 'group' key in [table]")
+        try:
+            group = GroupDescriptor.parse(meta["group"])
+        except UnsupportedGroupError as exc:
+            raise TableError(f"line {meta_line['group']}: {exc}") from exc
+    try:
+        d = int(meta.get("d", "0"))
+    except ValueError:
+        raise TableError(f"line {meta_line['d']}: d must be an integer, "
+                         f"not {meta['d']!r}") from None
     params = tuple(meta.get("params", "").split())
     constraints = tuple(parse_constraint(c) for c in meta.get("constraints", "").split(";")
                         if c.strip())
@@ -407,7 +418,7 @@ def parse(text, group=None):
     def canon(text):
         # row labels are stored in canonical orientation so vectors computed
         # from the catalogs match up with the table rows
-        from .labels import LabelError, parse_label, resolve_label
+        from .labels import LabelError, resolve_label
         if group.series in ("A", "2A", "B", "C", "D", "2D"):
             try:
                 return str(resolve_label(group, text))
@@ -415,11 +426,17 @@ def parse(text, group=None):
                 raise TableError(str(exc))
         return text
 
-    row_labels = tuple(canon(lab) for lab, _ in chars)
+    def degree(text, lineno):
+        try:
+            return parse_factored(text)
+        except CycloError as exc:
+            raise TableError(f"line {lineno}: {exc}") from exc
+
+    row_labels = tuple(canon(lab) for lab, _, _ in chars)
     row_index = {lab: i for i, lab in enumerate(row_labels)}
     if len(row_index) != len(row_labels):
         raise TableError("duplicate row label")
-    row_degrees = tuple(parse_factored(deg) if deg else None for _, deg in chars)
+    row_degrees = tuple(degree(deg, lineno) if deg else None for _, deg, lineno in chars)
     columns = []
     for j, (series, tentative, entries) in enumerate(cols):
         by_index = {}

@@ -9,14 +9,11 @@ reasoning over the admissible parameter box (free parameters range over
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .cyclo import FactoredPoly
-from .degrees import (UnsupportedGroupError, catalog_map, defect, find_char,
-                      perversity)
+from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor, LabelError
-from .tables import Constraint, DecompTable, ParamExpr
+from .tables import ParamExpr
 from .weyl import sign_value
 
 
@@ -374,7 +371,6 @@ def _steinberg_cases(group):
     elif s in ("B", "C") and n >= 2:
         delta = 1 if n % 2 == 0 else 0
         cases.append((f"1^{n}.", n - delta))
-        tail = f"B2:.1^{n - 2}" if n > 3 else "B2:.1^2" if n == 4 else "B2:."
         if n >= 4:
             cases.append((f"B2:.1^{n - 2}", n - 1 + delta))
     elif s == "2E6":
@@ -594,30 +590,6 @@ def run_table_checks(table):
                                 ("no parameters" if not table.params else
                                  "no admissible assignment found")]))
     return reports
-
-
-def check_hc_consistency(table, levis, hcr_combos=()):
-    """(HCi) + (HCr): induced Levi PIMs decompose nonnegatively; designated
-    column combinations admit only restriction-nonnegative proper subsums.
-
-    `levis` is a list of (levi_group, levi_table); `hcr_combos` holds
-    {column index: multiplicity} dicts to run the subsum search on.
-    """
-    evidence = []
-    status = "pass"
-    for lg, lt in levis:
-        rep = hc_induced_columns(lg, lt, table.group, table)
-        if rep.status == "fail":
-            status = "fail"
-        evidence += [f"{lg}: {e}" for e in rep.evidence]
-    searches = {}
-    for combo in hcr_combos:
-        key = tuple(sorted(combo.items()))
-        searches[key] = hcr_candidates(table.group, table, combo, levis)
-        evidence.append(f"subsums of {key}: {len(searches[key])} candidates")
-    out = CheckReport("hc", status, evidence)
-    out.data["subsums"] = searches
-    return out
 
 
 from .roots import coxeter_number, regular_height_bound  # noqa: E402,F401

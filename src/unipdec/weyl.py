@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .labels import Bipartition, check_partition, partitions
 
@@ -340,15 +339,6 @@ def restrict_B(chi, a, b):
                         continue
                     key = (left, Bipartition(nu1, nu2))
                     out[key] = out.get(key, 0) + c
-    return out
-
-
-def restrict_vector(vec, a, b):
-    """Restrict a dict-on-bipartitions of W(B_{a+b}) to W(B_a) x W(B_b)."""
-    out = {}
-    for chi, c in vec.items():
-        for pair, m in restrict_B(chi, a, b).items():
-            out[pair] = out.get(pair, 0) + c * m
     return out
 
 

@@ -106,3 +106,30 @@ def test_malformed_tree_file_exits_2(tmp_path, capsys, name, line, why, command)
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith(f"error: d3/{name}: ") and why in err
+
+
+_TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\n"
+
+
+@pytest.mark.parametrize("old, new, why", [
+    ("d = 2", "d = x", "line 3: d must be an integer, not 'x'"),
+    ("group = D4\n", "", "no 'group' key"),
+    (".4 | 1", ".4 | q^", "line 5: bad factor 'q^'"),
+    ("group = D4", "group = Q9", "line 2: cannot parse group descriptor 'Q9'"),
+])
+def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
+    d = tmp_path / "d2"
+    d.mkdir()
+    (d / "X.dmx").write_text(_TABLE.replace(old, new))
+    code, out = run(["--corpus", str(tmp_path), "verify"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: d2/X.dmx: ") and why in err
+
+
+def test_wellformed_table_file_verifies(tmp_path):
+    d = tmp_path / "d2"
+    d.mkdir()
+    (d / "X.dmx").write_text(_TABLE)
+    code, out = run(["--corpus", str(tmp_path), "--format", "tsv", "verify"])
+    assert code == 0 and "d2/X.dmx\tunitriangular\tpass" in out

@@ -132,3 +132,67 @@ def test_cyclic_phi_d_blocks_e6_2e6(name, d, torus, e):
             if total == target:
                 return
     pytest.fail(f"no signed sum of the Phi_{d}-free degrees of {name} is {target}")
+
+
+# The former symbol-degree construction, one FactoredPoly per factor, kept as
+# the reference for the one-pass count in degrees.symbol_degree.
+
+def _ref_prod(factors):
+    out = FactoredPoly.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _ref_qk_minus_1(k):
+    return FactoredPoly.from_parts(1, 0, {e: 1 for e in range(1, k + 1) if k % e == 0})
+
+
+def _ref_qk_plus_1(k):
+    if k == 0:
+        return FactoredPoly.from_parts(2, 0, {})
+    return FactoredPoly.from_parts(
+        1, 0, {e: 1 for e in range(1, 2 * k + 1) if (2 * k) % e == 0 and k % e != 0})
+
+
+def _ref_symbol_degree(g, sym, degenerate):
+    s, n = g.series, g.rank
+    top, bottom = sym.top, sym.bottom
+    a, b = len(top), len(bottom)
+    order = [_ref_qk_minus_1(2 * i) for i in range(1, n)]
+    if s in ("B", "C"):
+        first = _ref_prod(order + [_ref_qk_minus_1(2 * n)])
+    elif s == "D":
+        first = _ref_prod([_ref_qk_minus_1(n)] + order)
+    else:
+        first = _ref_prod([_ref_qk_plus_1(n)] + order)
+    twolog = (a + b - 1) // 2 + (1 if s == "D" and degenerate else 0)
+    pairs = [FactoredPoly.from_parts(1, x, {}) * _ref_qk_minus_1(y - x)
+             for row in (top, bottom) for i, x in enumerate(row) for y in row[i + 1:]]
+    cross = [FactoredPoly.from_parts(1, min(x, y), {}) * _ref_qk_plus_1(abs(x - y))
+             for x in top for y in bottom]
+    shift = sum((a + b - 2 * i) * (a + b - 2 * i - 1) // 2
+                for i in range(1, (a + b) // 2) if a + b - 2 * i >= 2)
+    entries = [_ref_qk_minus_1(2 * h) for x in top + bottom for h in range(1, x + 1)]
+    num = first * _ref_prod(pairs) * _ref_prod(cross)
+    den = FactoredPoly.from_parts(2 ** twolog, shift, {}) * _ref_prod(entries)
+    return num.divide(den)
+
+
+@pytest.mark.parametrize("series, ranks", [
+    ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(4, 9)), ("2D", range(4, 9)),
+])
+def test_symbol_degree_matches_per_factor_reference(series, ranks):
+    from unipdec.degrees import symbol_degree
+    from unipdec.labels import classical_label_list, label_symbol
+    for n in ranks:
+        g = GroupDescriptor(series, n)
+        degrees = {str(c.label): c.degree for c in catalog(g)}
+        labels = classical_label_list(g)
+        assert len(labels) == len(degrees)
+        for lab in labels:
+            sym = label_symbol(g, lab)
+            degenerate = lab.kind == "split"
+            want = _ref_symbol_degree(g, sym, degenerate)
+            assert symbol_degree(g, sym, degenerate) == want, (str(g), str(lab))
+            assert degrees[str(lab)] == want
