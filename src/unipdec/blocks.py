@@ -11,7 +11,7 @@ adjacent-degree divisibility and single-block membership.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 

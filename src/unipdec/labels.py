@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-from .cyclo import FactoredPoly, parse_factored
 
 SERIES = ("A", "2A", "B", "C", "D", "2D", "E6", "2E6", "E7", "E8", "F4")
 
@@ -267,10 +264,10 @@ def parse_label(text, group=None):
         if bip is None:
             raise LabelError(f"core label needs a bipartition: {text!r}")
         if bip.size() == 0:
-            return UnipLabel("core", m.group(1), bip=bip, core=m.group(1))
+            return core_label(m.group(1), bip)
         return UnipLabel("core", text, bip=bip, core=m.group(1))
     if text in _CORE_RANK:
-        return UnipLabel("core", text, bip=Bipartition((), ()), core=text)
+        return core_label(text, Bipartition((), ()))
     if text.endswith("+") or text.endswith("-"):
         half = parse_partition(text[:-1])
         bip = Bipartition(half, half)
@@ -290,8 +287,8 @@ def split_label(half, sign):
 
 
 def core_label(core, bip):
-    text = core if bip.size() == 0 and core in ("B6", "2D9", "D4") and core != "D4" \
-        else f"{core}:{bip}"
+    """A cuspidal-core label; the bare core is written `B6`, `D4`, `2D9`, but `B2:.`."""
+    text = core if bip.size() == 0 and core != "B2" else f"{core}:{bip}"
     return UnipLabel("core", text, bip=bip, core=core)
 
 
@@ -383,8 +380,7 @@ def classical_label_list(group):
                 out.append(core_label("B2", bip))
         if n >= 6:
             for bip in bipartitions(n - 6):
-                out.append(UnipLabel("core", f"B6:{bip}" if bip.size() else "B6",
-                                     bip=bip, core="B6"))
+                out.append(core_label("B6", bip))
         return out
     if s == "D":
         seen = set()
@@ -400,16 +396,14 @@ def classical_label_list(group):
             out.append(bip_label(c))
         if n >= 4:
             for bip in bipartitions(n - 4):
-                out.append(UnipLabel("core", f"D4:{bip}" if bip.size() else "D4",
-                                     bip=bip, core="D4"))
+                out.append(core_label("D4", bip))
         return out
     if s == "2D":
         for bip in bipartitions(n - 1):
             out.append(bip_label(bip))
         if n >= 9:
             for bip in bipartitions(n - 9):
-                out.append(UnipLabel("core", f"2D9:{bip}" if bip.size() else "2D9",
-                                     bip=bip, core="2D9"))
+                out.append(core_label("2D9", bip))
         return out
     raise UnsupportedGroupError(f"no classical catalog for {group}")
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclo import CycloError, parse_factored
 from .labels import GroupDescriptor, UnsupportedGroupError
@@ -259,6 +260,15 @@ class DecompTable:
 
     # -- admissible parameter assignments ----------------------------------
 
+    @cached_property
+    def system(self):
+        """The parameter system, compiled on first use (see ParamSystem).
+
+        It is kept for the table's lifetime: tables are not modified after
+        parsing.
+        """
+        return ParamSystem.compile(self)
+
     def free_and_defined(self):
         """Split params into free ones and ones defined by an equality."""
         defined = {}
@@ -277,44 +287,44 @@ class DecompTable:
 
     def resolve(self, free_assignment):
         """Extend an assignment of the free parameters to all parameters."""
+        order = self.system.order
+        if order is None:
+            raise TableError("cyclic parameter definitions")
         out = dict(free_assignment)
-        free, defined = self.free_and_defined()
-        pending = dict(defined)
-        while pending:
-            progress = False
-            for name, expr in list(pending.items()):
-                if expr.names() <= set(out):
-                    out[name] = expr.evaluate(out)
-                    del pending[name]
-                    progress = True
-            if not progress:
-                raise TableError("cyclic parameter definitions")
+        for name, form in order:
+            out[name] = _value(form, out)
         return out
 
     def is_admissible(self, assignment):
-        if any(v < 0 for v in assignment.values()):
+        system = self.system
+        if system.negative_constant or any(v < 0 for v in assignment.values()):
             return False
-        if not all(c.holds(assignment) for c in self.constraints):
-            return False
+        for is_equality, form in system.constraints:
+            v = _value(form, assignment)
+            if v < 0 or is_equality and v:
+                return False
         # every matrix entry must be a nonnegative integer
-        for col in self.columns:
-            for expr in col.entries.values():
-                if expr.evaluate(assignment) < 0:
-                    return False
-        return True
+        return all(_value(form, assignment) >= 0 for form in system.entries)
 
     def sample_admissible(self, bound=30, limit=4000):
-        """Deterministic search for admissible assignments of the free params."""
-        free, _ = self.free_and_defined()
-        lows = {}
-        for p in free:
-            lows[p] = 0
-            for c in self.constraints:
-                if c.rel == ">=" and set(c.expr.names()) == {p}:
-                    coeff = c.expr.terms.get((p,), 0)
-                    const = c.expr.constant()
-                    if coeff > 0 and const < 0:
-                        lows[p] = max(lows[p], (-const + coeff - 1) // coeff)
+        """Deterministic search for admissible assignments of the free params.
+
+        Each free parameter runs from its lower bound (`lows`, from the
+        one-variable constraints) up to `bound`.  Candidates come by total
+        excess over the lower bounds, smallest first, and within one excess
+        in increasing lexicographic order of the excess tuple, so the last
+        free parameter takes the excess first.  The search stops at 8
+        witnesses; it examines no candidate past the `limit`-th once it has
+        a witness, and none past the (50 * `limit`)-th.  A witness is the dict
+        `resolve` gives: free parameters in order, then defined ones in
+        the order they are assigned.  Cyclic definitions or a negative
+        constant entry admit no witness, so the search then returns []
+        without enumerating.
+        """
+        system = self.system
+        if system.order is None or system.negative_constant:
+            return []
+        free, lows = system.free, system.lows
         found = []
         tried = 0
 
@@ -334,11 +344,7 @@ class DecompTable:
                 tried += 1
                 if tried > limit and found or tried > 50 * limit:
                     return found
-                assign = {p: lows[p] + c for p, c in zip(free, combo)}
-                try:
-                    full = self.resolve(assign)
-                except TableError:
-                    continue
+                full = self.resolve({p: lows[p] + c for p, c in zip(free, combo)})
                 if self.is_admissible(full):
                     found.append(full)
                     if len(found) >= 8:
@@ -346,6 +352,80 @@ class DecompTable:
             if not free:
                 break
         return found
+
+
+def _form(expr):
+    """An expression as an integer form (const, ((coeff, monomial), ...))."""
+    return expr.constant(), tuple((c, m) for m, c in expr.terms.items() if m)
+
+
+def _value(form, assignment):
+    total, terms = form
+    for coeff, mono in terms:
+        for name in mono:
+            coeff *= assignment[name]
+        total += coeff
+    return total
+
+
+@dataclass(frozen=True)
+class ParamSystem:
+    """A table's parameters and conditions, derived once per table.
+
+    `free` and `defined` are `free_and_defined()`; `order` pairs each
+    defined parameter with its defining form in the order `resolve`
+    assigns them (None if the definitions are cyclic); `lows` are the lower
+    bounds of the free parameters from one-variable constraints;
+    `constraints` holds (is_equality, form) pairs; `entries` holds the
+    distinct non-constant matrix entries as forms, and `negative_constant`
+    says whether some constant entry is negative.
+    """
+
+    free: tuple
+    defined: dict
+    order: tuple | None
+    lows: dict
+    constraints: tuple
+    entries: tuple
+    negative_constant: bool
+
+    @classmethod
+    def compile(cls, table):
+        free, defined = table.free_and_defined()
+        known = set(free)
+        pending = dict(defined)
+        order = []
+        while pending:
+            progress = False
+            for name, expr in list(pending.items()):
+                if expr.names() <= known:
+                    order.append((name, _form(expr)))
+                    known.add(name)
+                    del pending[name]
+                    progress = True
+            if not progress:
+                order = None
+                break
+        lows = {}
+        for p in free:
+            lows[p] = 0
+            for c in table.constraints:
+                if c.rel == ">=" and set(c.expr.names()) == {p}:
+                    coeff = c.expr.terms.get((p,), 0)
+                    const = c.expr.constant()
+                    if coeff > 0 and const < 0:
+                        lows[p] = max(lows[p], (-const + coeff - 1) // coeff)
+        entries = {}
+        negative_constant = False
+        for col in table.columns:
+            for expr in col.entries.values():
+                if expr.is_constant():
+                    negative_constant |= expr.constant() < 0
+                else:
+                    entries[_form(expr)] = None
+        return cls(free, defined, None if order is None else tuple(order), lows,
+                   tuple((c.rel == "=", _form(c.expr)) for c in table.constraints),
+                   tuple(entries), negative_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +495,21 @@ def parse(text, group=None):
     constraints = tuple(parse_constraint(c) for c in meta.get("constraints", "").split(";")
                         if c.strip())
     degrees_kind = meta.get("degrees", "none")
+    canonical = {}
+
     def canon(text):
         # row labels are stored in canonical orientation so vectors computed
-        # from the catalogs match up with the table rows
+        # from the catalogs match up with the table rows; each distinct text
+        # is resolved once per file
         from .labels import LabelError, resolve_label
-        if group.series in ("A", "2A", "B", "C", "D", "2D"):
+        if group.series not in ("A", "2A", "B", "C", "D", "2D"):
+            return text
+        if text not in canonical:
             try:
-                return str(resolve_label(group, text))
+                canonical[text] = str(resolve_label(group, text))
             except LabelError as exc:
                 raise TableError(str(exc))
-        return text
+        return canonical[text]
 
     def degree(text, lineno):
         try:

@@ -9,6 +9,7 @@ reasoning over the admissible parameter box (free parameters range over
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
@@ -41,17 +42,8 @@ class ParamBox:
     def __init__(self, table, hi=30):
         self.table = table
         self.hi = hi
-        self.free, self.defined = table.free_and_defined()
-        self.low = {}
-        for p in self.free:
-            lo = 0
-            for c in table.constraints:
-                if c.rel == ">=" and set(c.expr.names()) == {p}:
-                    coeff = c.expr.terms.get((p,), 0)
-                    const = c.expr.constant()
-                    if coeff > 0 and const < 0:
-                        lo = max(lo, (-const + coeff - 1) // coeff)
-            self.low[p] = lo
+        system = table.system
+        self.free, self.defined, self.low = system.free, system.defined, system.lows
         self.high = {}
         for p in self.free:
             up = hi
@@ -131,13 +123,18 @@ class ParamBox:
 
 def row_chars(table):
     """Catalog characters for the rows (None where the catalog has no entry)."""
+    return _row_chars(table.group, table.rows)
+
+
+@lru_cache(maxsize=None)
+def _row_chars(group, rows):
     out = []
-    for lab in table.rows:
+    for lab in rows:
         try:
-            out.append(find_char(table.group, lab))
+            out.append(find_char(group, lab))
         except (LabelError, UnsupportedGroupError):
             out.append(None)
-    return out
+    return tuple(out)
 
 
 def check_degrees(table):
@@ -196,7 +193,7 @@ def check_unitriangular(table):
 # Craven's perversity check
 
 def check_craven(table, d=None):
-    """Perviersity comparison on every entry; returns forced zeros.
+    """Perversity comparison on every entry; returns forced zeros.
 
     An entry that cannot vanish at a position with pi_d(row) <= pi_d(column
     leader) is a conjecture violation; a parameter entry there is forced

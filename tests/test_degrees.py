@@ -196,3 +196,20 @@ def test_symbol_degree_matches_per_factor_reference(series, ranks):
             want = _ref_symbol_degree(g, sym, degenerate)
             assert symbol_degree(g, sym, degenerate) == want, (str(g), str(lab))
             assert degrees[str(lab)] == want
+
+
+@pytest.mark.parametrize("group", ["B2", "C2"])
+def test_find_char_bare_b2_core(group):
+    # the cuspidal unipotent character of B2/C2 is catalogued as `B2:.`;
+    # the bare core `B2` names the same character
+    g = GroupDescriptor.parse(group)
+    cusp = [c for c in catalog(g) if c.label.kind == "core"]
+    assert [str(c.label) for c in cusp] == ["B2:."]
+    assert find_char(g, "B2:.") is cusp[0]
+    assert find_char(g, "B2") is cusp[0]
+    assert str(cusp[0].degree) == "1/2*q*P1^2"
+    # the other bare cores keep their bare catalog names
+    assert str(find_char(B6, "B6").label) == "B6"
+    assert str(find_char(B6, "B6:.").label) == "B6"
+    assert str(find_char(D4, "D4:.").label) == "D4"
+    assert str(find_char(B4, "B2:.2").label) == "B2:.2"
