@@ -15,11 +15,10 @@ from .blocks import BlockError, tree_check
 from .degrees import (UnsupportedGroupError, a_value, A_value, catalog, defect,
                       perversity)
 from .hecke import HeckeError, HeckeSpec, Param, parse_spec, product_count
-from .labels import GroupDescriptor, LabelError
+from .labels import Bipartition, GroupDescriptor, LabelError
 from .tables import TableError
 from .verify import corpus_tables, corpus_trees, run_table_checks
-from .weyl import induce as weyl_induce
-from .labels import Bipartition
+from .weyl import induce_char
 
 
 def _table_filter(args):
@@ -51,17 +50,18 @@ def _tree_results(args):
         yield path, rep.status, rep.evidence or chain
 
 
-def _emit(rows, header, fmt):
+def _emit(rows, header, fmt, file=None):
+    """Print a header and rows as TSV or as aligned text to `file` (stdout)."""
     if fmt == "tsv":
-        print("\t".join(header))
+        print("\t".join(header), file=file)
         for r in rows:
-            print("\t".join(str(x) for x in r))
+            print("\t".join(str(x) for x in r), file=file)
     else:
         widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows])
                   for i, h in enumerate(header)]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=file)
         for r in rows:
-            print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
+            print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)), file=file)
 
 
 def cmd_verify(args):
@@ -91,12 +91,11 @@ def cmd_verify(args):
     except (TableError, BlockError, OSError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(lines, ("table", "check", "status", "evidence"), args.format)
+    header = ("table", "check", "status", "evidence")
+    _emit(lines, header, args.format)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write("table\tcheck\tstatus\tevidence\n")
-            for r in lines:
-                fh.write("\t".join(str(x) for x in r) + "\n")
+            _emit(lines, header, "tsv", fh)
     return 1 if failed else 0
 
 
@@ -147,7 +146,7 @@ def cmd_induce(args):
     except LabelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    res = weyl_induce([("B", {chi: 1})], args.rank)
+    res = induce_char(chi, args.rank)
     rows = sorted((str(b), m) for b, m in res.items())
     _emit(rows, ("character", "multiplicity"), args.format)
     return 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .cyclo import FactoredPoly, parse_factored, prod_factored
 from .labels import (GroupDescriptor, LabelError, UnipLabel,
@@ -255,9 +256,33 @@ def _load_exceptional(series):
     return rows
 
 
-@lru_cache(maxsize=None)
 def catalog(g):
-    """All unipotent characters of g, ordered by (a, A, label)."""
+    """All unipotent characters of g, ordered by (a, A, label).
+
+    Memoised, including the failure for a group without a catalog (E7, or
+    E8 when its file is missing): that raises a fresh UnsupportedGroupError
+    with the same message on every call, without a second attempt.
+    `catalog.cache_info` reports the memo's hits and misses.
+    """
+    built = _catalog(g)
+    if isinstance(built, UnsupportedGroupError):
+        raise type(built)(*built.args)
+    return built
+
+
+@lru_cache(maxsize=None)
+def _catalog(g):
+    """The catalog of g, or the UnsupportedGroupError saying why there is none."""
+    try:
+        return _build_catalog(g)
+    except UnsupportedGroupError as exc:
+        return exc.with_traceback(None)
+
+
+catalog.cache_info = _catalog.cache_info
+
+
+def _build_catalog(g):
     chars = []
     if g.series in ("E6", "2E6", "F4", "E8"):
         for text, tag, deg in _load_exceptional(str(g)):
@@ -273,10 +298,13 @@ def catalog(g):
 
 @lru_cache(maxsize=None)
 def catalog_map(g):
-    return {str(c.label): c for c in catalog(g)}
+    """Label text -> character of g's catalog, as a read-only mapping."""
+    return MappingProxyType({str(c.label): c for c in catalog(g)})
 
 
+@lru_cache(maxsize=None)
 def find_char(g, text):
+    """The catalog character of g labelled `text`; memoised per (g, text)."""
     label = parse_label(text, g)
     cm = catalog_map(g)
     if str(label) in cm:

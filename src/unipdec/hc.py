@@ -4,16 +4,32 @@ Induction acts series by series: principal-series parts go through Weyl-group
 induction (type D via the symmetrised B_n-cover), cuspidal-core parts (B2:,
 B6:, D4:) through their relative type-B Weyl groups.  This is what the
 (HCi)/(HCr) checks of the verification engine consume.
+
+What is memoised: the induction of one W(B_m)-character into W(B_n)
+(`weyl.induce_char`, keyed by the bipartition, n and the GL-factor
+partitions) and the induction matrix of a (source, target) pair
+(`induction_matrix`, which `hc_restrict` reads on every call).  Both are
+handed out read-only.  `hc_induce` is not memoised per source label: it
+sums the cached W(B_n)-characters over the whole cover vector and only then
+reads the sum back as labels of the target.  The halving at a degenerate
+type-D label stays on that sum because a coefficient there can be odd for
+one source label and even for the vector: lam+ and lam- each put their
+coefficient once on the cover, the pair twice.  Halving label by label
+would raise on such vectors; an odd coefficient of the summed vector is a
+real gap and raises HCError (the A3 -> D4 Levi table is one).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .degrees import catalog, find_char
-from .labels import UnsupportedGroupError, parse_label
-from .tables import ParamExpr
-from .weyl import induce, sym_to_hyper
+from .labels import (UnsupportedGroupError, d_canonical_bip, parse_label,
+                     split_label)
+from .tables import ParamExpr, int_or_expr
+from .weyl import induce_char, sym_to_hyper
 
 
 class HCError(ValueError):
@@ -60,9 +76,7 @@ def _to_b_cover(group, labeled):
 
 def _cover_rank(group):
     s, n = group.series, group.rank
-    if s in ("B", "C"):
-        return n
-    if s == "D":
+    if s in ("B", "C", "D"):
         return n
     if s == "2D":
         return n - 1
@@ -80,7 +94,6 @@ def _from_b_cover(group, cover):
     """Read a symmetrised B-cover vector back as labels of the group."""
     out = {}
     if group.series == "D":
-        from .labels import d_canonical_bip, split_label
         for bip, c in cover.items():
             if bip.left == bip.right:
                 # split evenly between the +/- pair
@@ -119,8 +132,24 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
     if target_group.series in ("B", "C", "D") and source_group.series != target_group.series:
         if not (source_group.series in ("A", "D", "B", "C")):
             raise UnsupportedGroupError("mixed-series HC induction not supported")
+    if vector and all(isinstance(c, ParamExpr) for c in vector.values()):
+        # a table column: constant entries are induced as ints, and every
+        # coefficient of the result is a ParamExpr, as it would be anyway
+        ints = {lab: int_or_expr(c) for lab, c in vector.items()}
+        if all(isinstance(c, int) for c in ints.values()):
+            out = _induce(source_group, ints, target_group, extra_a_factors)
+            return {lab: ParamExpr.const(c) for lab, c in out.items()}
+    return _induce(source_group, vector, target_group, extra_a_factors)
+
+
+def _induce(source_group, vector, target_group, extra_a_factors):
+    """hc_induce with the coefficients taken as they are given."""
+    parts = _series_parts(source_group, vector)
+    if parts:
+        _cover_rank(source_group)  # raises for a source outside A, B, C, D, 2D
+    a_factors = tuple(tuple(p) for p in extra_a_factors)
     out = {}
-    for core, labeled in _series_parts(source_group, vector).items():
+    for core, labeled in parts.items():
         if core == "ps" and source_group.series in ("A", "2A"):
             # a GL-factor: its Weyl group S_k induces into the hyperoctahedral
             # cover through all two-sided splittings
@@ -134,15 +163,10 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
             cover = {}
             for lab, c in labeled.items():
                 cover[lab.bip] = cover.get(lab.bip, 0) + c
-            if source_group.series == "D" and core == "D4":
-                pass  # relative group is already type B; no folding
-        m = _rel_rank(source_group, core)
         n = _rel_rank(target_group, core)
         acc = {}
         for bip, c in cover.items():
-            factors = [("B", {bip: 1})] + [("A", tuple(p)) for p in extra_a_factors]
-            res = induce(factors, n)
-            for b2, k in res.items():
+            for b2, k in induce_char(bip, n, a_factors).items():
                 acc[b2] = acc.get(b2, 0) + c * k
         if core == "ps":
             part = _from_b_cover(target_group, acc)
@@ -162,14 +186,19 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
     return canon
 
 
+@lru_cache(maxsize=None)
 def induction_matrix(source_group, target_group):
-    """Multiplicity matrix of HC induction on the two catalogs."""
-    src = [str(c.label) for c in catalog(source_group)]
-    tgt = [str(c.label) for c in catalog(target_group)]
-    cols = {}
-    for lab in src:
-        cols[lab] = hc_induce(source_group, {lab: 1}, target_group)
-    return src, tgt, cols
+    """Multiplicity matrix of HC induction on the two catalogs, memoised.
+
+    Returns (source labels, target labels, columns): two tuples and a
+    read-only mapping from each source label to the read-only mapping of
+    its induced vector.
+    """
+    src = tuple(str(c.label) for c in catalog(source_group))
+    tgt = tuple(str(c.label) for c in catalog(target_group))
+    cols = {lab: MappingProxyType(hc_induce(source_group, {lab: 1}, target_group))
+            for lab in src}
+    return src, tgt, MappingProxyType(cols)
 
 
 def hc_restrict(target_group, vector, source_group):

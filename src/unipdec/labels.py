@@ -250,8 +250,12 @@ _CORE_RANK = {"B2": 2, "B6": 6, "D4": 4, "2D9": 9}
 _CORE_DEFECT = {"B2": 3, "B6": 5, "D4": 4, "2D9": 6}
 
 
+@lru_cache(maxsize=None)
 def parse_label(text, group=None):
-    """Parse a label string; `group` only disambiguates named exceptional labels."""
+    """Parse a label string; `group` only disambiguates named exceptional labels.
+
+    Memoised per (text, group): the result is a frozen UnipLabel.
+    """
     text = text.strip()
     if not text:
         raise LabelError("empty label")

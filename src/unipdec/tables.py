@@ -174,6 +174,20 @@ class ParamExpr:
     __repr__ = __str__
 
 
+def int_or_expr(value):
+    """`value` as an int when it is a constant with an int coefficient (zero
+    included), else as its ParamExpr.  Anything that is not a ParamExpr is
+    taken as int(value), as ParamExpr.const takes it."""
+    if not isinstance(value, ParamExpr):
+        return int(value)
+    terms = value.terms
+    if not terms:
+        return 0
+    if len(terms) == 1 and type(terms.get(())) is int:
+        return terms[()]
+    return value
+
+
 def parse_expr(text):
     """Parse an integer-affine expression like '24-15c17-5c18+6c19' or '2-d'."""
     text = text.replace(" ", "")
@@ -268,6 +282,25 @@ class DecompTable:
         parsing.
         """
         return ParamSystem.compile(self)
+
+    @cached_property
+    def int_columns(self):
+        """Each column's entries as (row index, entry) pairs, constant
+        entries as int (`int_or_expr`); compiled on first use for
+        back-substitution, like `system`."""
+        return tuple(tuple((i, int_or_expr(e)) for i, e in col.entries.items())
+                     for col in self.columns)
+
+    @cached_property
+    def below_diagonal(self):
+        """For each row j, the nonzero entries (k, entry) of the columns k < j,
+        in increasing k, entries as in `int_columns`."""
+        rows = [[] for _ in self.rows]
+        for k, col in enumerate(self.int_columns):
+            for i, e in col:
+                if i > k and e != 0:
+                    rows[i].append((k, e))
+        return tuple(map(tuple, rows))
 
     def free_and_defined(self):
         """Split params into free ones and ones defined by an equality."""

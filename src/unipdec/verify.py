@@ -14,7 +14,7 @@ from functools import lru_cache
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor, LabelError
-from .tables import ParamExpr
+from .tables import ParamExpr, int_or_expr
 from .weyl import sign_value
 
 
@@ -312,34 +312,48 @@ def echelonize(projs, order):
 # ---------------------------------------------------------------------------
 # back-substitution through a unitriangular table
 
-def decompose_in_columns(table, vector, box=None):
+def decompose_in_columns(table, vector):
     """Coefficients c with vector = sum c_j * column_j; exact back-substitution.
 
     `vector` maps row labels to integers (or ParamExpr).  Returns a list of
-    ParamExpr coefficients.
+    ParamExpr coefficients.  The work is done in ints and turns to ParamExpr
+    arithmetic only where a parameter enters (`table.below_diagonal`).
     """
-    n = table.size()
-    coeffs = [ParamExpr() for _ in range(n)]
-    for j in range(n):
-        val = vector.get(table.rows[j], 0)
-        expr = val if isinstance(val, ParamExpr) else ParamExpr.const(val)
-        for k in range(j):
-            ckj = table.entry(j, k)
-            if not ckj.is_zero() and not coeffs[k].is_zero():
-                expr = expr - coeffs[k] * ckj
-        coeffs[j] = expr
-    return coeffs
+    rows = table.rows
+    coeffs = []
+    for j, lower in enumerate(table.below_diagonal):
+        c = int_or_expr(vector.get(rows[j], 0))
+        for k, e in lower:
+            ck = coeffs[k]
+            if ck != 0:
+                c = _plus(c, -(ck * e))
+        coeffs.append(int_or_expr(c))
+    return [_expr(c) for c in coeffs]
 
 
 def recompose(table, coeffs):
+    """sum c_j * column_j as a dict row label -> ParamExpr."""
+    rows = table.rows
     out = {}
-    for j, c in enumerate(coeffs):
-        if c.is_zero():
+    for c, column in zip(coeffs, table.int_columns):
+        c = int_or_expr(c)
+        if c == 0:
             continue
-        for i, e in table.columns[j].entries.items():
-            lab = table.rows[i]
-            out[lab] = out.get(lab, ParamExpr()) + c * e
-    return out
+        for i, e in column:
+            lab = rows[i]
+            out[lab] = _plus(out.get(lab, 0), c * e)
+    return {lab: _expr(v) for lab, v in out.items()}
+
+
+def _plus(a, b):
+    """a + b for ints and ParamExprs, the terms of a first."""
+    if isinstance(a, int) and isinstance(b, ParamExpr):
+        return ParamExpr.const(a) + b
+    return a + b
+
+
+def _expr(c):
+    return c if isinstance(c, ParamExpr) else ParamExpr.const(c)
 
 
 def check_backsub_roundtrip(table, vector):

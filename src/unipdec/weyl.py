@@ -8,12 +8,20 @@ induction and restriction go through Littlewood-Richardson coefficients.
 Type D is handled by folding from B_n.  Values of the degenerate +/-
 characters at split classes are never needed by the paper's computations
 and raise instead of guessing.
+
+Induction is a pure function of small hashable arguments, and Harish-Chandra
+induction asks for the same few products over and over, so `mult_B`,
+`regular_B`, `sym_to_hyper`, the Littlewood-Richardson expansions and the
+single-character induction `induce_char` are memoised.  Their cached
+results are handed out as read-only mappings (`MappingProxyType`), so no
+caller can alter a later result; `induce` builds a fresh dict on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .labels import Bipartition, check_partition, partitions
 
@@ -224,24 +232,26 @@ def lr_coefficient(lam, mu, nu):
 
 @lru_cache(maxsize=None)
 def lr_expand_product(mu, nu):
-    """s_mu * s_nu = sum c^lam s_lam as a dict."""
+    """s_mu * s_nu = sum c^lam s_lam as a read-only mapping."""
     out = {}
     n = sum(mu) + sum(nu)
     for lam in partitions(n):
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[lam] = c
-    return out
+    return MappingProxyType(out)
 
 
+@lru_cache(maxsize=None)
 def mult_B(chi1, chi2):
-    """Induction product of W(B_a) x W(B_b) characters, as a dict on bipartitions."""
+    """Induction product of W(B_a) x W(B_b) characters, as a read-only
+    mapping on bipartitions."""
     out = {}
     for l, cl in lr_expand_product(chi1.left, chi2.left).items():
         for r, cr in lr_expand_product(chi1.right, chi2.right).items():
             bip = Bipartition(l, r)
             out[bip] = out.get(bip, 0) + cl * cr
-    return out
+    return MappingProxyType(out)
 
 
 def mult_B_dicts(d1, d2):
@@ -253,8 +263,10 @@ def mult_B_dicts(d1, d2):
     return out
 
 
+@lru_cache(maxsize=None)
 def sym_to_hyper(nu):
-    """Ind from S_k to W(B_k) of the S_k-character nu, as a dict on bipartitions."""
+    """Ind from S_k to W(B_k) of the S_k-character nu (a partition tuple), as
+    a read-only mapping on bipartitions."""
     out = {}
     k = sum(nu)
     for a in range(k + 1):
@@ -263,35 +275,37 @@ def sym_to_hyper(nu):
                 c = lr_coefficient(nu, alpha, beta)
                 if c:
                     out[Bipartition(alpha, beta)] = c
-    return out
+    return MappingProxyType(out)
 
 
+@lru_cache(maxsize=None)
 def regular_B(k):
-    """Regular character of W(B_k) (k = 0 gives the trivial one)."""
+    """Regular character of W(B_k) (k = 0 gives the trivial one), as a
+    read-only mapping on bipartitions."""
     if k == 0:
-        return {Bipartition((), ()): 1}
+        return MappingProxyType({Bipartition((), ()): 1})
     out = {}
     for a in range(k + 1):
         for alpha in partitions(a):
             for beta in partitions(k - a):
                 bip = Bipartition(alpha, beta)
                 out[bip] = char_dim_B(k, bip)
-    return out
+    return MappingProxyType(out)
 
 
 def induce(factors, n, deficit_regular=True):
     """Induce a product character up to W(B_n).
 
-    `factors` is a list of ("B", dict-on-bipartitions) or ("A", partition)
-    entries; sizes plus the torus deficit must add up to n.  The deficit is
-    filled with regular W(B_1)-characters, which is exactly induction from
-    the parabolic W(B_m) <= W(B_n).
+    `factors` is a list of ("B", bipartition or mapping on bipartitions) or
+    ("A", partition) entries; sizes plus the torus deficit must add up to n.
+    The deficit is filled with regular W(B_1)-characters, which is exactly
+    induction from the parabolic W(B_m) <= W(B_n).
     """
     acc = {Bipartition((), ()): 1}
     used = 0
     for kind, data in factors:
         if kind == "B":
-            d = data if isinstance(data, dict) else {data: 1}
+            d = {data: 1} if isinstance(data, Bipartition) else data
             used += next(iter(d)).size() if d else 0
             acc = mult_B_dicts(acc, d)
         elif kind == "A":
@@ -311,14 +325,25 @@ def induce(factors, n, deficit_regular=True):
 
 
 @lru_cache(maxsize=None)
+def induce_char(chi, n, a_factors=()):
+    """Induce chi (a bipartition) times the S_k-characters `a_factors` (a
+    tuple of partition tuples) up to W(B_n), filling the rest with torus.
+
+    This is `induce([("B", {chi: 1})] + [("A", p) for p in a_factors], n)`,
+    memoised, as a read-only mapping on bipartitions.
+    """
+    return MappingProxyType(induce([("B", {chi: 1})] + [("A", p) for p in a_factors], n))
+
+
+@lru_cache(maxsize=None)
 def _skew_expand(lam, mu):
-    """s_{lam/mu} = sum c^lam_{mu,nu} s_nu."""
+    """s_{lam/mu} = sum c^lam_{mu,nu} s_nu, as a read-only mapping."""
     out = {}
     for nu in partitions(sum(lam) - sum(mu)):
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[nu] = c
-    return out
+    return MappingProxyType(out)
 
 
 def restrict_B(chi, a, b):

@@ -133,3 +133,38 @@ def test_wellformed_table_file_verifies(tmp_path):
     (d / "X.dmx").write_text(_TABLE)
     code, out = run(["--corpus", str(tmp_path), "--format", "tsv", "verify"])
     assert code == 0 and "d2/X.dmx\tunitriangular\tpass" in out
+
+
+# `unipdec --format tsv induce` as it printed before single-character
+# induction was memoised
+_INDUCE_TSV = {
+    ("4.", "5"): ["4.1\t1", "41.\t1", "5.\t1"],
+    ("2.1", "5"): ["2.1^3\t1", "2.21\t2", "2.3\t1", "21.1^2\t2", "21.2\t2",
+                   "21^2.1\t1", "2^2.1\t1", "3.1^2\t2", "3.2\t2", "31.1\t2", "4.1\t1"],
+    (".1^2", "4"): [".1^4\t1", ".21^2\t2", ".2^2\t1", ".31\t1", "1.1^3\t2",
+                    "1.21\t2", "1^2.1^2\t1", "2.1^2\t1"],
+}
+
+
+@pytest.mark.parametrize("char, rank", sorted(_INDUCE_TSV))
+def test_induce_tsv_output(char, rank):
+    code, out = run(["--format", "tsv", "induce", "--char", char, "--rank", rank])
+    assert code == 0
+    assert out.splitlines() == ["character\tmultiplicity"] + _INDUCE_TSV[char, rank]
+    # a second run reads the memo and prints the same
+    assert run(["--format", "tsv", "induce", "--char", char, "--rank", rank]) == (0, out)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "text"])
+def test_verify_out_file_is_the_golden_tsv(tmp_path, fmt):
+    out_file = tmp_path / "verify.tsv"
+    code, out = run(["--corpus", str(DATA), "--format", fmt, "verify",
+                     "--out", str(out_file)])
+    assert code == 0
+    golden = (pathlib.Path(__file__).parent / "data" / "verify.tsv").read_text()
+    assert out_file.read_text() == golden
+    if fmt == "tsv":
+        assert out == golden
+    else:
+        assert out != golden and out.splitlines()[0].split() == [
+            "table", "check", "status", "evidence"]
