@@ -17,8 +17,7 @@ from math import lcm
 
 from .cyclo import DensePoly, common_factor, cyclotomic
 from .degrees import catalog, catalog_map, defect, find_char, group_order_poly
-from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError,
-                     label_symbol)
+from .labels import BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError
 
 
 class BlockError(ValueError):
@@ -127,7 +126,7 @@ def block_partition(group, d):
     if group.series in ("B", "C", "D", "2D", "A", "2A"):
         keyed = {}
         for c in chars:
-            core = symbol_core(label_symbol(group, c.label), d)
+            core = symbol_core(c.symbol, d)
             keyed.setdefault(core, []).append(str(c.label))
         blocks = []
         for labels in keyed.values():

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class CycloError(ValueError):
@@ -178,9 +178,46 @@ def euler_phi(d):
 # factored polynomials
 
 
+def _is_canonical(mults):
+    """True if `mults` is a tuple of int pairs (d, m), d strictly increasing
+    from d >= 1 and m >= 1: the stored form of FactoredPoly.cyclo_mults."""
+    if type(mults) is not tuple:
+        return False
+    prev = 0
+    for pair in mults:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        d, m = pair
+        if type(d) is not int or type(m) is not int or d <= prev or m < 1:
+            return False
+        prev = d
+    return True
+
+
+@lru_cache(maxsize=None)
+def _monic_expansion(q_exp, cyclo_mults):
+    """q^q_exp * prod Phi_d^m expanded in integers; memoised per factor data."""
+    acc = ONE
+    for d, m in cyclo_mults:
+        p = cyclotomic(d)
+        for _ in range(m):
+            acc = acc * p
+    return DensePoly((0,) * q_exp + acc.coeffs)
+
+
 @dataclass(frozen=True)
 class FactoredPoly:
-    """scalar * q**q_exp * prod over d of Phi_d**mult, scalar a nonzero rational."""
+    """scalar * q**q_exp * prod over d of Phi_d**mult, scalar a nonzero rational.
+
+    Canonical form: `scalar` is a nonzero Fraction and `cyclo_mults` a tuple
+    of int pairs (d, m) with d strictly increasing from d >= 1 and every
+    m >= 1.  Every construction passes through `__post_init__`.  Input that
+    is already canonical is accepted after one linear scan (the fast path
+    that products, quotients and `from_parts` take); anything else (a dict,
+    unsorted or repeated pairs, zero multiplicities, non-int entries) is
+    merged through a dict, sorted and checked, and a factor with d < 1 or
+    m < 0 raises CycloError.
+    """
 
     scalar: Fraction = Fraction(1)
     q_exp: int = 0
@@ -189,7 +226,10 @@ class FactoredPoly:
     def __post_init__(self):
         if self.scalar == 0:
             raise CycloError("FactoredPoly scalar must be nonzero")
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
+        if type(self.scalar) is not Fraction:
+            object.__setattr__(self, "scalar", Fraction(self.scalar))
+        if _is_canonical(self.cyclo_mults):
+            return
         mults = tuple(sorted((int(d), int(m)) for d, m in dict(self.cyclo_mults).items()
                              if m != 0))
         for d, m in mults:
@@ -203,14 +243,18 @@ class FactoredPoly:
 
     @classmethod
     def from_parts(cls, scalar, q_exp, mults):
-        return cls(Fraction(scalar), q_exp, tuple(sorted(mults.items())))
+        """From a dict {d: m}; zero multiplicities are dropped."""
+        return cls(scalar, q_exp, tuple(sorted((d, m) for d, m in mults.items() if m)))
 
     def mults(self):
         return dict(self.cyclo_mults)
 
     def root_multiplicity(self, e):
         """Multiplicity of a primitive e-th root of unity as a root; e = 1 gives m(1, .)."""
-        return dict(self.cyclo_mults).get(e, 0)
+        for d, m in self.cyclo_mults:
+            if d >= e:
+                return m if d == e else 0
+        return 0
 
     def a_value(self):
         """Valuation at q = 0 (only the q-power contributes)."""
@@ -218,16 +262,15 @@ class FactoredPoly:
 
     def A_value(self):
         """Degree of the expanded polynomial."""
+        return self._degree
+
+    @cached_property
+    def _degree(self):
         return self.q_exp + sum(m * euler_phi(d) for d, m in self.cyclo_mults)
 
     def expand(self):
-        """Dense form: the monic product in integers, shifted by q^k, scaled once."""
-        acc = ONE
-        for d, m in self.cyclo_mults:
-            p = cyclotomic(d)
-            for _ in range(m):
-                acc = acc * p
-        acc = DensePoly((0,) * self.q_exp + acc.coeffs)
+        """Dense form: the memoised monic q^k * prod Phi_e^m, scaled once."""
+        acc = _monic_expansion(self.q_exp, self.cyclo_mults)
         return acc if self.scalar == 1 else acc * self.scalar
 
     def evaluate(self, q0):
@@ -239,25 +282,17 @@ class FactoredPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FactoredPoly(self.scalar * other, self.q_exp, self.cyclo_mults)
-        mults = dict(self.cyclo_mults)
-        for d, m in other.cyclo_mults:
-            mults[d] = mults.get(d, 0) + m
-        return FactoredPoly.from_parts(self.scalar * other.scalar,
-                                       self.q_exp + other.q_exp, mults)
+        return FactoredPoly(self.scalar * other.scalar, self.q_exp + other.q_exp,
+                            _merge(self.cyclo_mults, other.cyclo_mults, 1))
 
     __rmul__ = __mul__
 
     def divide(self, other):
         """Exact quotient in factored form; raises if a factor would go negative."""
-        mults = dict(self.cyclo_mults)
-        for d, m in other.cyclo_mults:
-            mults[d] = mults.get(d, 0) - m
-            if mults[d] < 0:
-                raise CycloError(f"P{d} does not divide")
+        mults = _merge(self.cyclo_mults, other.cyclo_mults, -1)
         if self.q_exp < other.q_exp:
             raise CycloError("q-power does not divide")
-        return FactoredPoly.from_parts(self.scalar / other.scalar,
-                                       self.q_exp - other.q_exp, mults)
+        return FactoredPoly(self.scalar / other.scalar, self.q_exp - other.q_exp, mults)
 
     def divides(self, other):
         """True if self divides other as polynomials (cyclotomic data only)."""
@@ -270,6 +305,30 @@ class FactoredPoly:
 
     def __repr__(self):
         return f"FactoredPoly({format_factored(self)!r})"
+
+
+def _merge(a, b, sign):
+    """Canonical factor data of a * b (sign 1) or a / b (sign -1), for
+    canonical a and b; a quotient raises at the first Phi_d of b that a
+    does not hold often enough."""
+    out = []
+    i, j, la, lb = 0, 0, len(a), len(b)
+    while j < lb:
+        d, m = b[j]
+        while i < la and a[i][0] < d:
+            out.append(a[i])
+            i += 1
+        have = a[i][1] if i < la and a[i][0] == d else 0
+        if have:
+            i += 1
+        k = have + sign * m
+        if k < 0:
+            raise CycloError(f"P{d} does not divide")
+        if k:
+            out.append((d, k))
+        j += 1
+    out.extend(a[i:])
+    return tuple(out)
 
 
 def factor_dense(p):

@@ -11,24 +11,29 @@ from __future__ import annotations
 
 import importlib.resources
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
 from .cyclo import FactoredPoly, parse_factored, prod_factored
-from .labels import (GroupDescriptor, LabelError, UnipLabel,
+from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnipLabel,
                      UnsupportedGroupError, classical_label_list, label_symbol,
                      parse_label, resolve_label)
 
 
 @dataclass(frozen=True)
 class UnipChar:
+    """A catalog character.  `symbol` is the reduced beta-symbol of a
+    classical character (what `label_symbol` gives for its label), computed
+    once with its degree; None for an exceptional character."""
+
     group: GroupDescriptor
     label: UnipLabel
     degree: FactoredPoly
     hc_series: str
+    symbol: BetaSymbol | None = field(default=None, compare=False)
 
     def __str__(self):
         return f"{self.group}:{self.label}"
@@ -222,17 +227,24 @@ def degree_poly(g, label):
     if isinstance(label, str):
         label = resolve_label(g, label)
     s = g.series
-    if s == "A":
-        return gl_degree(label.bip.left)
-    if s == "2A":
-        return ennola(gl_degree(label.bip.left))
+    if s in ("A", "2A"):
+        return _classical_degree(g, label, None)
     if s in ("B", "C", "D", "2D"):
-        sym = label_symbol(g, label)
-        if sym.rank() != g.rank:
-            raise LabelError(f"label {label} has rank {sym.rank()}, not {g.rank}")
-        return symbol_degree(g, sym, degenerate=(label.kind == "split"))
+        return _classical_degree(g, label, label_symbol(g, label))
     raise UnsupportedGroupError(
         f"degree_poly only computes classical degrees; use catalog() for {g}")
+
+
+def _classical_degree(g, label, sym):
+    """Degree of a classical character; `sym` is its reduced beta-symbol
+    (not read in type A, whose degrees come from the hook formula)."""
+    if g.series == "A":
+        return gl_degree(label.bip.left)
+    if g.series == "2A":
+        return ennola(gl_degree(label.bip.left))
+    if sym.rank() != g.rank:
+        raise LabelError(f"label {label} has rank {sym.rank()}, not {g.rank}")
+    return symbol_degree(g, sym, degenerate=(label.kind == "split"))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +303,9 @@ def _build_catalog(g):
         raise UnsupportedGroupError("no E7 catalog is shipped")
     else:
         for lab in classical_label_list(g):
-            chars.append(UnipChar(g, lab, degree_poly(g, lab), _series_tag(lab)))
+            sym = label_symbol(g, lab)
+            chars.append(UnipChar(g, lab, _classical_degree(g, lab, sym), _series_tag(lab),
+                                  sym))
     chars.sort(key=lambda c: (c.degree.a_value(), c.degree.A_value(), str(c.label)))
     return tuple(chars)
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .degrees import catalog
-from .labels import BetaSymbol, UnsupportedGroupError, label_symbol
+from .labels import BetaSymbol, UnsupportedGroupError
 from .weyl import char_value_B, char_value_D
 
 
@@ -41,14 +42,18 @@ def _family_parity(group):
 
 @lru_cache(maxsize=None)
 def families(group):
-    """Partition of the catalog into families, keyed by shifted entry multisets."""
+    """Partition of the catalog into families, keyed by shifted entry multisets.
+
+    Returns read-only mappings (label -> shifted symbol, entry multiset ->
+    tuple of labels): they are memoised and shared by every caller.
+    """
     if group.series not in ("B", "C", "D"):
         raise UnsupportedGroupError(f"families implemented for untwisted classical {group}")
     parity = _family_parity(group)
     chars = catalog(group)
     keyed = {}
     for c in chars:
-        sym = _entry_key(label_symbol(group, c.label), parity)
+        sym = _entry_key(c.symbol, parity)
         # grow every symbol to a common size so multisets are comparable
         keyed[str(c.label)] = sym
     maxlen = max(len(s.top) + len(s.bottom) for s in keyed.values())
@@ -59,7 +64,8 @@ def families(group):
         keyed[lab] = sym
         key = tuple(sorted(sym.top + sym.bottom))
         fams.setdefault(key, []).append(lab)
-    return keyed, fams
+    return (MappingProxyType(keyed),
+            MappingProxyType({key: tuple(labs) for key, labs in fams.items()}))
 
 
 def family_of(group, label_text):
@@ -103,7 +109,8 @@ def _special_symbol(entries):
 def family_fourier(group, label_text):
     """Fourier pairing row of a character against its family.
 
-    Returns a dict {member label: Fraction} with denominator 2^m.
+    Returns a read-only mapping {member label: Fraction} with denominator
+    2^m; it is memoised and shared by every caller.
     """
     keyed, fams = families(group)
     sym = keyed[label_text]
@@ -119,7 +126,7 @@ def family_fourier(group, label_text):
         inter = len(me & other)
         # representatives are only defined modulo complement for even |Z_1|
         row[lab] = Fraction((-1) ** (inter % 2), 2 ** (twom // 2))
-    return row
+    return MappingProxyType(row)
 
 
 def dl_multiplicity(group, label_text, cls):

@@ -7,8 +7,10 @@ combinatorics: e-regular partitions in type A, Uglov/Kleshchev bipartitions
 of a level-2 Fock space in type B, with a Dipper-James splitting into a sum
 of type-A pairs when the B_1-eigenvalue is not tied to the branch parameter.
 
-Type D is out of computational scope; the reference counts from the paper's
-|Irr H| table are stored for the small ranks that appear in products.
+Type D is out of computational scope beyond the semisimple case (the
+number of irreducible characters of W(D_n)); the paper's |Irr H| counts at
+an order-2 branch parameter are stored for the small ranks that appear in
+products.
 """
 
 from __future__ import annotations
@@ -261,16 +263,23 @@ def count_simples(spec, d):
 
 
 # ---------------------------------------------------------------------------
-# type D reference data (paper's |Irr H| table; not recomputed)
+# type D counts
 
-_D_TABLE = {
-    ("lit", 1): {1: 1, 2: 2, 3: 3, 4: 13, 5: 18, 6: 37},
-    ("lit", -1): {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 6},
-}
+#: The paper's |Irr H| counts of type D_n when the branch parameter
+#: specialises to an element of order 2 (not recomputed).
+_D_ORDER_2 = {4: 3, 5: 4, 6: 6}
+
+
+def _w_d_class_count(n):
+    """|Irr W(D_n)|: unordered bipartitions of n, each {lambda, lambda} counted twice."""
+    twins = len(partitions(n // 2)) if n % 2 == 0 else 0
+    return (bipartition_count(n) + 3 * twins) // 2
 
 
 def d_reference_count(spec, d):
-    """Type-D counts: D_1..D_3 fold to type A; higher ranks are stored data."""
+    """Type-D counts: D_1..D_3 fold to type A.  From D_4 on, a branch
+    parameter that specialises to 1 leaves the group algebra of W(D_n),
+    whose classes are counted; order 2 reads stored data."""
     n = spec.rank
     v = _Mu(d, spec.branch)
     ev = v.order()
@@ -282,9 +291,10 @@ def d_reference_count(spec, d):
         return regular_count(2, None if ev == 1 else ev) ** 2
     if n == 3:
         return regular_count(4, None if ev == 1 else ev)
-    key = ("lit", 1) if ev == 1 else ("lit", -1) if ev == 2 else None
-    if key and n in _D_TABLE[key]:
-        return _D_TABLE[key][n]
+    if ev == 1:
+        return _w_d_class_count(n)
+    if ev == 2 and n in _D_ORDER_2:
+        return _D_ORDER_2[n]
     raise HeckeError(f"type D_{spec.rank} count not available for this specialisation")
 
 

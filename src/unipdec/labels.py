@@ -68,8 +68,11 @@ class GroupDescriptor:
 # partitions and bipartitions
 
 def check_partition(parts):
-    parts = tuple(int(p) for p in parts if int(p) != 0)
-    if any(p < 0 for p in parts) or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    """The nonzero parts as a tuple of ints; raises unless they are
+    non-increasing and positive (a non-increasing row is positive iff its
+    last part is)."""
+    parts = tuple(p for p in map(int, parts) if p)
+    if parts and (parts[-1] < 0 or any(a < b for a, b in zip(parts, parts[1:]))):
         raise LabelError(f"not a partition: {parts}")
     return parts
 
@@ -165,16 +168,20 @@ class BetaSymbol:
     bottom: tuple
 
     def __post_init__(self):
+        # a strictly increasing row is nonnegative iff its first entry is
         for row in (self.top, self.bottom):
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)) or any(x < 0 for x in row):
+            if row and (row[0] < 0 or any(a >= b for a, b in zip(row, row[1:]))):
                 raise LabelError(f"bad symbol row {row}")
 
     def reduced(self):
-        top, bottom = list(self.top), list(self.bottom)
-        while top and bottom and top[0] == 0 and bottom[0] == 0:
-            top = [x - 1 for x in top[1:]]
-            bottom = [x - 1 for x in bottom[1:]]
-        return BetaSymbol(tuple(top), tuple(bottom))
+        """Strip the common shift: the largest k with both rows starting 0, ..., k-1."""
+        top, bottom = self.top, self.bottom
+        k = 0
+        while k < len(top) and k < len(bottom) and top[k] == k and bottom[k] == k:
+            k += 1
+        if not k and type(top) is tuple and type(bottom) is tuple:
+            return self
+        return BetaSymbol(tuple(x - k for x in top[k:]), tuple(x - k for x in bottom[k:]))
 
     def shifted(self, k=1):
         top = tuple(range(k)) + tuple(x + k for x in self.top)

@@ -63,6 +63,15 @@ class ParamExpr:
                     self.terms[tuple(sorted(mono))] = c
 
     @classmethod
+    def _of_sorted(cls, terms):
+        """From {monomial: coeff} whose monomials are already sorted tuples
+        (as they are in every ParamExpr): zero coefficients are dropped and
+        the order is kept, as the constructor would, without re-sorting."""
+        out = cls.__new__(cls)
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
+
+    @classmethod
     def const(cls, c):
         return cls({(): int(c)})
 
@@ -102,12 +111,12 @@ class ParamExpr:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return ParamExpr(out)
+        return ParamExpr._of_sorted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamExpr({m: -c for m, c in self.terms.items()})
+        return ParamExpr._of_sorted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -119,7 +128,7 @@ class ParamExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ParamExpr({m: c * other for m, c in self.terms.items()})
+            return ParamExpr._of_sorted({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -189,11 +198,16 @@ def int_or_expr(value):
 
 
 def parse_expr(text):
-    """Parse an integer-affine expression like '24-15c17-5c18+6c19' or '2-d'."""
+    """Parse an integer-affine expression like '24-15c17-5c18+6c19' or '2-d'.
+
+    The terms are summed into one dict, and a coefficient that cancels to 0
+    leaves it, so the result has the terms, in the order, that adding one
+    ParamExpr per term would give.
+    """
     text = text.replace(" ", "")
     if not text:
         raise TableError("empty expression")
-    out = ParamExpr()
+    terms = {}
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
@@ -204,12 +218,14 @@ def parse_expr(text):
         name = m.group(3)
         if not m.group(2) and not name:
             raise TableError(f"dangling sign in {text!r}")
-        if name:
-            out = out + ParamExpr.var(name, sign * num)
+        mono = (name,) if name else ()
+        c = terms.get(mono, 0) + sign * num
+        if c:
+            terms[mono] = c
         else:
-            out = out + ParamExpr.const(sign * num)
+            terms.pop(mono, None)
         pos = m.end()
-    return out
+    return ParamExpr._of_sorted(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,27 @@ def echelonize(projs, order):
     subtracted as dictated by the coefficient at its leading label, as long
     as the difference stays entrywise nonnegative.  Deterministic,
     idempotent; zero vectors and duplicates are dropped.
+
+    Each vector's lead (`_lead`) is computed once per sweep from a position
+    map and recomputed only when the vector changes.
     """
+    pos = {}
+    for i, lab in enumerate(order):
+        pos.setdefault(lab, i)
+    none = len(order)
+    place = pos.get
+
+    def lead(vec):  # _lead(vec, order) for a vector without zero entries
+        best = none
+        for lab in vec:
+            i = place(lab, none)
+            if i < best:
+                best = i
+        return best
+
+    def sort_key(v):
+        return (lead(v), sorted(v.items()))
+
     vecs = []
     for v in projs:
         vecs.append({k: int(c) for k, c in v.items() if int(c) != 0})
@@ -266,17 +286,21 @@ def echelonize(projs, order):
     changed = True
     while changed:
         changed = False
-        vecs.sort(key=lambda v: (_lead(v, order), sorted(v.items())))
+        keys = sorted((sort_key(v), i) for i, v in enumerate(vecs))
+        vecs = [vecs[i] for _, i in keys]
+        leads = [key[0] for key, _ in keys]
+        by_lead = list(range(len(vecs)))  # (lead, index) order, kept as leads change
         for a in range(len(vecs)):
-            remainder = dict(vecs[a])
-            la = _lead(remainder, order)
-            for b in sorted((i for i in range(len(vecs)) if i != a),
-                            key=lambda i: (_lead(vecs[i], order), i)):
+            remainder = vecs[a]
+            la = leads[a]
+            for b in by_lead:
+                if b == a:
+                    continue
                 u = vecs[b]
                 if not u or not remainder:
                     continue
-                lu = _lead(u, order)
-                if lu >= len(order) or lu < la:
+                lu = leads[b]
+                if lu >= none or lu < la:
                     continue
                 lead_lab = order[lu]
                 have = remainder.get(lead_lab, 0)
@@ -290,13 +314,17 @@ def echelonize(projs, order):
                 if any(c < 0 for c in cand.values()):
                     continue
                 cand = {lab: c for lab, c in cand.items() if c}
-                if lu > la and _lead(cand, order) != la:
+                lc = lead(cand)
+                if lu > la and lc != la:
                     continue  # subtraction may not disturb the leading part
                 remainder = cand
-                la = _lead(remainder, order)
+                la = lc
             if remainder != vecs[a]:
                 vecs[a] = remainder
                 changed = True
+                if la != leads[a]:
+                    leads[a] = la
+                    by_lead.sort(key=lambda i: (leads[i], i))
         vecs = [v for v in vecs if v]
         deduped = []
         for v in vecs:
@@ -305,7 +333,7 @@ def echelonize(projs, order):
         if len(deduped) != len(vecs):
             changed = True
         vecs = deduped
-    vecs.sort(key=lambda v: (_lead(v, order), sorted(v.items())))
+    vecs.sort(key=sort_key)
     return vecs
 
 
@@ -542,11 +570,12 @@ def hcr_candidates(target_group, target_table, combo, levis):
 # ---------------------------------------------------------------------------
 # corpus access and the full per-table suite
 
-def corpus_tables(corpus=None):
-    """Yield (relative path, DecompTable) for every shipped table."""
+def _corpus_files(corpus, suffix):
+    """Yield (subdirectory name, file name, text) for every corpus file
+    ending in `suffix`: the `d*` subdirectories of `corpus` (the shipped
+    data when None) in name order, and their files in name order."""
     import importlib.resources
     import pathlib
-    from . import tables as tmod
     if corpus is None:
         root = importlib.resources.files("unipdec").joinpath("data")
     else:
@@ -555,11 +584,18 @@ def corpus_tables(corpus=None):
         d_dir = root.joinpath(sub)
         if not d_dir.is_dir():
             continue
-        for f in sorted(p.name for p in d_dir.iterdir() if p.name.endswith(".dmx")):
-            try:
-                yield f"{sub}/{f}", tmod.parse(d_dir.joinpath(f).read_text())
-            except tmod.TableError as exc:
-                raise tmod.TableError(f"{sub}/{f}: {exc}") from exc
+        for f in sorted(p.name for p in d_dir.iterdir() if p.name.endswith(suffix)):
+            yield sub, f, d_dir.joinpath(f).read_text()
+
+
+def corpus_tables(corpus=None):
+    """Yield (relative path, DecompTable) for every shipped table."""
+    from . import tables as tmod
+    for sub, f, text in _corpus_files(corpus, ".dmx"):
+        try:
+            yield f"{sub}/{f}", tmod.parse(text)
+        except tmod.TableError as exc:
+            raise tmod.TableError(f"{sub}/{f}: {exc}") from exc
 
 
 def corpus_trees(corpus=None):
@@ -567,26 +603,15 @@ def corpus_trees(corpus=None):
 
     A tree file that does not parse raises BlockError naming the file.
     """
-    import importlib.resources
-    import pathlib
     from .blocks import BlockError, load_trees
-    if corpus is None:
-        root = importlib.resources.files("unipdec").joinpath("data")
-    else:
-        root = pathlib.Path(corpus)
-    for sub in sorted(p.name for p in root.iterdir() if p.name.startswith("d")):
-        d_dir = root.joinpath(sub)
-        if not d_dir.is_dir():
-            continue
-        for f in sorted(p.name for p in d_dir.iterdir() if p.name.endswith(".trees")):
-            d = int(sub[1:])
-            try:
-                group = GroupDescriptor.parse(f[:-len(".trees")])
-                trees = load_trees(d_dir.joinpath(f).read_text(), group, d)
-            except (BlockError, UnsupportedGroupError) as exc:
-                raise BlockError(f"{sub}/{f}: {exc}") from exc
-            for t in trees:
-                yield f"{sub}/{f}", t
+    for sub, f, text in _corpus_files(corpus, ".trees"):
+        try:
+            group = GroupDescriptor.parse(f[:-len(".trees")])
+            trees = load_trees(text, group, int(sub[1:]))
+        except (BlockError, UnsupportedGroupError) as exc:
+            raise BlockError(f"{sub}/{f}: {exc}") from exc
+        for t in trees:
+            yield f"{sub}/{f}", t
 
 
 def run_table_checks(table):

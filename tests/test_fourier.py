@@ -111,3 +111,24 @@ def test_dl_orthogonality_n4():
             s = sum(vals[lab][c1] * vals[lab][c2] for lab in labels)
             want = order // class_size(4, c1) if c1 == c2 else 0
             assert s == want
+
+
+def test_fourier_caches_are_read_only():
+    # the memoised families and Fourier rows are shared by every caller, so
+    # writing into them must fail rather than change later multiplicities
+    from unipdec.fourier import families
+    B3 = GroupDescriptor.parse("B3")
+    w0 = w0_class(3)
+    before = dl_multiplicity(B3, "3.", w0)
+    assert before == 1
+    row = family_fourier(B3, "3.")
+    with pytest.raises(TypeError):
+        row["3."] = 7
+    keyed, fams = families(B3)
+    with pytest.raises(TypeError):
+        keyed["3."] = keyed[".3"]
+    with pytest.raises(TypeError):
+        fams[next(iter(fams))] = ()
+    assert all(isinstance(labs, tuple) for labs in fams.values())
+    assert dl_multiplicity(B3, "3.", w0) == before
+    assert family_fourier(B3, "3.") is row

@@ -116,3 +116,44 @@ def test_bad_spec():
         parse_spec("B4;q")
     with pytest.raises(HeckeError):
         Param.parse("q^")
+
+
+def reference_d_count(spec, d):
+    """d_reference_count with both rows of the paper's type-D table stored."""
+    from unipdec.hecke import _Mu
+    table = {1: {1: 1, 2: 2, 3: 3, 4: 13, 5: 18, 6: 37},
+             2: {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 6}}
+    n = spec.rank
+    ev = _Mu(d, spec.branch).order() or 2
+    if n <= 1:
+        return 1
+    if n == 2:
+        return regular_count(2, None if ev == 1 else ev) ** 2
+    if n == 3:
+        return regular_count(4, None if ev == 1 else ev)
+    if ev in table and n in table[ev]:
+        return table[ev][n]
+    raise HeckeError("not available")
+
+
+def test_type_d_counts_unchanged_for_small_ranks():
+    from unipdec.hecke import d_reference_count
+    for n in range(1, 7):
+        for branch in ("1", "-1", "q", "q^2", "q^3"):
+            for d in (1, 2, 3, 4, 6):
+                spec = HeckeSpec("D", n, None, Param.parse(branch))
+                try:
+                    want = reference_d_count(spec, d)
+                except HeckeError:
+                    with pytest.raises(HeckeError):
+                        d_reference_count(spec, d)
+                    continue
+                assert d_reference_count(spec, d) == want, (n, branch, d)
+
+
+def test_type_d_semisimple_count_is_irr_w_d():
+    # |Irr W(D_n)|: unordered bipartitions, each {lambda, lambda} counted twice
+    from unipdec.hecke import d_reference_count
+    want = {2: 4, 3: 5, 4: 13, 5: 18, 6: 37, 7: 55, 8: 100}
+    for n, count in want.items():
+        assert d_reference_count(HeckeSpec("D", n, None, Param.parse("1")), 2) == count
