@@ -294,12 +294,6 @@ class FactoredPoly:
             raise CycloError("q-power does not divide")
         return FactoredPoly(self.scalar / other.scalar, self.q_exp - other.q_exp, mults)
 
-    def divides(self, other):
-        """True if self divides other as polynomials (cyclotomic data only)."""
-        om = dict(other.cyclo_mults)
-        return (self.q_exp <= other.q_exp
-                and all(om.get(d, 0) >= m for d, m in self.cyclo_mults))
-
     def __str__(self):
         return format_factored(self)
 

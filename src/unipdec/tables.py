@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cyclo import CycloError, parse_factored
 from .labels import GroupDescriptor, UnsupportedGroupError
@@ -359,46 +359,88 @@ class DecompTable:
         """Deterministic search for admissible assignments of the free params.
 
         Each free parameter runs from its lower bound (`lows`, from the
-        one-variable constraints) up to `bound`.  Candidates come by total
-        excess over the lower bounds, smallest first, and within one excess
-        in increasing lexicographic order of the excess tuple, so the last
-        free parameter takes the excess first.  The search stops at 8
-        witnesses; it examines no candidate past the `limit`-th once it has
-        a witness, and none past the (50 * `limit`)-th.  A witness is the dict
-        `resolve` gives: free parameters in order, then defined ones in
-        the order they are assigned.  Cyclic definitions or a negative
-        constant entry admit no witness, so the search then returns []
-        without enumerating.
+        one-variable constraints) up to `bound`; a lower bound above `bound`
+        leaves no candidate.  Candidates come by total excess over the lower
+        bounds, smallest first, and within one excess in increasing
+        lexicographic order of the excess tuple, the first free parameter
+        outermost, so the last one takes the excess first.
+
+        The candidates of one excess are walked depth first, carrying the
+        partial value of each form in `system.conditions`.  At a node where
+        parameters i.. share the remaining excess r, a form with value
+        v + r * max(coefficients i..) < 0 fails at every candidate below, and
+        so does an equality with v + r * min(coefficients i..) > 0: the
+        subtree is skipped.  Every other candidate still goes through
+        `resolve` and `is_admissible`.
+
+        The search stops at 8 witnesses; it examines no candidate past the
+        `limit`-th once it has a witness, and none past the (50 * `limit`)-th.
+        Skipped candidates count toward these cut-offs as if each had been
+        examined and rejected, so the result is that of trying every
+        candidate in order.  A witness is the dict `resolve` gives: free
+        parameters in order, then defined ones in the order they are
+        assigned.  Cyclic definitions or a negative constant entry admit no
+        witness, so the search then returns [] without enumerating.
         """
         system = self.system
         if system.order is None or system.negative_constant:
             return []
         free, lows = system.free, system.lows
+        caps = [bound - lows[p] for p in free]
+        if min(caps, default=0) < 0:
+            return []
+        k = len(free)
+        room = [0] * (k + 1)  # room[i]: the most excess parameters i.. hold together
+        for i in reversed(range(k)):
+            room[i] = room[i + 1] + caps[i]
+        conditions = system.conditions
+        equalities = [eq for eq, _, _ in conditions]
+        steps = [[coeffs[i] for _, _, coeffs in conditions] for i in range(k)]
+        highest = [[max(coeffs[i:], default=0) for _, _, coeffs in conditions]
+                   for i in range(k + 1)]
+        lowest = [[min(coeffs[i:], default=0) for _, _, coeffs in conditions]
+                  for i in range(k + 1)]
+
+        @cache
+        def count(i, r):
+            """Candidates below node (i, r): excesses of parameters i.. that
+            sum to r within the caps (0 <= r <= room[i])."""
+            if i == k:
+                return 1
+            return sum(count(i + 1, r - x)
+                       for x in range(max(0, r - room[i + 1]), min(r, caps[i]) + 1))
+
         found = []
         tried = 0
+        excess = [0] * k
 
-        def compositions(total, k, caps):
-            if k == 1:
-                if total <= caps[0]:
-                    yield (total,)
-                return
-            for first in range(min(total, caps[0]) + 1):
-                for rest in compositions(total - first, k - 1, caps[1:]):
-                    yield (first,) + rest
-
-        caps = [bound - lows[p] for p in free]
-        # smallest assignments first: enumerate by total excess over the bounds
-        for excess in range(sum(caps) + 1):
-            for combo in compositions(excess, len(free), caps) if free else [()]:
+        def walk(i, r, values):
+            """Try the candidates below node (i, r) in order; True once the
+            search is over."""
+            nonlocal tried
+            for v, hi, lo, eq in zip(values, highest[i], lowest[i], equalities):
+                if v + r * hi < 0 or eq and v + r * lo > 0:
+                    tried += count(i, r)
+                    return bool(found) and tried > limit or tried > 50 * limit
+            if i == k:
                 tried += 1
-                if tried > limit and found or tried > 50 * limit:
-                    return found
-                full = self.resolve({p: lows[p] + c for p, c in zip(free, combo)})
+                if found and tried > limit or tried > 50 * limit:
+                    return True
+                full = self.resolve({p: lows[p] + x for p, x in zip(free, excess)})
                 if self.is_admissible(full):
                     found.append(full)
-                    if len(found) >= 8:
-                        return found
-            if not free:
+                    return len(found) >= 8
+                return False
+            step = steps[i]
+            for x in range(max(0, r - room[i + 1]), min(r, caps[i]) + 1):
+                excess[i] = x
+                if walk(i + 1, r - x, [v + x * a for v, a in zip(values, step)]):
+                    return True
+            return False
+
+        start = [const for _, const, _ in conditions]
+        for r in range(room[0] + 1):
+            if walk(0, r, start):
                 break
         return found
 
@@ -428,6 +470,14 @@ class ParamSystem:
     `constraints` holds (is_equality, form) pairs; `entries` holds the
     distinct non-constant matrix entries as forms, and `negative_constant`
     says whether some constant entry is negative.
+
+    `conditions` holds every admissibility condition (each defined
+    parameter >= 0, each constraint, each distinct non-constant entry >= 0)
+    as an affine form over the excesses of the free parameters over `lows`:
+    (is_equality, const, coeffs), with coeffs in the order of `free`.  The
+    definitions are substituted and the lower bounds folded into const;
+    forms that hold at every excess are dropped and duplicates merged.  It
+    is () when the definitions are cyclic.
     """
 
     free: tuple
@@ -437,6 +487,7 @@ class ParamSystem:
     constraints: tuple
     entries: tuple
     negative_constant: bool
+    conditions: tuple
 
     @classmethod
     def compile(cls, table):
@@ -472,9 +523,63 @@ class ParamSystem:
                     negative_constant |= expr.constant() < 0
                 else:
                     entries[_form(expr)] = None
+        conditions = ()
+        if order is not None:
+            conditions = _excess_conditions(
+                free, lows, [(name, defined[name]) for name, _ in order],
+                [(c.rel == "=", c.expr) for c in table.constraints]
+                + [(False, expr) for col in table.columns for expr in col.entries.values()
+                   if not expr.is_constant()])
         return cls(free, defined, None if order is None else tuple(order), lows,
                    tuple((c.rel == "=", _form(c.expr)) for c in table.constraints),
-                   tuple(entries), negative_constant)
+                   tuple(entries), negative_constant, conditions)
+
+
+def _excess_conditions(free, lows, definitions, conditions):
+    """The (is_equality, const, coeffs) forms of `ParamSystem.conditions`.
+
+    `definitions` are the (name, expr) pairs in assignment order and
+    `conditions` the (is_equality, expr) pairs that must be >= 0 or = 0;
+    each defined parameter adds its own >= 0.  A form that is not affine
+    after substitution is left to `is_admissible` alone.
+    """
+    index = {p: j for j, p in enumerate(free)}
+    over_free = {}  # defined name -> (const, coeffs) over the free parameters
+
+    def affine(expr):
+        const, coeffs = expr.constant(), [0] * len(free)
+        for mono, c in expr.terms.items():
+            if len(mono) > 1:
+                return None
+            if not mono:
+                continue
+            if mono[0] in index:
+                coeffs[index[mono[0]]] += c
+                continue
+            sub = over_free[mono[0]]
+            if sub is None:
+                return None
+            const += c * sub[0]
+            coeffs = [a + c * b for a, b in zip(coeffs, sub[1])]
+        return const, coeffs
+
+    for name, expr in definitions:
+        over_free[name] = affine(expr)
+    out = {}
+    for is_equality, form in ([(False, over_free[name]) for name, _ in definitions]
+                              + [(eq, affine(expr)) for eq, expr in conditions]):
+        if form is None:
+            continue
+        const, coeffs = form
+        # measure each free parameter from its lower bound
+        const += sum(a * lows[p] for a, p in zip(coeffs, free))
+        if is_equality:
+            always = not const and not any(coeffs)
+        else:
+            always = const >= 0 and min(coeffs, default=0) >= 0
+        if not always:
+            out[(is_equality, const, tuple(coeffs))] = None
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

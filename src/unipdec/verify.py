@@ -54,7 +54,6 @@ class ParamBox:
                     if coeff < 0:
                         up = min(up, const // (-coeff))
             self.high[p] = max(up, self.low[p])
-        self._samples = None
 
     def reduce(self, expr):
         """Substitute defined parameters until only free ones remain."""
@@ -94,20 +93,12 @@ class ParamBox:
                 hi += c * lo_m
         return lo, hi
 
-    def samples(self, limit=6):
-        if self._samples is None:
-            self._samples = self.table.sample_admissible(bound=min(self.hi, 8)) or []
-        return self._samples[:limit]
-
     def provably_zero(self, expr):
         red = self.reduce(expr)
         if red.is_zero():
             return True
         lo, hi = self.bounds(expr)
         return lo == 0 and hi == 0
-
-    def provably_nonneg(self, expr):
-        return self.bounds(expr)[0] >= 0
 
     def provably_positive(self, expr):
         return self.bounds(expr)[0] > 0

@@ -286,6 +286,11 @@ SYNTHETIC = {
     # entries and inequalities with coefficients and a lower bound
     "mixed": _synthetic("a b c d", "d=2a-b; b>=2; c<=3; 3a+c>=4",
                         [(1, 0, "a"), (2, 0, "d"), (3, 1, "6-a-c"), (4, 2, "2c-b+1")]),
+    # at bound 8 the lower bound leaves b a negative cap: no candidate at all
+    "lower bound above bound": _synthetic("a b", "b>=12", [(1, 0, "a"), (2, 1, "b")]),
+    # every candidate of excess < 15 is skipped before the first witness
+    "long pruned prefix": _synthetic("a b c", "a+b+c>=15; 2a=3c",
+                                     [(1, 0, "a"), (2, 1, "9-b"), (3, 2, "c")]),
 }
 
 
@@ -311,3 +316,84 @@ def test_synthetic_cases_exercise_their_conditions():
     assert len(s["stops at limit"].sample_admissible(bound=8)) == 8
     assert s["unsatisfiable"].sample_admissible(bound=8, limit=5) == []
     assert s["mixed"].sample_admissible(bound=8)
+    assert s["lower bound above bound"].sample_admissible(bound=8) == []
+    assert s["lower bound above bound"].sample_admissible(bound=30)
+    assert s["long pruned prefix"].sample_admissible(bound=8, limit=5) == []
+    assert min(sum(w.values()) for w in s["long pruned prefix"].sample_admissible(bound=8)) == 15
+
+
+def _random_form(rng, names, const_range=(0, 9)):
+    """Random affine text over some of `names`, like '4-2a+c'."""
+    text = str(rng.randint(*const_range))
+    for p in rng.sample(names, rng.randint(1, min(3, len(names)))):
+        c = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+        text += ("+" if c > 0 else "-") + (str(abs(c)) if abs(c) > 1 else "") + p
+    return text
+
+
+def _random_synthetic(rng):
+    """A `_synthetic` table with up to 3 free and 2 chained defined
+    parameters, equalities without a +-1 coefficient, one-variable lower and
+    upper bounds, joint inequalities and random affine entries."""
+    free = rng.sample("abcfg", rng.randint(1, 3))
+    names = list(free)
+    constraints = []
+    for p in ["d", "e"][:rng.randint(0, 2)]:
+        # each definition uses the parameters before it, the last defined one too
+        constraints.append(f"{p}={_random_form(rng, names)}")
+        names.append(p)
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        p, q = rng.choice(names), rng.choice(names)
+        if kind < 0.2:
+            constraints.append(f"{p}>={rng.randint(1, 4)}")
+        elif kind < 0.4:
+            constraints.append(f"{p}<={rng.randint(0, 6)}")
+        elif kind < 0.55:
+            constraints.append(f"{rng.choice([2, 3])}{p}={rng.choice([2, 4, 6])}{q}")
+        elif kind < 0.65:
+            constraints.append(f"{rng.choice([2, 3])}{p}={rng.choice([0, 3, 6])}+2{q}")
+        else:
+            constraints.append(f"{_random_form(rng, names, (-8, 4))}>=0")
+    entries = [(i, j, _random_form(rng, names) if rng.random() < 0.7
+                else rng.choice(names))
+               for j in range(5) for i in range(j + 1, 5) if rng.random() < 0.4]
+    return _synthetic(" ".join(names), "; ".join(constraints), entries)
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The result of each DecompTable.is_admissible call made in the test.
+
+    The differential tests pass as well when the witness search skips no
+    subtree; a search that skips every inadmissible candidate passes only
+    witnesses to is_admissible."""
+    out = []
+    is_admissible = tables.DecompTable.is_admissible
+
+    def recording(table, assignment):
+        out.append(is_admissible(table, assignment))
+        return out[-1]
+
+    monkeypatch.setattr(tables.DecompTable, "is_admissible", recording)
+    return out
+
+
+@pytest.mark.parametrize("bound,limit", [(8, 4000), (8, 7), (12, 3), (5, 40)])
+def test_sample_admissible_matches_reference_on_fuzzed_tables(bound, limit, verdicts):
+    rng = random.Random(1000 * bound + limit)
+    for _ in range(150):
+        table = _random_synthetic(rng)
+        want = Reference(table).sample_admissible(bound=bound, limit=limit)
+        verdicts.clear()
+        got = table.sample_admissible(bound=bound, limit=limit)
+        assert _items(got) == _items(want), emit(table)
+        assert verdicts == [True] * len(got), emit(table)
+
+
+@pytest.mark.parametrize("bound", [8, 30])
+def test_witness_search_skips_every_inadmissible_candidate_on_corpus(bound, verdicts):
+    for rel, table in CORPUS:
+        verdicts.clear()
+        witnesses = table.sample_admissible(bound=bound)
+        assert verdicts == [True] * len(witnesses), rel
