@@ -215,16 +215,13 @@ class TreeReport:
 
 
 def _factored_sum(degrees, signs):
-    """(C, S): sum(sign * degree) = C * S / L with C the largest monic factor
-    the degrees share and L > 0 the lcm of the cofactors' denominators.
+    """S with sum(sign * degree) = C * S / L: C the largest monic factor the
+    degrees share and L > 0 the lcm of the cofactors' denominators.
 
-    Only the integer cofactors L * degree / C are expanded.  This is how
-    `tree_check` decides its sums without expanding whole degrees, and it
-    decides them exactly as the dense sum would: Phi_d is irreducible over Q
-    and prime to q and to every Phi_e with e != d, so Phi_d^n divides C * S
-    iff Phi_d^(n - m_d(C)) divides S.  C is monic and L > 0, so C * S / L
-    and S have leading coefficients of the same sign; C(q0) > 0 for q0 >= 2,
-    so both take values of the same sign there; and C * S = 0 iff S = 0.
+    Only the integer cofactors L * degree / C are expanded.  C is monic and
+    L > 0, so C * S / L and S have leading coefficients of the same sign;
+    C(q0) > 0 for q0 >= 2, so both take values of the same sign there; and
+    C * S = 0 iff S = 0.
     """
     common = common_factor(degrees)
     cofactors = [deg.divide(common) for deg in degrees]
@@ -232,16 +229,69 @@ def _factored_sum(degrees, signs):
     total = DensePoly()
     for c, sign in zip(cofactors, signs):
         total = total + (c * (sign * scale)).expand()
-    return common, total
+    return total
 
 
-def _divides(phi, k, p):
-    """True if phi^k divides the dense polynomial p."""
-    for _ in range(k):
-        p, r = p.divmod(phi)
-        if not r.is_zero():
-            return False
-    return True
+def _reduce(coeffs, phi):
+    """coeffs mod the monic integer polynomial phi, as an integer tuple of
+    length deg(phi); both are coefficient tuples, lowest first."""
+    n = len(phi) - 1
+    out = list(coeffs) + [0] * (n - len(coeffs))
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i]
+        if c:
+            for j in range(n):
+                out[i - n + j] -= c * phi[j]
+    return tuple(out[:n])
+
+
+def _mulmod(a, b, phi):
+    """a * b mod phi, for residues a and b as `_reduce` returns them."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return _reduce(out, phi)
+
+
+@lru_cache(maxsize=None)
+def _power_residue(e, m, d):
+    """Phi_e^m mod Phi_d, or q^m mod Phi_d for e = 0, as `_reduce` gives it."""
+    phi = cyclotomic(d).coeffs
+    if m == 0:
+        return _reduce((1,), phi)
+    base = _reduce((0, 1) if e == 0 else cyclotomic(e).coeffs, phi)
+    return _mulmod(_power_residue(e, m - 1, d), base, phi)
+
+
+@lru_cache(maxsize=None)
+def _monic_residue(q_exp, cyclo_mults, d):
+    """q^q_exp * prod over e != d of Phi_e^m, reduced mod Phi_d: the value of
+    the monic part of a degree, Phi_d removed, at a primitive d-th root of
+    unity, as an integer tuple of length phi(d).  q^d = 1 there, so only
+    q_exp mod d matters."""
+    phi = cyclotomic(d).coeffs
+    out = _power_residue(0, q_exp % d, d)
+    for e, m in cyclo_mults:
+        if e != d:
+            out = _mulmod(out, _power_residue(e, m, d), phi)
+    return out
+
+
+_Q0 = (2, 3, 5, 7)
+
+
+@lru_cache(maxsize=None)
+def _monic_values(q_exp, cyclo_mults):
+    """q^q_exp * prod Phi_e^m at each q0 in _Q0, as ints."""
+    out = []
+    for q0 in _Q0:
+        v = q0 ** q_exp
+        for e, m in cyclo_mults:
+            v *= cyclotomic(e)(q0) ** m
+        out.append(v)
+    return tuple(out)
 
 
 def tree_check(tree, group=None, d=None):
@@ -254,17 +304,22 @@ def tree_check(tree, group=None, d=None):
          of a putative exceptional-character degree, divisible by Phi_d^(M-1);
     (iii) all characters lie in one block of block_partition.
 
-    The sums in (ii) are reduced in factored form: the largest monic factor
-    C = q^k * prod Phi_e^m that the summed degrees share (both degrees of an
-    edge, all degrees for the alternating sum) is pulled out, only the
-    cofactors are expanded and added, and the cofactor sum is divided by
-    Phi_d only M - m_d(C) (respectively M - 1 - m_d(C)) times.
+    After (i) every degree on the tree is D = Phi_d^(M-1) * u with Phi_d
+    not dividing u = s * q^k * prod over e != d of Phi_e^m, because Phi_d is
+    irreducible and prime to q and to every other Phi_e.  So (ii) is decided
+    at a primitive d-th root of unity zeta, in Z[q]/(Phi_d), with nothing
+    expanded: Phi_d^M divides D_u + D_v iff u(zeta) + v(zeta) = 0, and
+    u(zeta) is s times the integer residue of the monic part mod Phi_d.
+    The alternating sum is Phi_d^(M-1) times a sum of such u, so it is
+    divisible by Phi_d^(M-1) once it is nonzero.  Its leading coefficient
+    is the signed sum of the scalars of the degrees of top degree, and its
+    values at q0 = 2, 3, 5, 7 are sums of memoised monic values; only when
+    the top scalars cancel (or there are no characters) is the sum formed
+    densely, from the cofactors of the degrees' common factor.
     """
     group = group or tree.group
     d = d or tree.d
-    order = group_order_poly(group)
-    M = order.root_multiplicity(d)
-    phi = cyclotomic(d)
+    M = group_order_poly(group).root_multiplicity(d)
 
     cm = {}
     try:
@@ -279,27 +334,39 @@ def tree_check(tree, group=None, d=None):
 
     # (ii) neighbouring ordinary characters: sum divisible by Phi_d^M
     chain = tree.chain
-    for i in range(len(chain) - 1):
-        u, v = chain[i], chain[i + 1]
+    for u, v in zip(chain, chain[1:]):
         if u is None or v is None:
             continue
-        common, s = _factored_sum((cm[u].degree, cm[v].degree), (1, 1))
-        if not _divides(phi, M - common.root_multiplicity(d), s):
+        du, dv = cm[u].degree, cm[v].degree
+        ru = _monic_residue(du.q_exp, du.cyclo_mults, d)
+        rv = _monic_residue(dv.q_exp, dv.cyclo_mults, d)
+        # su * ru + sv * rv = 0, times the denominators of su and sv
+        a, b = du.scalar.numerator, du.scalar.denominator
+        c, e = dv.scalar.numerator, dv.scalar.denominator
+        if any(a * e * x + c * b * y for x, y in zip(ru, rv)):
             return TreeReport(tree, "fail",
                               f"edge {u} -- {v}: degree sum not divisible by P{d}^{M}")
 
     # alternating sum reconstructs (a positive multiple of) the exceptional degree
     j = chain.index(None)
     sign = 1 if j % 2 == 1 else -1  # exc = sign * sum over i of (-1)^i deg(chain[i])
-    common, exc = _factored_sum(
-        [cm[lab].degree for lab in tree.characters()],
-        [sign if i % 2 == 0 else -sign for i, lab in enumerate(chain) if lab is not None])
-    if exc.is_zero():
-        return TreeReport(tree, "fail", "alternating degree sum vanishes")
-    if not _divides(phi, M - 1 - common.root_multiplicity(d), exc):
-        return TreeReport(tree, "fail",
-                          f"alternating sum not divisible by P{d}^{M - 1}")
-    if exc.coeffs[-1] < 0 or any(exc(q0) <= 0 for q0 in (2, 3, 5, 7)):
+    degrees = [cm[lab].degree for lab in tree.characters()]
+    signs = [sign if i % 2 == 0 else -sign for i, lab in enumerate(chain) if lab is not None]
+    top = max((deg.A_value() for deg in degrees), default=0)
+    lead = sum(s * deg.scalar for deg, s in zip(degrees, signs) if deg.A_value() == top)
+    if lead:
+        scale = lcm(*(deg.scalar.denominator for deg in degrees))
+        weights = [s * deg.scalar.numerator * (scale // deg.scalar.denominator)
+                   for deg, s in zip(degrees, signs)]
+        monic = [_monic_values(deg.q_exp, deg.cyclo_mults) for deg in degrees]
+        values = [sum(w * v for w, v in zip(weights, col)) for col in zip(*monic)]
+    else:
+        exc = _factored_sum(degrees, signs)
+        if exc.is_zero():
+            return TreeReport(tree, "fail", "alternating degree sum vanishes")
+        lead = exc.coeffs[-1]
+        values = [exc(q0) for q0 in _Q0]
+    if lead < 0 or any(v <= 0 for v in values):
         return TreeReport(tree, "fail",
                           "alternating sum is not a positive multiple of a degree")
 

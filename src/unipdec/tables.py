@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .cyclo import CycloError, parse_factored
-from .labels import GroupDescriptor, UnsupportedGroupError
+from .labels import GroupDescriptor, LabelError, UnsupportedGroupError, resolve_label
 
 
 class TableError(ValueError):
@@ -202,8 +202,15 @@ def parse_expr(text):
 
     The terms are summed into one dict, and a coefficient that cancels to 0
     leaves it, so the result has the terms, in the order, that adding one
-    ParamExpr per term would give.
+    ParamExpr per term would give.  The terms are memoised per text; each
+    call returns a fresh ParamExpr, since a ParamExpr holds a dict.
     """
+    return ParamExpr._of_sorted(_expr_terms(text))
+
+
+@cache
+def _expr_terms(text):
+    """The {monomial: coeff} of parse_expr(text); shared, so never handed out."""
     text = text.replace(" ", "")
     if not text:
         raise TableError("empty expression")
@@ -225,7 +232,7 @@ def parse_expr(text):
         else:
             terms.pop(mono, None)
         pos = m.end()
-    return ParamExpr._of_sorted(terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +592,19 @@ def _excess_conditions(free, lows, definitions, conditions):
 # ---------------------------------------------------------------------------
 # parse / emit
 
+@cache
+def _canonical_label(group, text):
+    """The canonical label text of `text` in `group`, memoised across files."""
+    try:
+        return str(resolve_label(group, text))
+    except LabelError as exc:
+        raise TableError(str(exc))
+
+
+# FactoredPoly is frozen, so one parse per degree text can be shared
+_parse_degree = cache(parse_factored)
+
+
 def parse(text, group=None):
     section = None
     meta = {}
@@ -649,25 +669,17 @@ def parse(text, group=None):
     constraints = tuple(parse_constraint(c) for c in meta.get("constraints", "").split(";")
                         if c.strip())
     degrees_kind = meta.get("degrees", "none")
-    canonical = {}
 
     def canon(text):
         # row labels are stored in canonical orientation so vectors computed
-        # from the catalogs match up with the table rows; each distinct text
-        # is resolved once per file
-        from .labels import LabelError, resolve_label
+        # from the catalogs match up with the table rows
         if group.series not in ("A", "2A", "B", "C", "D", "2D"):
             return text
-        if text not in canonical:
-            try:
-                canonical[text] = str(resolve_label(group, text))
-            except LabelError as exc:
-                raise TableError(str(exc))
-        return canonical[text]
+        return _canonical_label(group, text)
 
     def degree(text, lineno):
         try:
-            return parse_factored(text)
+            return _parse_degree(text)
         except CycloError as exc:
             raise TableError(f"line {lineno}: {exc}") from exc
 

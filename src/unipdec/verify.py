@@ -97,7 +97,7 @@ class ParamBox:
         red = self.reduce(expr)
         if red.is_zero():
             return True
-        lo, hi = self.bounds(expr)
+        lo, hi = self.bounds(red)
         return lo == 0 and hi == 0
 
     def provably_positive(self, expr):

@@ -78,6 +78,45 @@ series=ps : 2=1
         parse(bad)
 
 
+
+def test_repeated_parse_gives_equal_tables_with_fresh_entries():
+    # parse memoises the text parsers; every ParamExpr it returns must still
+    # be a new object, since a ParamExpr holds a mutable dict
+    text = (DATA / "d2" / "2E6.principal.dmx").read_text()
+    a, b = parse(text), parse(text)
+    assert a == b and a.params
+    for ca, cb in zip(a.columns, b.columns):
+        for i, e in ca.entries.items():
+            assert e == cb.entries[i] and e is not cb.entries[i]
+    for ca, cb in zip(a.constraints, b.constraints):
+        assert ca == cb and ca.expr is not cb.expr
+    a.columns[0].entries[0].terms[("zz",)] = 1  # the diagonal 1 of column 1
+    assert parse(text) == b != a
+
+
+_BAD_B2 = """[table]
+group = B2
+d = 2
+[chars]
+2.
+{row}
+[cols]
+series=ps : 2.=1 {row}={entry}
+series=ps : {row}=1
+"""
+
+
+@pytest.mark.parametrize("row, entry, message", [
+    ("q.", "1", "bad partition 'q'"),
+    ("1^2.", "2*x", "cannot parse expression '2*x' at '*x'"),
+])
+def test_parse_errors_repeat_after_memoised_parses(row, entry, message):
+    text = _BAD_B2.format(row=row, entry=entry)
+    for _ in range(2):
+        with pytest.raises(TableError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
 def _random_table(rng):
     labels = ["2.", "1^2.", "1.1", ".2", ".1^2", "B2:."]
     n = rng.randint(2, len(labels))
