@@ -294,7 +294,32 @@ def _monic_values(q_exp, cyclo_mults):
     return tuple(out)
 
 
-def tree_check(tree, group=None, d=None):
+def _signed_sum(degrees, signs):
+    """(lead, values) for S = sum(sign * degree): lead has the sign of the
+    leading coefficient of S and is 0 iff S = 0, and values[i] has the sign
+    of S(q0) for the i-th q0 of _Q0.
+
+    The leading coefficient is the signed sum of the scalars of the degrees
+    of top degree, and the values (times the lcm of the scalars'
+    denominators) are sums of memoised monic values; only when the top
+    scalars cancel (or there are no degrees) is S formed densely, from the
+    cofactors of the degrees' common factor (`_factored_sum`).
+    """
+    top = max((deg.A_value() for deg in degrees), default=0)
+    lead = sum(s * deg.scalar for deg, s in zip(degrees, signs) if deg.A_value() == top)
+    if lead:
+        scale = lcm(*(deg.scalar.denominator for deg in degrees))
+        weights = [s * deg.scalar.numerator * (scale // deg.scalar.denominator)
+                   for deg, s in zip(degrees, signs)]
+        monic = [_monic_values(deg.q_exp, deg.cyclo_mults) for deg in degrees]
+        return lead, [sum(w * v for w, v in zip(weights, col)) for col in zip(*monic)]
+    exc = _factored_sum(degrees, signs)
+    if exc.is_zero():
+        return 0, []
+    return exc.coeffs[-1], [exc(q0) for q0 in _Q0]
+
+
+def tree_check(tree):
     """Check a Brauer tree against the catalog degrees.
 
     (i) every ordinary character on the tree has Phi_d-defect exactly 1;
@@ -311,14 +336,11 @@ def tree_check(tree, group=None, d=None):
     expanded: Phi_d^M divides D_u + D_v iff u(zeta) + v(zeta) = 0, and
     u(zeta) is s times the integer residue of the monic part mod Phi_d.
     The alternating sum is Phi_d^(M-1) times a sum of such u, so it is
-    divisible by Phi_d^(M-1) once it is nonzero.  Its leading coefficient
-    is the signed sum of the scalars of the degrees of top degree, and its
-    values at q0 = 2, 3, 5, 7 are sums of memoised monic values; only when
-    the top scalars cancel (or there are no characters) is the sum formed
-    densely, from the cofactors of the degrees' common factor.
+    divisible by Phi_d^(M-1) once it is nonzero.  It is positive when its
+    leading coefficient and its values at q0 = 2, 3, 5, 7 are, which
+    `_signed_sum` decides.
     """
-    group = group or tree.group
-    d = d or tree.d
+    group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
 
     cm = {}
@@ -352,20 +374,9 @@ def tree_check(tree, group=None, d=None):
     sign = 1 if j % 2 == 1 else -1  # exc = sign * sum over i of (-1)^i deg(chain[i])
     degrees = [cm[lab].degree for lab in tree.characters()]
     signs = [sign if i % 2 == 0 else -sign for i, lab in enumerate(chain) if lab is not None]
-    top = max((deg.A_value() for deg in degrees), default=0)
-    lead = sum(s * deg.scalar for deg, s in zip(degrees, signs) if deg.A_value() == top)
-    if lead:
-        scale = lcm(*(deg.scalar.denominator for deg in degrees))
-        weights = [s * deg.scalar.numerator * (scale // deg.scalar.denominator)
-                   for deg, s in zip(degrees, signs)]
-        monic = [_monic_values(deg.q_exp, deg.cyclo_mults) for deg in degrees]
-        values = [sum(w * v for w, v in zip(weights, col)) for col in zip(*monic)]
-    else:
-        exc = _factored_sum(degrees, signs)
-        if exc.is_zero():
-            return TreeReport(tree, "fail", "alternating degree sum vanishes")
-        lead = exc.coeffs[-1]
-        values = [exc(q0) for q0 in _Q0]
+    lead, values = _signed_sum(degrees, signs)
+    if not lead:
+        return TreeReport(tree, "fail", "alternating degree sum vanishes")
     if lead < 0 or any(v <= 0 for v in values):
         return TreeReport(tree, "fail",
                           "alternating sum is not a positive multiple of a degree")

@@ -147,19 +147,25 @@ class ParamExpr:
             total += v
         return total
 
-    def substitute(self, assignment):
-        """Partially substitute some parameters by integers."""
-        out = ParamExpr()
-        for m, c in self.terms.items():
-            coeff = c
-            rest = []
-            for name in m:
-                if name in assignment:
-                    coeff *= assignment[name]
-                else:
-                    rest.append(name)
-            out = out + ParamExpr({tuple(sorted(rest)): coeff})
-        return out
+    def substitute(self, values):
+        """Replace the parameters in `values` by their ParamExprs, summing
+        the products of every term into one dict."""
+        out = {}
+        for mono, c in self.terms.items():
+            part, rest = {(): c}, ()
+            for name in mono:
+                if name not in values:
+                    rest += (name,)
+                    continue
+                prod = {}
+                for m1, c1 in part.items():
+                    for m2, c2 in values[name].terms.items():
+                        prod[m1 + m2] = prod.get(m1 + m2, 0) + c1 * c2
+                part = prod
+            for m, c1 in part.items():
+                m = tuple(sorted(m + rest)) if m else rest
+                out[m] = out.get(m, 0) + c1
+        return ParamExpr._of_sorted(out)
 
     def __str__(self):
         if not self.terms:
@@ -347,20 +353,18 @@ class DecompTable:
         if order is None:
             raise TableError("cyclic parameter definitions")
         out = dict(free_assignment)
-        for name, form in order:
-            out[name] = _value(form, out)
+        for name, expr in order.items():
+            out[name] = expr.evaluate(out)
         return out
 
     def is_admissible(self, assignment):
         system = self.system
         if system.negative_constant or any(v < 0 for v in assignment.values()):
             return False
-        for is_equality, form in system.constraints:
-            v = _value(form, assignment)
-            if v < 0 or is_equality and v:
-                return False
+        if not all(c.holds(assignment) for c in self.constraints):
+            return False
         # every matrix entry must be a nonnegative integer
-        return all(_value(form, assignment) >= 0 for form in system.entries)
+        return all(expr.evaluate(assignment) >= 0 for expr in system.entries)
 
     def sample_admissible(self, bound=30, limit=4000):
         """Deterministic search for admissible assignments of the free params.
@@ -452,31 +456,22 @@ class DecompTable:
         return found
 
 
-def _form(expr):
-    """An expression as an integer form (const, ((coeff, monomial), ...))."""
-    return expr.constant(), tuple((c, m) for m, c in expr.terms.items() if m)
-
-
-def _value(form, assignment):
-    total, terms = form
-    for coeff, mono in terms:
-        for name in mono:
-            coeff *= assignment[name]
-        total += coeff
-    return total
+# the cap on a free parameter that no constraint bounds above
+CAP = 30
 
 
 @dataclass(frozen=True)
 class ParamSystem:
     """A table's parameters and conditions, derived once per table.
 
-    `free` and `defined` are `free_and_defined()`; `order` pairs each
-    defined parameter with its defining form in the order `resolve`
-    assigns them (None if the definitions are cyclic); `lows` are the lower
-    bounds of the free parameters from one-variable constraints;
-    `constraints` holds (is_equality, form) pairs; `entries` holds the
-    distinct non-constant matrix entries as forms, and `negative_constant`
-    says whether some constant entry is negative.
+    `free` and `defined` are `free_and_defined()`.  `order` maps each
+    defined parameter to its expression over the free parameters, in the
+    order `resolve` assigns them; it is None if the definitions are cyclic,
+    and `reduce` then substitutes nothing.  `lows` and `highs` bound each
+    free parameter by its one-variable constraints, `highs` by `CAP` at
+    most (but never below `lows`).  `entries` holds the distinct
+    non-constant matrix entries, and `negative_constant` says whether some
+    constant entry is negative.
 
     `conditions` holds every admissibility condition (each defined
     parameter >= 0, each constraint, each distinct non-constant entry >= 0)
@@ -489,9 +484,9 @@ class ParamSystem:
 
     free: tuple
     defined: dict
-    order: tuple | None
+    order: dict | None
     lows: dict
-    constraints: tuple
+    highs: dict
     entries: tuple
     negative_constant: bool
     conditions: tuple
@@ -499,29 +494,32 @@ class ParamSystem:
     @classmethod
     def compile(cls, table):
         free, defined = table.free_and_defined()
+        order = {}
         known = set(free)
         pending = dict(defined)
-        order = []
         while pending:
             progress = False
             for name, expr in list(pending.items()):
                 if expr.names() <= known:
-                    order.append((name, _form(expr)))
+                    order[name] = expr.substitute(order)
                     known.add(name)
                     del pending[name]
                     progress = True
             if not progress:
                 order = None
                 break
-        lows = {}
+        lows, highs = {}, {}
         for p in free:
-            lows[p] = 0
+            lo, hi = 0, CAP
             for c in table.constraints:
-                if c.rel == ">=" and set(c.expr.names()) == {p}:
+                if c.rel == ">=" and c.expr.names() == {p}:
                     coeff = c.expr.terms.get((p,), 0)
                     const = c.expr.constant()
                     if coeff > 0 and const < 0:
-                        lows[p] = max(lows[p], (-const + coeff - 1) // coeff)
+                        lo = max(lo, (-const + coeff - 1) // coeff)
+                    elif coeff < 0:
+                        hi = min(hi, const // -coeff)
+            lows[p], highs[p] = lo, max(hi, lo)
         entries = {}
         negative_constant = False
         for col in table.columns:
@@ -529,57 +527,36 @@ class ParamSystem:
                 if expr.is_constant():
                     negative_constant |= expr.constant() < 0
                 else:
-                    entries[_form(expr)] = None
+                    entries[expr] = None
         conditions = ()
         if order is not None:
             conditions = _excess_conditions(
-                free, lows, [(name, defined[name]) for name, _ in order],
-                [(c.rel == "=", c.expr) for c in table.constraints]
-                + [(False, expr) for col in table.columns for expr in col.entries.values()
-                   if not expr.is_constant()])
-        return cls(free, defined, None if order is None else tuple(order), lows,
-                   tuple((c.rel == "=", _form(c.expr)) for c in table.constraints),
-                   tuple(entries), negative_constant, conditions)
+                free, lows, [(False, expr) for expr in order.values()]
+                + [(c.rel == "=", c.expr.substitute(order)) for c in table.constraints]
+                + [(False, expr.substitute(order)) for expr in entries])
+        return cls(free, defined, order, lows, highs, tuple(entries), negative_constant,
+                   conditions)
+
+    def reduce(self, expr):
+        """`expr` with each defined parameter replaced by its expression over
+        the free parameters (none replaced when the definitions are cyclic)."""
+        return expr.substitute(self.order or {})
 
 
-def _excess_conditions(free, lows, definitions, conditions):
+def _excess_conditions(free, lows, conditions):
     """The (is_equality, const, coeffs) forms of `ParamSystem.conditions`.
 
-    `definitions` are the (name, expr) pairs in assignment order and
-    `conditions` the (is_equality, expr) pairs that must be >= 0 or = 0;
-    each defined parameter adds its own >= 0.  A form that is not affine
-    after substitution is left to `is_admissible` alone.
+    `conditions` are the (is_equality, expr) pairs over the free parameters
+    that must be >= 0 or = 0.  A form that is not affine is left to
+    `is_admissible` alone.
     """
-    index = {p: j for j, p in enumerate(free)}
-    over_free = {}  # defined name -> (const, coeffs) over the free parameters
-
-    def affine(expr):
-        const, coeffs = expr.constant(), [0] * len(free)
-        for mono, c in expr.terms.items():
-            if len(mono) > 1:
-                return None
-            if not mono:
-                continue
-            if mono[0] in index:
-                coeffs[index[mono[0]]] += c
-                continue
-            sub = over_free[mono[0]]
-            if sub is None:
-                return None
-            const += c * sub[0]
-            coeffs = [a + c * b for a, b in zip(coeffs, sub[1])]
-        return const, coeffs
-
-    for name, expr in definitions:
-        over_free[name] = affine(expr)
     out = {}
-    for is_equality, form in ([(False, over_free[name]) for name, _ in definitions]
-                              + [(eq, affine(expr)) for eq, expr in conditions]):
-        if form is None:
+    for is_equality, expr in conditions:
+        if not expr.is_affine():
             continue
-        const, coeffs = form
+        coeffs = [expr.terms.get((p,), 0) for p in free]
         # measure each free parameter from its lower bound
-        const += sum(a * lows[p] for a, p in zip(coeffs, free))
+        const = expr.constant() + sum(a * lows[p] for a, p in zip(coeffs, free))
         if is_equality:
             always = not const and not any(coeffs)
         else:
@@ -605,7 +582,7 @@ def _canonical_label(group, text):
 _parse_degree = cache(parse_factored)
 
 
-def parse(text, group=None):
+def parse(text):
     section = None
     meta = {}
     meta_line = {}
@@ -653,13 +630,12 @@ def parse(text, group=None):
             raise TableError(f"line {lineno}: text outside any section")
     if not chars:
         raise TableError("no rows")
-    if group is None:
-        if "group" not in meta:
-            raise TableError("no 'group' key in [table]")
-        try:
-            group = GroupDescriptor.parse(meta["group"])
-        except UnsupportedGroupError as exc:
-            raise TableError(f"line {meta_line['group']}: {exc}") from exc
+    if "group" not in meta:
+        raise TableError("no 'group' key in [table]")
+    try:
+        group = GroupDescriptor.parse(meta["group"])
+    except UnsupportedGroupError as exc:
+        raise TableError(f"line {meta_line['group']}: {exc}") from exc
     try:
         d = int(meta.get("d", "0"))
     except ValueError:

@@ -2,8 +2,9 @@
 
 Each check returns a CheckReport carrying a status ("pass" / "fail" / "warn")
 and human-readable evidence.  Symbolic entries are handled by exact interval
-reasoning over the admissible parameter box (free parameters range over
-[lower bound, 30]; equality constraints are substituted first).
+reasoning over the box of the table's `ParamSystem`: defined parameters are
+substituted first (`ParamSystem.reduce`), and each free parameter ranges over
+[`lows`, `highs`] from its one-variable constraints, at most `tables.CAP`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor, LabelError
-from .tables import ParamExpr, int_or_expr
+from .tables import CAP, ParamExpr, int_or_expr
 from .weyl import sign_value
 
 
@@ -37,45 +38,18 @@ class CheckReport:
 # parameter box reasoning
 
 class ParamBox:
-    """Sound bounds for affine expressions over the admissible assignments."""
+    """Sound bounds for expressions over the box of `table.system`."""
 
-    def __init__(self, table, hi=30):
-        self.table = table
-        self.hi = hi
-        system = table.system
-        self.free, self.defined, self.low = system.free, system.defined, system.lows
-        self.high = {}
-        for p in self.free:
-            up = hi
-            for c in table.constraints:
-                if c.rel == ">=" and set(c.expr.names()) == {p}:
-                    coeff = c.expr.terms.get((p,), 0)
-                    const = c.expr.constant()
-                    if coeff < 0:
-                        up = min(up, const // (-coeff))
-            self.high[p] = max(up, self.low[p])
-
-    def reduce(self, expr):
-        """Substitute defined parameters until only free ones remain."""
-        guard = 0
-        while expr.names() & set(self.defined) and guard < 20:
-            for name in list(expr.names() & set(self.defined)):
-                # replace name by its defining expression
-                out = ParamExpr()
-                for mono, c in expr.terms.items():
-                    if name in mono:
-                        rest = list(mono)
-                        rest.remove(name)
-                        out = out + ParamExpr({tuple(rest): c}) * self.defined[name]
-                    else:
-                        out = out + ParamExpr({mono: c})
-                expr = out
-            guard += 1
-        return expr
+    def __init__(self, table):
+        self.system = table.system
 
     def bounds(self, expr):
-        """(lower, upper) over the box, ignoring joint constraints (sound)."""
-        expr = self.reduce(expr)
+        """(lower, upper) over the box, ignoring joint constraints (sound).
+
+        A defined parameter left by `ParamSystem.reduce` (the definitions
+        are cyclic) ranges over [0, CAP]."""
+        system = self.system
+        expr = system.reduce(expr)
         lo = hi = expr.constant()
         for mono, c in expr.terms.items():
             if not mono:
@@ -83,8 +57,8 @@ class ParamBox:
             lo_m = 1
             hi_m = 1
             for name in mono:
-                lo_m *= self.low.get(name, 0)
-                hi_m *= self.high.get(name, self.hi)
+                lo_m *= system.lows.get(name, 0)
+                hi_m *= system.highs.get(name, CAP)
             if c > 0:
                 lo += c * lo_m
                 hi += c * hi_m
@@ -94,11 +68,7 @@ class ParamBox:
         return lo, hi
 
     def provably_zero(self, expr):
-        red = self.reduce(expr)
-        if red.is_zero():
-            return True
-        lo, hi = self.bounds(red)
-        return lo == 0 and hi == 0
+        return self.bounds(expr) == (0, 0)
 
     def provably_positive(self, expr):
         return self.bounds(expr)[0] > 0
@@ -183,14 +153,14 @@ def check_unitriangular(table):
 # ---------------------------------------------------------------------------
 # Craven's perversity check
 
-def check_craven(table, d=None):
+def check_craven(table):
     """Perversity comparison on every entry; returns forced zeros.
 
     An entry that cannot vanish at a position with pi_d(row) <= pi_d(column
     leader) is a conjecture violation; a parameter entry there is forced
     to zero.
     """
-    d = d or table.d
+    d = table.d
     chars = row_chars(table)
     if any(c is None for c in chars):
         return CheckReport("craven", "warn", ["degrees unavailable; check skipped"])
@@ -204,7 +174,7 @@ def check_craven(table, d=None):
             if i == j or not box.possibly_nonzero(expr):
                 continue
             if pi[i] <= pi[j]:
-                red = box.reduce(expr)
+                red = table.system.reduce(expr)
                 if box.provably_positive(red):
                     msg = (f"entry ({table.rows[i]}, col {table.rows[j]}) = {expr} "
                            f"nonzero but pi_{d}(row) = {pi[i]} <= {pi[j]}")
@@ -610,6 +580,10 @@ def run_table_checks(table):
     reports = [check_degrees(table), check_unitriangular(table), check_craven(table)]
     if table.d == 2:
         reports.append(check_steinberg_mults(table))
+    if table.system.order is None:
+        reports.append(CheckReport("satisfiable", "warn",
+                                   ["cyclic parameter definitions: no witness search"]))
+        return reports
     sols = table.sample_admissible(bound=8)
     reports.append(CheckReport("satisfiable", "pass" if sols or not table.params
                                else "fail",

@@ -146,7 +146,7 @@ def is_split_class(cls):
     return not cls.negative and all(a % 2 == 0 for a in cls.positive)
 
 
-def char_value_D(n, label_bip, cls, sign=None):
+def char_value_D(n, label_bip, cls):
     """Value of a W(D_n)-character at a class given by its B_n signed type.
 
     Non-degenerate {lam, mu} labels restrict irreducibly from B_n, so the
@@ -293,7 +293,7 @@ def regular_B(k):
     return MappingProxyType(out)
 
 
-def induce(factors, n, deficit_regular=True):
+def induce(factors, n):
     """Induce a product character up to W(B_n).
 
     `factors` is a list of ("B", bipartition or mapping on bipartitions) or
@@ -317,8 +317,6 @@ def induce(factors, n, deficit_regular=True):
     t = n - used
     if t < 0:
         raise WeylError("factor sizes exceed the target rank")
-    if t and not deficit_regular:
-        raise WeylError("factor sizes do not fill the target rank")
     for _ in range(t):
         acc = mult_B_dicts(acc, regular_B(1))
     return acc

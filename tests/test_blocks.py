@@ -201,6 +201,59 @@ def test_tree_check_dense_fallback_when_top_scalars_cancel(monkeypatch):
     assert (rep.status, rep.evidence) == _dense_tree_check(tree) == ("pass", "")
 
 
+def _dense_signed_sum(degrees, signs):
+    total = DensePoly()
+    for deg, s in zip(degrees, signs):
+        total = total + (deg.expand() if s > 0 else -deg.expand())
+    return total
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def assert_signed_sum_matches_dense(degrees, signs):
+    lead, values = blocks._signed_sum(degrees, signs)
+    dense = _dense_signed_sum(degrees, signs)
+    if dense.is_zero():
+        assert lead == 0
+        return
+    assert _sign(lead) == _sign(dense.coeffs[-1])
+    assert [_sign(v) for v in values] == [_sign(dense(q0)) for q0 in (2, 3, 5, 7)]
+
+
+def test_positivity_reads_the_leading_coefficient_of_top_degree_only():
+    # -q^8 + 2q^7 + 1000q^5 is positive at q0 = 2, 3, 5, 7 but has leading
+    # coefficient -1; summing the scalars of A-value >= top - 1 would read +1
+    degrees = [FactoredPoly(Fraction(1), 8), FactoredPoly(Fraction(2), 7),
+               FactoredPoly(Fraction(1000), 5)]
+    signs = [-1, 1, 1]
+    dense = _dense_signed_sum(degrees, signs)
+    assert [dense(q0) for q0 in (2, 3, 5, 7)] == [32000, 240813, 2890625, 12689285]
+    assert dense.coeffs[-1] == -1
+    lead, values = blocks._signed_sum(degrees, signs)
+    assert lead < 0 and all(v > 0 for v in values)
+    assert_signed_sum_matches_dense(degrees, signs)
+
+
+def test_signed_sum_matches_dense_sum_on_random_degrees():
+    rng = random.Random(8)
+    for _ in range(300):
+        degrees = []
+        for _ in range(rng.randint(1, 4)):
+            mults = {e: rng.randint(1, 2) for e in rng.sample(range(1, 9), rng.randint(0, 3))}
+            degrees.append(FactoredPoly.from_parts(
+                Fraction(rng.choice((1, 2, 3, 1000)), rng.choice((1, 2, 3))),
+                rng.randint(0, 8), mults))
+        # a repeated degree of opposite sign makes the top scalars cancel
+        if rng.random() < 0.3:
+            degrees.append(degrees[0])
+            signs = [1] + [rng.choice((-1, 1)) for _ in degrees[1:-1]] + [-1]
+        else:
+            signs = [rng.choice((-1, 1)) for _ in degrees]
+        assert_signed_sum_matches_dense(degrees, signs)
+
+
 @pytest.mark.parametrize("d", range(2, 15))
 def test_monic_residue_is_remainder_mod_cyclotomic(d):
     # the residue of the monic part, Phi_d removed, times the scalar is the

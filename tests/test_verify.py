@@ -10,6 +10,8 @@ from unipdec.roots import coxeter_number, regular_height_bound
 from unipdec.tables import ParamExpr
 from unipdec.weyl import coxeter_class
 
+from test_tables import SYNTHETIC, _random_synthetic
+
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
 
 
@@ -346,3 +348,141 @@ def test_echelonize_matches_reference_on_random_vectors():
                         ["r1", "r3", "r2", "r0"])
     with pytest.raises(ValueError, match="negative"):
         verify.echelonize([{"r1": 1, "r2": -1}], labels)
+
+
+# ---------------------------------------------------------------------------
+# ParamBox against the box that kept its own bounds and substitution
+
+class Reference:
+    """ParamBox as it was before it read its bounds and substitutions from
+    the table's ParamSystem.  Kept verbatim as the reference."""
+
+    def __init__(self, table, hi=30):
+        self.table = table
+        self.hi = hi
+        system = table.system
+        self.free, self.defined, self.low = system.free, system.defined, system.lows
+        self.high = {}
+        for p in self.free:
+            up = hi
+            for c in table.constraints:
+                if c.rel == ">=" and set(c.expr.names()) == {p}:
+                    coeff = c.expr.terms.get((p,), 0)
+                    const = c.expr.constant()
+                    if coeff < 0:
+                        up = min(up, const // (-coeff))
+            self.high[p] = max(up, self.low[p])
+
+    def reduce(self, expr):
+        """Substitute defined parameters until only free ones remain."""
+        guard = 0
+        while expr.names() & set(self.defined) and guard < 20:
+            for name in list(expr.names() & set(self.defined)):
+                # replace name by its defining expression
+                out = ParamExpr()
+                for mono, c in expr.terms.items():
+                    if name in mono:
+                        rest = list(mono)
+                        rest.remove(name)
+                        out = out + ParamExpr({tuple(rest): c}) * self.defined[name]
+                    else:
+                        out = out + ParamExpr({mono: c})
+                expr = out
+            guard += 1
+        return expr
+
+    def bounds(self, expr):
+        """(lower, upper) over the box, ignoring joint constraints (sound)."""
+        expr = self.reduce(expr)
+        lo = hi = expr.constant()
+        for mono, c in expr.terms.items():
+            if not mono:
+                continue
+            lo_m = 1
+            hi_m = 1
+            for name in mono:
+                lo_m *= self.low.get(name, 0)
+                hi_m *= self.high.get(name, self.hi)
+            if c > 0:
+                lo += c * lo_m
+                hi += c * hi_m
+            else:
+                lo += c * hi_m
+                hi += c * lo_m
+        return lo, hi
+
+    def provably_zero(self, expr):
+        red = self.reduce(expr)
+        if red.is_zero():
+            return True
+        lo, hi = self.bounds(red)
+        return lo == 0 and hi == 0
+
+    def provably_positive(self, expr):
+        return self.bounds(expr)[0] > 0
+
+
+def _random_poly(rng, names):
+    """A random polynomial of degree <= 2 in `names`, constant term included."""
+    expr = ParamExpr.const(rng.randint(-6, 6))
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple(rng.choice(names) for _ in range(rng.randint(1, 2)))
+        expr = expr + ParamExpr({mono: rng.choice([-3, -1, 1, 2, 5])})
+    return expr
+
+
+def assert_box_matches_reference(table, rng):
+    """The same bounds and verdicts on every entry, on random polynomials and
+    on the coefficients of random vectors in the columns; returns the number
+    of expressions compared."""
+    assert table.system.order is not None
+    box, ref = verify.ParamBox(table), Reference(table)
+    exprs = [e for col in table.columns for e in col.entries.values()]
+    if table.params:
+        exprs += [_random_poly(rng, list(table.params)) for _ in range(30)]
+    for _ in range(3):
+        vec = {lab: rng.randint(0, 3) for lab in rng.sample(list(table.rows),
+                                                             min(4, table.size()))}
+        exprs += verify.decompose_in_columns(table, vec)
+    for e in exprs:
+        assert table.system.reduce(e) == ref.reduce(e), (table.name(), e)
+        assert box.bounds(e) == ref.bounds(e), (table.name(), e)
+        assert box.provably_zero(e) == ref.provably_zero(e), (table.name(), e)
+        assert box.provably_positive(e) == ref.provably_positive(e), (table.name(), e)
+    return len(exprs)
+
+
+def test_param_box_matches_reference_on_corpus_and_levi_tables():
+    rng = random.Random(21)
+    levi = [load(f"levi/{f.name}") for f in sorted((DATA / "levi").glob("*.dmx"))]
+    corpus = [t for _, t in verify.corpus_tables()]
+    assert len(corpus) == 26 and len(levi) == 4
+    assert sum(assert_box_matches_reference(t, rng) for t in corpus + levi) > 2000
+
+
+def test_param_box_matches_reference_on_fuzzed_tables():
+    rng = random.Random(22)
+    chained = 0
+    for _ in range(150):
+        table = _random_synthetic(rng)
+        defined = table.system.defined
+        chained += any(expr.names() & defined.keys() for expr in defined.values())
+        assert_box_matches_reference(table, rng)
+    assert chained > 10  # some definitions use another defined parameter
+
+
+def test_param_box_on_cyclic_definitions():
+    # a=b+c; b=a-1: nothing is substituted and a, b range over [0, CAP]
+    table = SYNTHETIC["cyclic"]
+    box = verify.ParamBox(table)
+    assert box.bounds(tables.parse_expr("a")) == (0, 30)
+    assert box.bounds(tables.parse_expr("a+b")) == (0, 60)
+    assert box.bounds(tables.parse_expr("c")) == (0, 30)
+
+
+def test_satisfiable_warns_on_cyclic_definitions():
+    table = SYNTHETIC["cyclic"]
+    assert table.is_admissible({"a": 1, "b": 0, "c": 1})
+    rep = verify.run_table_checks(table)[-1]
+    assert (rep.check, rep.status, rep.evidence) == (
+        "satisfiable", "warn", ["cyclic parameter definitions: no witness search"])
