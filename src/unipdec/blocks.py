@@ -5,7 +5,8 @@ Classical block partitions come from d-hook (d odd) respectively
 same block iff their symbols have the same core.  Exceptional-group
 partitions are shipped as data.  Brauer trees are open lines of ordinary
 characters around one exceptional vertex; `tree_check` verifies defects,
-adjacent-degree divisibility and single-block membership.
+adjacent-degree divisibility, the positivity of the alternating degree sum
+and single-block membership.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import DensePoly, common_factor, cyclotomic
+from .cyclo import cyclotomic
 from .degrees import catalog, catalog_map, defect, find_char, group_order_poly
 from .labels import BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError
 
@@ -214,24 +215,6 @@ class TreeReport:
         return self.status == "pass"
 
 
-def _factored_sum(degrees, signs):
-    """S with sum(sign * degree) = C * S / L: C the largest monic factor the
-    degrees share and L > 0 the lcm of the cofactors' denominators.
-
-    Only the integer cofactors L * degree / C are expanded.  C is monic and
-    L > 0, so C * S / L and S have leading coefficients of the same sign;
-    C(q0) > 0 for q0 >= 2, so both take values of the same sign there; and
-    C * S = 0 iff S = 0.
-    """
-    common = common_factor(degrees)
-    cofactors = [deg.divide(common) for deg in degrees]
-    scale = lcm(*(c.scalar.denominator for c in cofactors))
-    total = DensePoly()
-    for c, sign in zip(cofactors, signs):
-        total = total + (c * (sign * scale)).expand()
-    return total
-
-
 def _reduce(coeffs, phi):
     """coeffs mod the monic integer polynomial phi, as an integer tuple of
     length deg(phi); both are coefficient tuples, lowest first."""
@@ -279,44 +262,41 @@ def _monic_residue(q_exp, cyclo_mults, d):
     return out
 
 
-_Q0 = (2, 3, 5, 7)
-
-
 @lru_cache(maxsize=None)
-def _monic_values(q_exp, cyclo_mults):
-    """q^q_exp * prod Phi_e^m at each q0 in _Q0, as ints."""
-    out = []
-    for q0 in _Q0:
-        v = q0 ** q_exp
-        for e, m in cyclo_mults:
-            v *= cyclotomic(e)(q0) ** m
-        out.append(v)
-    return tuple(out)
+def _monic_at(q_exp, cyclo_mults, x):
+    """q^q_exp * prod Phi_e^m at q = x: the monic part of a degree, as an int."""
+    v = x ** q_exp
+    for e, m in cyclo_mults:
+        v *= cyclotomic(e)(x) ** m
+    return v
 
 
-def _signed_sum(degrees, signs):
-    """(lead, values) for S = sum(sign * degree): lead has the sign of the
-    leading coefficient of S and is 0 iff S = 0, and values[i] has the sign
-    of S(q0) for the i-th q0 of _Q0.
+def _shifted_sum(degrees, signs):
+    """The integer coefficients T, lowest first, of L * S(q + 2) for
+    S = sum(sign * degree), with L > 0 the lcm of the scalars'
+    denominators; () when S = 0.
 
-    The leading coefficient is the signed sum of the scalars of the degrees
-    of top degree, and the values (times the lcm of the scalars'
-    denominators) are sums of memoised monic values; only when the top
-    scalars cancel (or there are no degrees) is S formed densely, from the
-    cofactors of the degrees' common factor (`_factored_sum`).
+    Every Phi_e(q + 2) has nonnegative coefficients (a pair of conjugate
+    roots zeta gives q^2 + 2(2 - Re zeta)q + |2 - zeta|^2), so each monic
+    part M(q + 2) does too, and each of them is at most M(3).  With weights
+    w = L * sign * scalar, every |T_k| is below 2^(B-1) for
+    B = bit_length(sum |w| * M(3)) + 1, so T is the balanced base-2^B digit
+    expansion of sum w * M(2^B + 2): nothing is expanded.
     """
-    top = max((deg.A_value() for deg in degrees), default=0)
-    lead = sum(s * deg.scalar for deg, s in zip(degrees, signs) if deg.A_value() == top)
-    if lead:
-        scale = lcm(*(deg.scalar.denominator for deg in degrees))
-        weights = [s * deg.scalar.numerator * (scale // deg.scalar.denominator)
-                   for deg, s in zip(degrees, signs)]
-        monic = [_monic_values(deg.q_exp, deg.cyclo_mults) for deg in degrees]
-        return lead, [sum(w * v for w, v in zip(weights, col)) for col in zip(*monic)]
-    exc = _factored_sum(degrees, signs)
-    if exc.is_zero():
-        return 0, []
-    return exc.coeffs[-1], [exc(q0) for q0 in _Q0]
+    scale = lcm(*(deg.scalar.denominator for deg in degrees))
+    weights = [s * deg.scalar.numerator * (scale // deg.scalar.denominator)
+               for deg, s in zip(degrees, signs)]
+    bits = sum(abs(w) * _monic_at(deg.q_exp, deg.cyclo_mults, 3)
+               for deg, w in zip(degrees, weights)).bit_length() + 1
+    value = sum(w * _monic_at(deg.q_exp, deg.cyclo_mults, (1 << bits) + 2)
+                for deg, w in zip(degrees, weights))
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while value:
+        digit = ((value + half) & mask) - half
+        out.append(digit)
+        value = (value - digit) >> bits
+    return tuple(out)
 
 
 def tree_check(tree):
@@ -336,9 +316,15 @@ def tree_check(tree):
     expanded: Phi_d^M divides D_u + D_v iff u(zeta) + v(zeta) = 0, and
     u(zeta) is s times the integer residue of the monic part mod Phi_d.
     The alternating sum is Phi_d^(M-1) times a sum of such u, so it is
-    divisible by Phi_d^(M-1) once it is nonzero.  It is positive when its
-    leading coefficient and its values at q0 = 2, 3, 5, 7 are, which
-    `_signed_sum` decides.
+    divisible by Phi_d^(M-1) once it is nonzero.
+
+    Positivity for every prime power q is read off the coefficients T of
+    L * S(q + 2), L > 0, that `_shifted_sum` gives (Descartes' rule of signs
+    at q = 2): the tree fails when the leading coefficient of T or
+    T(0) = L * S(2) is <= 0, since S is then <= 0 at q = 2 or at every large
+    q, and passes when every coefficient is >= 0, since S(q) > 0 for all
+    q >= 2 then.  Otherwise positivity is unproved and the tree gives `warn`
+    unless (iii) fails.
     """
     group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
@@ -374,10 +360,10 @@ def tree_check(tree):
     sign = 1 if j % 2 == 1 else -1  # exc = sign * sum over i of (-1)^i deg(chain[i])
     degrees = [cm[lab].degree for lab in tree.characters()]
     signs = [sign if i % 2 == 0 else -sign for i, lab in enumerate(chain) if lab is not None]
-    lead, values = _signed_sum(degrees, signs)
-    if not lead:
+    shifted = _shifted_sum(degrees, signs)
+    if not shifted:
         return TreeReport(tree, "fail", "alternating degree sum vanishes")
-    if lead < 0 or any(v <= 0 for v in values):
+    if shifted[-1] < 0 or shifted[0] <= 0:
         return TreeReport(tree, "fail",
                           "alternating sum is not a positive multiple of a degree")
 
@@ -390,4 +376,6 @@ def tree_check(tree):
             return TreeReport(tree, "fail", "characters span several blocks")
     except UnsupportedGroupError:
         pass  # exceptional group without full block data at this d: defect check stands
+    if min(shifted) < 0:
+        return TreeReport(tree, "warn", "alternating sum not proved positive for q >= 2")
     return TreeReport(tree, "pass")

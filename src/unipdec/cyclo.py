@@ -416,16 +416,3 @@ def prod_factored(factors):
         for d, m in f.cyclo_mults:
             mults[d] = mults.get(d, 0) + m
     return FactoredPoly.from_parts(scalar, q_exp, mults)
-
-
-def common_factor(polys):
-    """The largest monic factor q^k * prod Phi_e^m that all of `polys` share
-    (1 when there are none)."""
-    polys = list(polys)
-    if not polys:
-        return FactoredPoly.one()
-    mults = dict(polys[0].cyclo_mults)
-    for p in polys[1:]:
-        pm = dict(p.cyclo_mults)
-        mults = {e: min(m, pm[e]) for e, m in mults.items() if e in pm}
-    return FactoredPoly.from_parts(1, min(p.q_exp for p in polys), mults)

@@ -103,6 +103,9 @@ class ParamExpr:
         return isinstance(other, ParamExpr) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as one
+        if self.is_constant():
+            return hash(self.constant())
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -636,11 +639,15 @@ def parse(text):
         group = GroupDescriptor.parse(meta["group"])
     except UnsupportedGroupError as exc:
         raise TableError(f"line {meta_line['group']}: {exc}") from exc
+    if "d" not in meta:
+        raise TableError("no 'd' key in [table]")
     try:
-        d = int(meta.get("d", "0"))
+        d = int(meta["d"])
     except ValueError:
         raise TableError(f"line {meta_line['d']}: d must be an integer, "
                          f"not {meta['d']!r}") from None
+    if d < 1:
+        raise TableError(f"line {meta_line['d']}: d must be positive, not {d}")
     params = tuple(meta.get("params", "").split())
     constraints = tuple(parse_constraint(c) for c in meta.get("constraints", "").split(";")
                         if c.strip())

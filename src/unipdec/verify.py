@@ -562,13 +562,17 @@ def corpus_tables(corpus=None):
 def corpus_trees(corpus=None):
     """Yield (relative path, BrauerTree) for every shipped tree.
 
-    A tree file that does not parse raises BlockError naming the file.
+    A tree file that does not parse, or that does not sit in a directory
+    d<n> with n >= 1, raises BlockError naming the file.
     """
     from .blocks import BlockError, load_trees
     for sub, f, text in _corpus_files(corpus, ".trees"):
         try:
+            d = int(sub[1:]) if sub[1:].isdecimal() else 0
+            if d < 1:
+                raise BlockError(f"directory {sub!r} is not d<n> with n >= 1")
             group = GroupDescriptor.parse(f[:-len(".trees")])
-            trees = load_trees(text, group, int(sub[1:]))
+            trees = load_trees(text, group, d)
         except (BlockError, UnsupportedGroupError) as exc:
             raise BlockError(f"{sub}/{f}: {exc}") from exc
         for t in trees:
@@ -591,6 +595,3 @@ def run_table_checks(table):
                                 ("no parameters" if not table.params else
                                  "no admissible assignment found")]))
     return reports
-
-
-from .roots import coxeter_number, regular_height_bound  # noqa: E402,F401

@@ -1,12 +1,13 @@
 import pathlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from unipdec import blocks
-from unipdec.blocks import (BrauerTree, block_partition, load_trees, parse_tree_line,
-                            symbol_core, tree_check)
+from unipdec.blocks import (BlockPartition, BrauerTree, block_partition, load_trees,
+                            parse_tree_line, symbol_core, tree_check)
 from unipdec.cyclo import DensePoly, FactoredPoly, cyclotomic, euler_phi
 from unipdec.degrees import catalog, defect, find_char, group_order_poly
 from unipdec.labels import GroupDescriptor, LabelError, UnsupportedGroupError
@@ -135,7 +136,8 @@ def _dense_tree_check(tree):
         return "fail", "alternating degree sum vanishes"
     if not divisible(exc, M - 1):
         return "fail", f"alternating sum not divisible by P{d}^{M - 1}"
-    if exc.coeffs[-1] < 0 or any(exc(q0) <= 0 for q0 in (2, 3, 5, 7)):
+    shifted = _dense_shift(exc).coeffs
+    if shifted[-1] < 0 or shifted[0] <= 0:
         return "fail", "alternating sum is not a positive multiple of a degree"
     try:
         canon = [str(cm[lab].label) for lab in tree.characters()]
@@ -144,7 +146,17 @@ def _dense_tree_check(tree):
             return "fail", "characters span several blocks"
     except UnsupportedGroupError:
         pass
+    if min(shifted) < 0:
+        return "warn", "alternating sum not proved positive for q >= 2"
     return "pass", ""
+
+
+def _dense_shift(poly):
+    """poly(q + 2), by Horner's rule on dense polynomials."""
+    out = DensePoly()
+    for c in reversed(poly.coeffs):
+        out = out * DensePoly([2, 1]) + DensePoly([c])
+    return out
 
 
 def _tree_variants(tree):
@@ -182,22 +194,17 @@ def test_tree_check_matches_dense_check_on_variants():
         "fail", "alternating degree sum vanishes")
 
 
-def test_tree_check_dense_fallback_when_top_scalars_cancel(monkeypatch):
+def test_tree_check_when_top_scalars_cancel():
     # O moved to the middle of the B4 tree at d = 6: the two degrees of top
     # degree cancel in the alternating sum, so its leading coefficient is
-    # not a signed sum of scalars and the sum is formed densely
-    calls = []
-    dense_sum = blocks._factored_sum
-
-    def counted(degrees, signs):
-        calls.append(signs)
-        return dense_sum(degrees, signs)
-
-    monkeypatch.setattr(blocks, "_factored_sum", counted)
+    # not a signed sum of scalars
     tree = parse_tree_line(GroupDescriptor.parse("B4"), 6,
                            "4. -- 2.2 -- 1.21 -- .21^2 -- O -- B2:1^2. -- B2:.1^2")
+    degrees = [find_char(tree.group, lab).degree for lab in tree.characters()]
+    signs = [-1, 1, -1, 1, 1, -1]  # the alternating sum's signs, O at position 4
+    top = max(deg.A_value() for deg in degrees)
+    assert sum(s * deg.scalar for deg, s in zip(degrees, signs) if deg.A_value() == top) == 0
     rep = tree_check(tree)
-    assert len(calls) == 1
     assert (rep.status, rep.evidence) == _dense_tree_check(tree) == ("pass", "")
 
 
@@ -208,18 +215,10 @@ def _dense_signed_sum(degrees, signs):
     return total
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def assert_signed_sum_matches_dense(degrees, signs):
-    lead, values = blocks._signed_sum(degrees, signs)
-    dense = _dense_signed_sum(degrees, signs)
-    if dense.is_zero():
-        assert lead == 0
-        return
-    assert _sign(lead) == _sign(dense.coeffs[-1])
-    assert [_sign(v) for v in values] == [_sign(dense(q0)) for q0 in (2, 3, 5, 7)]
+def assert_shifted_sum_matches_dense(degrees, signs):
+    scale = lcm(*(deg.scalar.denominator for deg in degrees))
+    shifted = _dense_shift(_dense_signed_sum(degrees, signs))
+    assert blocks._shifted_sum(degrees, signs) == tuple(scale * c for c in shifted.coeffs)
 
 
 def test_positivity_reads_the_leading_coefficient_of_top_degree_only():
@@ -230,20 +229,61 @@ def test_positivity_reads_the_leading_coefficient_of_top_degree_only():
     signs = [-1, 1, 1]
     dense = _dense_signed_sum(degrees, signs)
     assert [dense(q0) for q0 in (2, 3, 5, 7)] == [32000, 240813, 2890625, 12689285]
-    assert dense.coeffs[-1] == -1
-    lead, values = blocks._signed_sum(degrees, signs)
-    assert lead < 0 and all(v > 0 for v in values)
-    assert_signed_sum_matches_dense(degrees, signs)
+    shifted = blocks._shifted_sum(degrees, signs)
+    assert shifted[-1] == dense.coeffs[-1] == -1 and shifted[0] == dense(2) > 0
+    assert_shifted_sum_matches_dense(degrees, signs)
 
 
-def test_signed_sum_matches_dense_sum_on_random_degrees():
+def _sample_tree_with_shifted_sum(monkeypatch, shifted):
+    """The first corpus tree, with `_shifted_sum` giving `shifted`."""
+    _, tree = next(corpus_trees())
+    assert tree_check(tree).status == "pass"
+    monkeypatch.setattr(blocks, "_shifted_sum", lambda degrees, signs: shifted)
+    return tree
+
+
+def test_sum_positive_at_sampled_points_is_not_proved_positive(monkeypatch):
+    # S = 4q^2 - 32q + 63 is positive at q0 = 2, 3, 5, 7 (15, 3, 3, 35), and
+    # has a positive leading coefficient, yet S(4) = -1
+    degrees = [FactoredPoly(Fraction(4), 2), FactoredPoly(Fraction(32), 1),
+               FactoredPoly(Fraction(63), 0)]
+    signs = [1, -1, 1]
+    dense = _dense_signed_sum(degrees, signs)
+    assert [dense(q0) for q0 in (2, 3, 4, 5, 7)] == [15, 3, -1, 3, 35]
+    shifted = blocks._shifted_sum(degrees, signs)
+    assert shifted == (15, -16, 4)
+    tree = _sample_tree_with_shifted_sum(monkeypatch, shifted)
+    rep = tree_check(tree)
+    assert (rep.status, rep.evidence) == (
+        "warn", "alternating sum not proved positive for q >= 2")
+
+
+def test_block_failure_outranks_unproved_positivity(monkeypatch):
+    tree = _sample_tree_with_shifted_sum(monkeypatch, (15, -16, 4))
+    labels = [str(find_char(tree.group, lab).label) for lab in tree.characters()]
+    split = BlockPartition(tree.group, tree.d,
+                           tuple((frozenset([lab]), 1) for lab in labels))
+    monkeypatch.setattr(blocks, "block_partition", lambda group, d: split)
+    rep = tree_check(tree)
+    assert (rep.status, rep.evidence) == ("fail", "characters span several blocks")
+
+
+@pytest.mark.parametrize("shifted", [(-1, 3, 4), (15, -16, -4), (0, 1)])
+def test_sum_nonpositive_at_2_or_at_large_q_fails(monkeypatch, shifted):
+    tree = _sample_tree_with_shifted_sum(monkeypatch, shifted)
+    rep = tree_check(tree)
+    assert (rep.status, rep.evidence) == (
+        "fail", "alternating sum is not a positive multiple of a degree")
+
+
+def test_shifted_sum_matches_dense_shift_on_random_degrees():
     rng = random.Random(8)
     for _ in range(300):
         degrees = []
         for _ in range(rng.randint(1, 4)):
             mults = {e: rng.randint(1, 2) for e in rng.sample(range(1, 9), rng.randint(0, 3))}
             degrees.append(FactoredPoly.from_parts(
-                Fraction(rng.choice((1, 2, 3, 1000)), rng.choice((1, 2, 3))),
+                Fraction(rng.choice((-3, -1, 1, 2, 3, 1000)), rng.choice((1, 2, 3))),
                 rng.randint(0, 8), mults))
         # a repeated degree of opposite sign makes the top scalars cancel
         if rng.random() < 0.3:
@@ -251,7 +291,7 @@ def test_signed_sum_matches_dense_sum_on_random_degrees():
             signs = [1] + [rng.choice((-1, 1)) for _ in degrees[1:-1]] + [-1]
         else:
             signs = [rng.choice((-1, 1)) for _ in degrees]
-        assert_signed_sum_matches_dense(degrees, signs)
+        assert_shifted_sum_matches_dense(degrees, signs)
 
 
 @pytest.mark.parametrize("d", range(2, 15))

@@ -92,20 +92,27 @@ def test_verify_tsv_matches_golden_output():
     assert out == golden
 
 
-@pytest.mark.parametrize("name, line, why", [
-    ("Q9.trees", "1^3. -- O", "cannot parse group descriptor 'Q9'"),
-    ("D4.trees", "21^2. -- O -- O", "exactly one exceptional vertex"),
-    ("E7.trees", "phi{1,0} -- O", "no E7 catalog"),
-])
+_BAD_TREES = [
+    ("d3", "Q9.trees", "1^3. -- O", "cannot parse group descriptor 'Q9'"),
+    ("d3", "D4.trees", "21^2. -- O -- O", "exactly one exceptional vertex"),
+    ("d3", "E7.trees", "phi{1,0} -- O", "no E7 catalog"),
+    ("dx", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'dx' is not d<n> with n >= 1"),
+    ("d0", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'d0' is not d<n> with n >= 1"),
+]
+
+
+# a d3 case's id leaves out the directory, so the older cases keep their names
+@pytest.mark.parametrize("sub, name, line, why", _BAD_TREES, ids=[
+    "-".join(case[1:] if case[0] == "d3" else case) for case in _BAD_TREES])
 @pytest.mark.parametrize("command", ["verify", "trees"])
-def test_malformed_tree_file_exits_2(tmp_path, capsys, name, line, why, command):
-    d = tmp_path / "d3"
+def test_malformed_tree_file_exits_2(tmp_path, capsys, sub, name, line, why, command):
+    d = tmp_path / sub
     d.mkdir()
     (d / name).write_text(line + "\n")
     code, out = run(["--corpus", str(tmp_path), command])
     assert code == 2 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith(f"error: d3/{name}: ") and why in err
+    assert err.startswith(f"error: {sub}/{name}: ") and why in err
 
 
 _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\n"
@@ -116,6 +123,9 @@ _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\
     ("group = D4\n", "", "no 'group' key"),
     (".4 | 1", ".4 | q^", "line 5: bad factor 'q^'"),
     ("group = D4", "group = Q9", "line 2: cannot parse group descriptor 'Q9'"),
+    ("d = 2", "d = 0", "line 3: d must be positive, not 0"),
+    ("d = 2", "d = -6", "line 3: d must be positive, not -6"),
+    ("d = 2\n", "", "no 'd' key"),
 ])
 def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     d = tmp_path / "d2"

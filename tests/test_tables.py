@@ -34,6 +34,15 @@ def test_expr_arithmetic_and_eval():
     assert (a - a).is_zero()
 
 
+def test_constant_expr_hashes_as_its_int():
+    # a constant expression equals its int, so sets and dicts must find it
+    assert ParamExpr.const(3) in {3} and 3 in {ParamExpr.const(3)}
+    assert ParamExpr() in {0} and parse_expr("2-2") in {0}
+    assert {ParamExpr.const(-5): "x"}[-5] == "x"
+    assert len({ParamExpr.const(7), 7, parse_expr("3+4")}) == 1
+    assert ParamExpr.var("d") not in {0, 1}
+
+
 def test_shipped_tables_roundtrip():
     count = 0
     for f in all_dmx():

@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 
 from unipdec import cyclo, tables, verify
-from unipdec.cyclo import (CycloError, DensePoly, FactoredPoly, common_factor,
-                           cyclotomic, prod_factored)
+from unipdec.cyclo import CycloError, DensePoly, FactoredPoly, cyclotomic, prod_factored
 from unipdec.degrees import catalog
 from unipdec.labels import (BetaSymbol, Bipartition, GroupDescriptor, LabelError,
                             check_partition, label_symbol)
@@ -125,7 +124,7 @@ def test_zero_scalar_raises():
             FactoredPoly(scalar, 0, ((1, 1),))
 
 
-def test_products_quotients_and_common_factors_match_reference():
+def test_products_and_quotients_match_reference():
     rng = random.Random(2)
     for _ in range(1500):
         a, b = random_poly(rng), random_poly(rng)
@@ -152,12 +151,8 @@ def test_products_quotients_and_common_factors_match_reference():
                 mults[d] = mults.get(d, 0) + m
         assert canonical_parts(prod) == reference_canonical(scalar, mults)
         assert prod.q_exp == sum(p.q_exp for p in polys)
-        common = common_factor(polys)
         for e in range(1, 14):
-            assert common.root_multiplicity(e) == min(
-                dict(p.cyclo_mults).get(e, 0) for p in polys)
             assert a.root_multiplicity(e) == dict(a.cyclo_mults).get(e, 0)
-        assert common.q_exp == min(p.q_exp for p in polys)
         assert a.A_value() == a.q_exp + sum(m * cyclotomic(d).degree()
                                             for d, m in a.cyclo_mults)
         assert a.A_value() == a.expand().degree()
