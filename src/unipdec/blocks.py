@@ -1,8 +1,10 @@
 """Phi_d-block partitions and Brauer-tree consistency checks.
 
-Classical block partitions come from d-hook (d odd) respectively
-(d/2)-cohook (d even) removal on beta-symbols; two characters lie in the
-same block iff their symbols have the same core.  Exceptional-group
+Classical block partitions come from cores; two characters lie in the same
+block iff their cores agree.  A core is read from the bead counts per
+abacus runner, not by removing hooks one at a time: the d-core of the
+beta-symbol for B, C, D and 2D (d-hooks for odd d, (d/2)-cohooks for even
+d), the e-core of the partition for A and 2A.  Exceptional-group
 partitions are shipped as data.  Brauer trees are open lines of ordinary
 characters around one exceptional vertex; `tree_check` verifies defects,
 adjacent-degree divisibility, the positivity of the alternating degree sum
@@ -17,8 +19,10 @@ from functools import lru_cache
 from math import lcm
 
 from .cyclo import cyclotomic
-from .degrees import catalog, catalog_map, defect, find_char, group_order_poly
-from .labels import BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError
+from .degrees import (_ennola_index, catalog, catalog_map, defect, find_char,
+                      group_order_poly)
+from .labels import (GroupDescriptor, LabelError, UnsupportedGroupError,
+                     beta_to_partition)
 
 
 class BlockError(ValueError):
@@ -28,47 +32,56 @@ class BlockError(ValueError):
 # ---------------------------------------------------------------------------
 # cores
 
-def _remove_hook(rows, d):
-    """One d-hook removal inside a single row, if any; None when the row is a core."""
-    for which in (0, 1):
-        row = set(rows[which])
-        for b in sorted(row):
-            if b - d >= 0 and (b - d) not in row:
-                new = tuple(sorted(row - {b} | {b - d}))
-                out = list(rows)
-                out[which] = new
-                return tuple(out)
-    return None
+def _runner_core(row, e):
+    """The e-core of a beta-set: each bead slid down its runner mod e, as
+    far as the beads below it allow (the bead count stays)."""
+    counts = [0] * e
+    for x in row:
+        counts[x % e] += 1
+    return tuple(sorted(r + e * j for r, c in enumerate(counts) for j in range(c)))
 
 
-def _remove_cohook(rows, d):
-    """One d-cohook removal (moves a bead to the other row), if any."""
-    top, bottom = set(rows[0]), set(rows[1])
-    for b in sorted(top):
-        if b - d >= 0 and (b - d) not in bottom:
-            return (tuple(sorted(top - {b})), tuple(sorted(bottom | {b - d})))
-    for b in sorted(bottom):
-        if b - d >= 0 and (b - d) not in top:
-            return (tuple(sorted(top | {b - d})), tuple(sorted(bottom - {b})))
-    return None
+def _ordered_reduced(top, bottom):
+    """The reduced symbol (common shift stripped), rows ordered by (length, row)."""
+    k = 0
+    while k < len(top) and k < len(bottom) and top[k] == k and bottom[k] == k:
+        k += 1
+    if k:
+        top, bottom = tuple(x - k for x in top[k:]), tuple(x - k for x in bottom[k:])
+    return (top, bottom) if (len(top), top) <= (len(bottom), bottom) else (bottom, top)
 
 
 def symbol_core(sym, d):
-    """The d-core of a symbol: d-hooks for odd d, (d/2)-cohooks for even d."""
-    rows = (sym.top, sym.bottom)
+    """The d-core of a symbol, reduced and with its two rows ordered: what
+    removing d-hooks (d odd) or (d/2)-cohooks (d even) leaves.
+
+    Odd d: a d-hook moves a bead of one row down its runner mod d, so each
+    row's core is its beads slid down their runners.  Even d, e = d/2: a
+    cohook moves a bead at level k of runner r (position r + e*k) of row
+    rho to level k - 1 of the other row.  Placing (rho, k) at slot
+    2k + (rho xor k mod 2) makes every cohook a step of 2 slots down, so the
+    core keeps the bead count per (runner, slot parity) and packs each one
+    into the lowest slots.
+    """
     if d % 2:
-        step = lambda r: _remove_hook(r, d)
-    else:
-        step = lambda r: _remove_cohook(r, d // 2)
-    while True:
-        nxt = step(rows)
-        if nxt is None:
-            break
-        rows = nxt
-    core = BetaSymbol(rows[0], rows[1]).reduced()
-    # unordered for comparison purposes
-    a, b = sorted((core.top, core.bottom), key=lambda r: (len(r), r))
-    return (tuple(a), tuple(b))
+        return _ordered_reduced(_runner_core(sym.top, d), _runner_core(sym.bottom, d))
+    e = d // 2
+    counts = [0] * (2 * e)  # index 2r + slot parity
+    for rho, row in enumerate((sym.top, sym.bottom)):
+        for x in row:
+            k, r = divmod(x, e)
+            counts[2 * r + ((rho ^ k) & 1)] += 1
+    rows = ([], [])
+    for i, c in enumerate(counts):
+        r, parity = divmod(i, 2)
+        for k in range(c):  # slot parity + 2k sits at level k
+            rows[parity ^ (k & 1)].append(r + e * k)
+    return _ordered_reduced(tuple(sorted(rows[0])), tuple(sorted(rows[1])))
+
+
+def partition_core(beta, e):
+    """The e-core of the partition with beta-set `beta`, as a partition."""
+    return beta_to_partition(_runner_core(beta, e))
 
 
 @dataclass(frozen=True)
@@ -122,20 +135,31 @@ def _exceptional_blocks(group):
 
 @lru_cache(maxsize=None)
 def block_partition(group, d):
-    """Partition of the unipotent characters into Phi_d-blocks."""
+    """Partition of the unipotent characters into Phi_d-blocks.
+
+    Two classical characters share a block iff their cores agree: the
+    d-core of the symbol for B, C, D and 2D, and the e-core of the
+    partition for A (e = d) and 2A (e the order of -q at a primitive d-th
+    root of unity: 2d for odd d, d/2 for d = 2 mod 4, d for d = 0 mod 4).
+    """
     chars = catalog(group)
     if group.series in ("B", "C", "D", "2D", "A", "2A"):
+        if group.series in ("A", "2A"):
+            e = d if group.series == "A" else _ennola_index(d)
+            core = lambda c: partition_core(c.symbol.top, e)
+        else:
+            core = lambda c: symbol_core(c.symbol, d)
         keyed = {}
         for c in chars:
-            core = symbol_core(c.symbol, d)
-            keyed.setdefault(core, []).append(str(c.label))
+            keyed.setdefault(core(c), []).append(c)
         blocks = []
-        for labels in keyed.values():
-            dfts = {defect(catalog_map(group)[l], d) for l in labels}
+        for members in keyed.values():
+            labels = frozenset(str(c.label) for c in members)
+            dfts = {defect(c, d) for c in members}
             if len(dfts) != 1:
                 raise BlockError(
                     f"block of {group} at d={d} has non-constant defect: {sorted(labels)}")
-            blocks.append((frozenset(labels), dfts.pop()))
+            blocks.append((labels, dfts.pop()))
     else:
         data = _exceptional_blocks(group)
         if d not in data:

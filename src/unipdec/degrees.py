@@ -10,14 +10,13 @@ identities of their cyclic Phi_d-blocks.
 from __future__ import annotations
 
 import importlib.resources
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .cyclo import FactoredPoly, parse_factored, prod_factored
+from .cyclo import CycloError, FactoredPoly, parse_factored, prod_factored
 from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnipLabel,
                      UnsupportedGroupError, classical_label_list, label_symbol,
                      parse_label, resolve_label)
@@ -77,12 +76,6 @@ def _shift_exponent(ab):
         total += m * (m - 1) // 2
         i += 1
     return total
-
-
-@lru_cache(maxsize=None)
-def _entry_divisors(s):
-    """Cyclotomic indices, with repetition, of prod_{h=1}^{s} (q^{2h} - 1)."""
-    return tuple(e for h in range(1, s + 1) for e in _minus_divisors(2 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -160,45 +153,74 @@ def symbol_degree(g, sym, degenerate=False):
     The numerator is the order part of |G| times, over pairs s < s' in a row,
     q^s (q^(s'-s) - 1) and, over pairs (s, t) across the rows,
     q^min (q^|s-t| + 1); the denominator is 2^twolog q^shift times
-    prod_{h=1}^{s} (q^(2h) - 1) for each entry s.  The q-powers, the powers
-    of 2 and the cyclotomic exponents of each side are counted directly, and
-    the quotient is taken once.
+    prod_{h=1}^{s} (q^(2h) - 1) for each entry s.  Each q^k - 1 and q^k + 1
+    factor is counted into an integer histogram by k, the denominator's
+    q^(2h) - 1 with a negative count (one per entry >= h); one pass over
+    the divisors of each k then gives the Phi_e multiplicities.  A negative
+    multiplicity or q-power raises CycloError.
     """
     s, n = g.series, g.rank
     top, bottom = sym.top, sym.bottom
     a, b = len(top), len(bottom)
     twolog = (a + b - 1) // 2
-    num = Counter()
+    largest = max(top[-1] if top else 0, bottom[-1] if bottom else 0)
+    size = max(2 * n, 2 * largest) + 1
+    minus, plus = [0] * size, [0] * size  # count of q^k - 1 and q^k + 1 factors
     if s in ("B", "C"):
-        num.update(_minus_divisors(2 * n))
+        minus[2 * n] += 1
     elif s == "D":
-        num.update(_minus_divisors(n))
+        minus[n] += 1
         twolog += 1 if degenerate else 0
     elif s == "2D":
-        num.update(_plus_divisors(n))
+        plus[n] += 1
     else:
         raise UnsupportedGroupError(f"symbol degrees undefined for {g}")
     for i in range(1, n):
-        num.update(_minus_divisors(2 * i))
+        minus[2 * i] += 1
     num_q, twos = 0, 0
     for row in (top, bottom):
+        last = len(row) - 1
         for i, lo in enumerate(row):
+            num_q += lo * (last - i)
             for hi in row[i + 1:]:
-                num_q += lo
-                num.update(_minus_divisors(hi - lo))
+                minus[hi - lo] += 1
     for x in top:
         for y in bottom:
-            lo, hi = (x, y) if x <= y else (y, x)
-            num_q += lo
-            if hi == lo:
-                twos += 1
+            if x < y:
+                num_q += x
+                plus[y - x] += 1
+            elif y < x:
+                num_q += y
+                plus[x - y] += 1
             else:
-                num.update(_plus_divisors(hi - lo))
-    den = Counter()
+                num_q += x
+                twos += 1
+    # entries >= h, for h = largest down to 1: each gives one q^(2h) - 1
+    held = [0] * (largest + 1)
     for x in top + bottom:
-        den.update(_entry_divisors(x))
-    return FactoredPoly.from_parts(2 ** twos, num_q, num).divide(
-        FactoredPoly.from_parts(2 ** twolog, _shift_exponent(a + b), den))
+        held[x] += 1
+    at_least = 0
+    for h in range(largest, 0, -1):
+        at_least += held[h]
+        minus[2 * h] -= at_least
+    mults = [0] * (2 * size)
+    for k in range(1, size):
+        if minus[k]:
+            for e in _minus_divisors(k):
+                mults[e] += minus[k]
+        if plus[k]:
+            for e in _plus_divisors(k):
+                mults[e] += plus[k]
+    factors = []
+    for e, m in enumerate(mults):
+        if m:
+            if m < 0:
+                raise CycloError(f"P{e} does not divide")
+            factors.append((e, m))
+    q_exp = num_q - _shift_exponent(a + b)
+    if q_exp < 0:
+        raise CycloError("q-power does not divide")
+    return FactoredPoly(Fraction(2) ** (twos - twolog), q_exp, tuple(factors))
 
 
 def _hooks(partition):

@@ -47,7 +47,11 @@ class ParamBox:
         """(lower, upper) over the box, ignoring joint constraints (sound).
 
         A defined parameter left by `ParamSystem.reduce` (the definitions
-        are cyclic) ranges over [0, CAP]."""
+        are cyclic) ranges over [0, CAP].  A constant c gives (c, c) without
+        a substitution."""
+        if expr.is_constant():
+            c = expr.constant()
+            return c, c
         system = self.system
         expr = system.reduce(expr)
         lo = hi = expr.constant()
@@ -550,13 +554,20 @@ def _corpus_files(corpus, suffix):
 
 
 def corpus_tables(corpus=None):
-    """Yield (relative path, DecompTable) for every shipped table."""
+    """Yield (relative path, DecompTable) for every shipped table.
+
+    A table that does not parse, or whose `d` is not that of its directory
+    d<n>, raises TableError naming the file.
+    """
     from . import tables as tmod
     for sub, f, text in _corpus_files(corpus, ".dmx"):
         try:
-            yield f"{sub}/{f}", tmod.parse(text)
+            table = tmod.parse(text)
+            if sub != f"d{table.d}":
+                raise tmod.TableError(f"d = {table.d} but the directory is {sub}")
         except tmod.TableError as exc:
             raise tmod.TableError(f"{sub}/{f}: {exc}") from exc
+        yield f"{sub}/{f}", table
 
 
 def corpus_trees(corpus=None):

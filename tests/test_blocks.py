@@ -10,7 +10,8 @@ from unipdec.blocks import (BlockPartition, BrauerTree, block_partition, load_tr
                             parse_tree_line, symbol_core, tree_check)
 from unipdec.cyclo import DensePoly, FactoredPoly, cyclotomic, euler_phi
 from unipdec.degrees import catalog, defect, find_char, group_order_poly
-from unipdec.labels import GroupDescriptor, LabelError, UnsupportedGroupError
+from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError,
+                            beta_to_partition)
 from unipdec.verify import corpus_trees
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
@@ -310,3 +311,144 @@ def test_monic_residue_is_remainder_mod_cyclotomic(d):
         residue = blocks._monic_residue(poly.q_exp, poly.cyclo_mults, d)
         assert len(residue) == euler_phi(d)
         assert DensePoly([poly.scalar * c for c in residue]) == rem, poly
+
+
+# ---------------------------------------------------------------------------
+# differential test: runner-count cores against the hook removal they
+# replaced, kept verbatim (renamed with a _ref prefix) as the reference
+
+def _ref_remove_hook(rows, d):
+    """One d-hook removal inside a single row, if any; None when the row is a core."""
+    for which in (0, 1):
+        row = set(rows[which])
+        for b in sorted(row):
+            if b - d >= 0 and (b - d) not in row:
+                new = tuple(sorted(row - {b} | {b - d}))
+                out = list(rows)
+                out[which] = new
+                return tuple(out)
+    return None
+
+
+def _ref_remove_cohook(rows, d):
+    """One d-cohook removal (moves a bead to the other row), if any."""
+    top, bottom = set(rows[0]), set(rows[1])
+    for b in sorted(top):
+        if b - d >= 0 and (b - d) not in bottom:
+            return (tuple(sorted(top - {b})), tuple(sorted(bottom | {b - d})))
+    for b in sorted(bottom):
+        if b - d >= 0 and (b - d) not in top:
+            return (tuple(sorted(top | {b - d})), tuple(sorted(bottom - {b})))
+    return None
+
+
+def _ref_symbol_core(sym, d):
+    """The d-core of a symbol: d-hooks for odd d, (d/2)-cohooks for even d."""
+    rows = (sym.top, sym.bottom)
+    if d % 2:
+        step = lambda r: _ref_remove_hook(r, d)
+    else:
+        step = lambda r: _ref_remove_cohook(r, d // 2)
+    while True:
+        nxt = step(rows)
+        if nxt is None:
+            break
+        rows = nxt
+    core = BetaSymbol(rows[0], rows[1]).reduced()
+    # unordered for comparison purposes
+    a, b = sorted((core.top, core.bottom), key=lambda r: (len(r), r))
+    return (tuple(a), tuple(b))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("series", [("B", "C"), ("D",), ("2D",)], ids=["BC", "D", "2D"])
+def test_symbol_core_matches_hook_removal(series, n):
+    # B and C share their symbols, so each symbol is compared once
+    symbols = {c.symbol for s in series for c in catalog(GroupDescriptor(s, n))}
+    for d in range(1, 4 * n + 3):
+        for sym in symbols:
+            assert symbol_core(sym, d) == _ref_symbol_core(sym, d), (series, n, d, sym)
+
+
+def _ref_partition_core(beta, e):
+    """e-hooks removed one at a time from a one-row symbol, then normalised."""
+    rows = (tuple(beta), ())
+    while (nxt := _ref_remove_hook(rows, e)) is not None:
+        rows = nxt
+    return beta_to_partition(rows[0])
+
+
+def test_partition_core_matches_hook_removal():
+    for n in range(1, 10):
+        for c in catalog(GroupDescriptor("A", n)):
+            for e in range(1, 2 * n + 5):
+                assert blocks.partition_core(c.symbol.top, e) == \
+                    _ref_partition_core(c.symbol.top, e), (str(c), e)
+
+
+# ---------------------------------------------------------------------------
+# type A and 2A: blocks by e-cores of partitions (Fong-Srinivasan)
+
+def test_type_a_blocks_have_constant_defect():
+    count = 0
+    for series, ranks in (("A", range(1, 9)), ("2A", range(2, 9))):
+        for n in ranks:
+            g = GroupDescriptor(series, n)
+            for d in range(1, 2 * n + 5):
+                p = block_partition(g, d)  # raises BlockError on a mixed defect
+                for labels, dft in p.blocks:
+                    assert {defect(find_char(g, l), d) for l in labels} == {dft}
+                assert sum(len(b) for b, _ in p.blocks) == len(catalog(g))
+                count += len(p.blocks)
+    assert count == 2256
+
+
+def test_gl2_at_d2_is_one_block():
+    p = block_partition(GroupDescriptor("A", 1), 2)
+    assert p.blocks == ((frozenset({"2", "1^2"}), 1),)
+
+
+def test_a3_at_d4_partition():
+    # the 4-core of every partition of 4 but (2,2) is empty
+    p = block_partition(GroupDescriptor("A", 3), 4)
+    assert p.sizes() == [4, 1]
+    assert p.block_of("2^2") == (frozenset({"2^2"}), 0)
+
+
+@pytest.mark.parametrize("d, e", [(1, 2), (2, 1), (3, 6), (4, 4), (6, 3), (8, 8)])
+def test_unitary_blocks_are_linear_blocks_at_the_order_of_minus_q(d, e):
+    # 2A_n at d has the e-core blocks of A_n, e the order of -q mod Phi_d
+    for n in (2, 3, 4, 5):
+        unitary = block_partition(GroupDescriptor("2A", n), d)
+        linear = block_partition(GroupDescriptor("A", n), e)
+        assert sorted(map(sorted, (b for b, _ in unitary.blocks))) == \
+            sorted(map(sorted, (b for b, _ in linear.blocks)))
+
+
+def _gl_weight_one_trees(n):
+    """The Brauer trees of the weight-1 Phi_d-blocks of A_n, d = 2..n+1: the
+    d characters with a d-core of size n + 1 - d, ordered by the leg length
+    of their one removable d-hook, then the exceptional vertex
+    (Fong-Srinivasan, "Brauer trees in classical groups", 1990)."""
+    g = GroupDescriptor("A", n)
+    for d in range(2, n + 2):
+        blocks_by_core = {}
+        for c in catalog(g):
+            beta = c.symbol.top
+            core = _ref_partition_core(beta, d)
+            if sum(core) != n + 1 - d:
+                continue
+            [b] = [b for b in beta if b >= d and b - d not in beta]
+            leg = sum(1 for x in beta if b - d < x < b)
+            blocks_by_core.setdefault(core, []).append((leg, str(c.label)))
+        for members in blocks_by_core.values():
+            assert sorted(leg for leg, _ in members) == list(range(d))
+            yield BrauerTree(g, d, tuple(lab for _, lab in sorted(members)) + (None,))
+
+
+def test_gl_weight_one_trees_pass():
+    trees = [t for n in range(1, 9) for t in _gl_weight_one_trees(n)]
+    assert len(trees) == 50
+    for t in trees:
+        rep = tree_check(t)
+        assert rep.status == "pass", (str(t.group), t.d, t.chain, rep.evidence)

@@ -1,5 +1,7 @@
 import io
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -126,6 +128,7 @@ _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\
     ("d = 2", "d = 0", "line 3: d must be positive, not 0"),
     ("d = 2", "d = -6", "line 3: d must be positive, not -6"),
     ("d = 2\n", "", "no 'd' key"),
+    ("d = 2", "d = 3", "d = 3 but the directory is d2"),
 ])
 def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     d = tmp_path / "d2"
@@ -178,3 +181,13 @@ def test_verify_out_file_is_the_golden_tsv(tmp_path, fmt):
     else:
         assert out != golden and out.splitlines()[0].split() == [
             "table", "check", "status", "evidence"]
+
+
+def test_python_dash_m_runs_verify_from_a_checkout():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("UNIPDEC_CORPUS", None)
+    proc = subprocess.run([sys.executable, "-m", "unipdec", "--format", "tsv", "verify"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "tests" / "data" / "verify.tsv").read_text()

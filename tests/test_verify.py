@@ -460,6 +460,34 @@ def test_param_box_matches_reference_on_corpus_and_levi_tables():
     assert sum(assert_box_matches_reference(t, rng) for t in corpus + levi) > 2000
 
 
+def test_param_box_bounds_every_corpus_entry_as_reference(monkeypatch):
+    # constant entries are most of the calls; they are bounded as (c, c)
+    # without a substitution through ParamSystem.reduce
+    reduced = []
+    real_reduce = tables.ParamSystem.reduce
+
+    def counting_reduce(system, expr):
+        reduced.append(expr)
+        return real_reduce(system, expr)
+
+    monkeypatch.setattr(tables.ParamSystem, "reduce", counting_reduce)
+    constant = varying = 0
+    for _, table in verify.corpus_tables():
+        box, ref = verify.ParamBox(table), Reference(table)
+        for col in table.columns:
+            for e in col.entries.values():
+                del reduced[:]
+                assert box.bounds(e) == ref.bounds(e), (table.name(), e)
+                if e.is_constant():
+                    assert box.bounds(e) == (e.constant(), e.constant())
+                    assert not reduced
+                    constant += 1
+                else:
+                    assert reduced == [e]
+                    varying += 1
+    assert constant > 1000 and varying > 100, (constant, varying)
+
+
 def test_param_box_matches_reference_on_fuzzed_tables():
     rng = random.Random(22)
     chained = 0
