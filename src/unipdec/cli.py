@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .blocks import BlockError, tree_check
@@ -21,25 +22,32 @@ from .verify import corpus_tables, corpus_trees, run_table_checks
 from .weyl import induce_char
 
 
+def _only_d(text):
+    """The n of an --only value d=<n>, n >= 1."""
+    m = re.fullmatch(r"d=([1-9]\d*)", text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"expected d=<n> with n >= 1, not {text!r}")
+    return int(m.group(1))
+
+
 def _table_filter(args):
-    """Keep a table or a tree when it matches --only and --group."""
+    """Keep a table or a tree when it matches --only and --group; an
+    unknown --group raises UnsupportedGroupError (exit 3)."""
+    group = GroupDescriptor.parse(args.group) if args.group else None
+
     def keep(path, table):
-        if args.only and f"d={table.d}" != args.only:
-            return False
-        if args.group and str(table.group) != args.group:
-            return False
-        return True
+        return ((args.only is None or table.d == args.only)
+                and (group is None or table.group == group))
     return keep
 
 
-def _tree_results(args):
+def _tree_results(corpus, keep):
     """Yield (path, status, evidence or chain) for each corpus tree kept.
 
     A tree file that cannot be parsed or checked raises BlockError naming
     the file.
     """
-    keep = _table_filter(args)
-    for path, tree in corpus_trees(args.corpus):
+    for path, tree in corpus_trees(corpus):
         if not keep(path, tree):
             continue
         try:
@@ -80,7 +88,7 @@ def cmd_verify(args):
                     failed = True
                     if args.fail_fast:
                         raise StopIteration
-        for path, status, text in _tree_results(args):
+        for path, status, text in _tree_results(args.corpus, keep):
             lines.append((path, "tree", status, text))
             if status == "fail":
                 failed = True
@@ -100,12 +108,7 @@ def cmd_verify(args):
 
 
 def cmd_degrees(args):
-    try:
-        g = GroupDescriptor.parse(args.group)
-        chars = catalog(g)
-    except UnsupportedGroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    chars = catalog(GroupDescriptor.parse(args.group))
     d = args.d
     rows = []
     for c in chars:
@@ -153,8 +156,9 @@ def cmd_induce(args):
 
 
 def cmd_trees(args):
+    keep = _table_filter(args)
     try:
-        lines = list(_tree_results(args))
+        lines = list(_tree_results(args.corpus, keep))
     except (BlockError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -172,7 +176,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full check suite over the corpus")
-    p.add_argument("--only", help="restrict to one d, e.g. d=6")
+    p.add_argument("--only", type=_only_d, help="restrict to one d, e.g. d=6")
     p.add_argument("--group", help="restrict to one group, e.g. B6")
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--out", help="also write a machine-readable TSV summary file")
@@ -202,12 +206,16 @@ def main(argv=None):
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("trees", help="check every shipped Brauer tree")
-    p.add_argument("--only")
-    p.add_argument("--group")
+    p.add_argument("--only", type=_only_d, help="restrict to one d, e.g. d=6")
+    p.add_argument("--group", help="restrict to one group, e.g. B6")
     p.set_defaults(func=cmd_trees)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnsupportedGroupError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -405,14 +405,3 @@ def format_factored(p):
     for d, m in p.cyclo_mults:
         parts.append(f"P{d}" if m == 1 else f"P{d}^{m}")
     return "*".join(parts)
-
-
-def prod_factored(factors):
-    """The product of `factors`, built as one FactoredPoly."""
-    scalar, q_exp, mults = Fraction(1), 0, {}
-    for f in factors:
-        scalar *= f.scalar
-        q_exp += f.q_exp
-        for d, m in f.cyclo_mults:
-            mults[d] = mults.get(d, 0) + m
-    return FactoredPoly.from_parts(scalar, q_exp, mults)

@@ -1,7 +1,10 @@
 """Generic character degrees, a/A-values, defects and the perversity function.
 
-Classical-group degrees are computed from beta-symbols; the whole computation
-stays in factored (cyclotomic) form so no polynomial ever gets expanded.
+Group orders, symbol degrees (types B, C, D, 2D) and the hook-formula degrees
+of GL_n and GU_n are all products of factors q^k - 1 and q^k + 1.  Each is
+counted into integer histograms by k, starting from the factors of |G|_{p'}
+(`_order_factors`), and one kernel (`_from_counts`) turns the counts into
+Phi_e multiplicities, so no polynomial ever gets expanded.
 Exceptional-group degrees are static catalog data validated by the test
 suite against printed leading terms and, for E6 and 2E6, against the degree
 identities of their cyclic Phi_d-blocks.
@@ -16,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .cyclo import CycloError, FactoredPoly, parse_factored, prod_factored
+from .cyclo import CycloError, FactoredPoly, parse_factored
 from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnipLabel,
                      UnsupportedGroupError, classical_label_list, label_symbol,
                      parse_label, resolve_label)
@@ -53,18 +56,30 @@ def _plus_divisors(k):
     return tuple(e for e in range(1, 2 * k + 1) if (2 * k) % e == 0 and k % e != 0)
 
 
-@lru_cache(maxsize=None)
-def fp_qk_minus_1(k):
-    """q^k - 1 in factored form."""
-    return FactoredPoly.from_parts(1, 0, dict.fromkeys(_minus_divisors(k), 1))
-
-
-@lru_cache(maxsize=None)
-def fp_qk_plus_1(k):
-    """q^k + 1 in factored form (the constant 2 for k = 0)."""
-    if k == 0:
-        return FactoredPoly.from_parts(2, 0, {})
-    return FactoredPoly.from_parts(1, 0, dict.fromkeys(_plus_divisors(k), 1))
+def _from_counts(scalar, q_exp, minus, plus):
+    """scalar * q^q_exp * prod_k (q^k - 1)^minus[k] * (q^k + 1)^plus[k] in
+    factored form, for histograms `minus` and `plus` of one length indexed
+    by k >= 1.  A count may be negative (a denominator factor); one pass over
+    the divisors of each k gives the Phi_e multiplicities.  A negative
+    multiplicity, and then a negative q-power, raises CycloError.
+    """
+    mults = [0] * (2 * len(minus))
+    for k in range(1, len(minus)):
+        if minus[k]:
+            for e in _minus_divisors(k):
+                mults[e] += minus[k]
+        if plus[k]:
+            for e in _plus_divisors(k):
+                mults[e] += plus[k]
+    factors = []
+    for e, m in enumerate(mults):
+        if m:
+            if m < 0:
+                raise CycloError(f"P{e} does not divide")
+            factors.append((e, m))
+    if q_exp < 0:
+        raise CycloError("q-power does not divide")
+    return FactoredPoly(scalar, q_exp, tuple(factors))
 
 
 def _shift_exponent(ab):
@@ -89,36 +104,39 @@ _EXC_DEGREES = {
 }
 
 
+def _order_factors(g):
+    """The factors (k, twisted) of |G|_{p'}: q^k + 1 if twisted, else q^k - 1.
+
+    k runs over the degrees of the Weyl group (Carter 2.9).  2D_n twists its
+    k = n factor; the Ennola duals 2A_n and 2E6 (q -> -q) twist every odd k.
+    """
+    s, n = g.series, g.rank
+    if s in ("D", "2D"):
+        return [(2 * i, False) for i in range(1, n)] + [(n, s == "2D")]
+    if s in ("A", "2A"):
+        degrees = range(2, n + 2)
+    elif s in ("B", "C"):
+        degrees = range(2, 2 * n + 1, 2)
+    else:
+        degrees = _EXC_DEGREES[s.removeprefix("2")]
+    ennola = s in ("2A", "2E6")
+    return [(k, ennola and k % 2 == 1) for k in degrees]
+
+
 @lru_cache(maxsize=None)
 def group_order_poly(g):
-    s, n = g.series, g.rank
-    if s == "A":
-        return prod_factored([FactoredPoly.from_parts(1, n * (n + 1) // 2, {})]
-                             + [fp_qk_minus_1(i) for i in range(2, n + 2)])
-    if s == "2A":
-        return ennola(group_order_poly(GroupDescriptor("A", n)))
-    if s in ("B", "C"):
-        return prod_factored([FactoredPoly.from_parts(1, n * n, {})]
-                             + [fp_qk_minus_1(2 * i) for i in range(1, n + 1)])
-    if s == "D":
-        return prod_factored([FactoredPoly.from_parts(1, n * (n - 1), {}),
-                              fp_qk_minus_1(n)]
-                             + [fp_qk_minus_1(2 * i) for i in range(1, n)])
-    if s == "2D":
-        return prod_factored([FactoredPoly.from_parts(1, n * (n - 1), {}),
-                              fp_qk_plus_1(n)]
-                             + [fp_qk_minus_1(2 * i) for i in range(1, n)])
-    if s == "2E6":
-        return ennola(group_order_poly(GroupDescriptor("E6", 6)))
-    degrees = _EXC_DEGREES[s]
-    return prod_factored([FactoredPoly.from_parts(1, sum(d - 1 for d in degrees), {})]
-                         + [fp_qk_minus_1(d) for d in degrees])
+    """|G| = q^N |G|_{p'} in factored form, N = sum (k - 1) over the factors."""
+    factors = _order_factors(g)
+    size = max(k for k, _ in factors) + 1
+    minus, plus = [0] * size, [0] * size
+    for k, twisted in factors:
+        (plus if twisted else minus)[k] += 1
+    return _from_counts(1, sum(k - 1 for k, _ in factors), minus, plus)
 
-
-# ---------------------------------------------------------------------------
-# Ennola transform  q -> -q  (normalised to positive leading coefficient)
 
 def _ennola_index(e):
+    """The d with Phi_e(-q) = +-Phi_d(q): Ennola duality exchanges Phi_e of
+    G with Phi_d of its twisted form."""
     if e == 1:
         return 2
     if e == 2:
@@ -128,20 +146,6 @@ def _ennola_index(e):
     if e % 4 == 2:
         return e // 2
     return e
-
-
-def ennola(p):
-    mults = {}
-    sign = 1 if p.scalar > 0 else -1
-    if p.q_exp % 2 == 1:
-        sign = -sign
-    for e, m in p.cyclo_mults:
-        mults[_ennola_index(e)] = mults.get(_ennola_index(e), 0) + m
-        if e in (1, 2) and m % 2 == 1:
-            sign = -sign
-    scalar = abs(p.scalar)
-    # sign bookkeeping only records that |R(-q)| is again a degree polynomial
-    return FactoredPoly.from_parts(scalar, p.q_exp, mults)
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +158,24 @@ def symbol_degree(g, sym, degenerate=False):
     q^s (q^(s'-s) - 1) and, over pairs (s, t) across the rows,
     q^min (q^|s-t| + 1); the denominator is 2^twolog q^shift times
     prod_{h=1}^{s} (q^(2h) - 1) for each entry s.  Each q^k - 1 and q^k + 1
-    factor is counted into an integer histogram by k, the denominator's
-    q^(2h) - 1 with a negative count (one per entry >= h); one pass over
-    the divisors of each k then gives the Phi_e multiplicities.  A negative
-    multiplicity or q-power raises CycloError.
+    factor, starting from `_order_factors(g)`, is counted into an integer
+    histogram by k, the denominator's q^(2h) - 1 with a negative count (one
+    per entry >= h); `_from_counts` turns the histograms into the degree.  A
+    negative multiplicity or q-power raises CycloError.
     """
     s, n = g.series, g.rank
+    if s not in ("B", "C", "D", "2D"):
+        raise UnsupportedGroupError(f"symbol degrees undefined for {g}")
     top, bottom = sym.top, sym.bottom
     a, b = len(top), len(bottom)
     twolog = (a + b - 1) // 2
     largest = max(top[-1] if top else 0, bottom[-1] if bottom else 0)
     size = max(2 * n, 2 * largest) + 1
     minus, plus = [0] * size, [0] * size  # count of q^k - 1 and q^k + 1 factors
-    if s in ("B", "C"):
-        minus[2 * n] += 1
-    elif s == "D":
-        minus[n] += 1
-        twolog += 1 if degenerate else 0
-    elif s == "2D":
-        plus[n] += 1
-    else:
-        raise UnsupportedGroupError(f"symbol degrees undefined for {g}")
-    for i in range(1, n):
-        minus[2 * i] += 1
+    for k, twisted in _order_factors(g):
+        (plus if twisted else minus)[k] += 1
+    if s == "D" and degenerate:
+        twolog += 1
     num_q, twos = 0, 0
     for row in (top, bottom):
         last = len(row) - 1
@@ -203,24 +202,8 @@ def symbol_degree(g, sym, degenerate=False):
     for h in range(largest, 0, -1):
         at_least += held[h]
         minus[2 * h] -= at_least
-    mults = [0] * (2 * size)
-    for k in range(1, size):
-        if minus[k]:
-            for e in _minus_divisors(k):
-                mults[e] += minus[k]
-        if plus[k]:
-            for e in _plus_divisors(k):
-                mults[e] += plus[k]
-    factors = []
-    for e, m in enumerate(mults):
-        if m:
-            if m < 0:
-                raise CycloError(f"P{e} does not divide")
-            factors.append((e, m))
-    q_exp = num_q - _shift_exponent(a + b)
-    if q_exp < 0:
-        raise CycloError("q-power does not divide")
-    return FactoredPoly(Fraction(2) ** (twos - twolog), q_exp, tuple(factors))
+    return _from_counts(Fraction(2) ** (twos - twolog), num_q - _shift_exponent(a + b),
+                        minus, plus)
 
 
 def _hooks(partition):
@@ -234,14 +217,19 @@ def _hooks(partition):
     return out
 
 
-def gl_degree(lam):
-    """Unipotent character degree of GL_N for a partition of N (hook formula)."""
-    N = sum(lam)
-    nval = sum(i * p for i, p in enumerate(lam))
-    num = prod_factored([FactoredPoly.from_parts(1, nval, {})]
-                        + [fp_qk_minus_1(i) for i in range(1, N + 1)])
-    den = prod_factored([fp_qk_minus_1(h) for h in _hooks(lam)])
-    return num.divide(den)
+def _hook_degree(g, lam):
+    """Degree of the unipotent character of GL_N (g of type A) or GU_N (type
+    2A) labelled by the partition `lam` of N: the hook formula
+    q^n(lam) prod_{i<=N} (q^i - 1) / prod_hooks (q^h - 1).  GU_N, the Ennola
+    dual (q -> -q), reads q^k + 1 for q^k - 1 at every odd k.
+    """
+    size = sum(lam) + 1
+    minus, plus = [0] + [1] * (size - 1), [0] * size
+    for h in _hooks(lam):
+        minus[h] -= 1
+    if g.series == "2A":
+        minus[1::2], plus[1::2] = plus[1::2], minus[1::2]
+    return _from_counts(1, sum(i * p for i, p in enumerate(lam)), minus, plus)
 
 
 def degree_poly(g, label):
@@ -260,10 +248,8 @@ def degree_poly(g, label):
 def _classical_degree(g, label, sym):
     """Degree of a classical character; `sym` is its reduced beta-symbol
     (not read in type A, whose degrees come from the hook formula)."""
-    if g.series == "A":
-        return gl_degree(label.bip.left)
-    if g.series == "2A":
-        return ennola(gl_degree(label.bip.left))
+    if g.series in ("A", "2A"):
+        return _hook_degree(g, label.bip.left)
     if sym.rank() != g.rank:
         raise LabelError(f"label {label} has rank {sym.rank()}, not {g.rank}")
     return symbol_degree(g, sym, degenerate=(label.kind == "split"))

@@ -26,17 +26,14 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .degrees import catalog, find_char
-from .labels import (UnsupportedGroupError, d_canonical_bip, parse_label,
-                     split_label)
+from .labels import (_CORE_RANK, UnsupportedGroupError, d_canonical_bip,
+                     parse_label, split_label)
 from .tables import ParamExpr, int_or_expr
 from .weyl import induce_char, sym_to_hyper
 
 
 class HCError(ValueError):
     pass
-
-
-_CORE_RANK = {"ps": 0, "B2": 2, "B6": 6, "D4": 4, "2D9": 9}
 
 
 def _series_parts(group, vector):

@@ -219,7 +219,6 @@ def specialize(spec, d):
             return SemisimpleMarker("partitions")
         return SemisimpleMarker("split", e=None)
     if ev is None:
-        v = _Mu(d, Param("lit", -1))  # -q^0 with odd d never occurs in the tables
         raise HeckeError("branch parameter specialises outside the q-subgroup")
     # -Q in <v>?  c*k = exp(-Q) (mod d) solvable in k
     c = v.exp if v.exp else d  # ord issues: exp 0 handled above

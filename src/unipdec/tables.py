@@ -585,6 +585,9 @@ def _canonical_label(group, text):
 _parse_degree = cache(parse_factored)
 
 
+_TABLE_KEYS = ("group", "d", "block", "degrees", "params", "constraints")
+
+
 def parse(text):
     section = None
     meta = {}
@@ -602,8 +605,11 @@ def parse(text):
             if "=" not in line:
                 raise TableError(f"line {lineno}: bad key/value {line!r}")
             k, v = line.split("=", 1)
-            meta[k.strip()] = v.strip()
-            meta_line[k.strip()] = lineno
+            k = k.strip()
+            if k not in _TABLE_KEYS:
+                raise TableError(f"line {lineno}: unknown key {k!r} in [table]")
+            meta[k] = v.strip()
+            meta_line[k] = lineno
         elif section == "chars":
             if "|" in line:
                 lab, deg = line.split("|", 1)
@@ -652,6 +658,9 @@ def parse(text):
     constraints = tuple(parse_constraint(c) for c in meta.get("constraints", "").split(";")
                         if c.strip())
     degrees_kind = meta.get("degrees", "none")
+    if degrees_kind not in ("full", "leading", "none"):
+        raise TableError(f"line {meta_line['degrees']}: degrees must be full, leading "
+                         f"or none, not {degrees_kind!r}")
 
     def canon(text):
         # row labels are stored in canonical orientation so vectors computed

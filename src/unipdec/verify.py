@@ -29,10 +29,6 @@ class CheckReport:
     def __bool__(self):
         return self.status == "pass"
 
-    def line(self, table_id=""):
-        ev = "; ".join(self.evidence[:4])
-        return f"{table_id:28s} {self.check:16s} {self.status:4s}  {ev}"
-
 
 # ---------------------------------------------------------------------------
 # parameter box reasoning

@@ -129,6 +129,9 @@ _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\
     ("d = 2", "d = -6", "line 3: d must be positive, not -6"),
     ("d = 2\n", "", "no 'd' key"),
     ("d = 2", "d = 3", "d = 3 but the directory is d2"),
+    ("d = 2", "d = 2\nconstraint = 1 >= 0", "line 4: unknown key 'constraint' in [table]"),
+    ("d = 2", "d = 2\ndegrees = ful",
+     "line 4: degrees must be full, leading or none, not 'ful'"),
 ])
 def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     d = tmp_path / "d2"
@@ -138,6 +141,33 @@ def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: d2/X.dmx: ") and why in err
+
+
+@pytest.mark.parametrize("command", ["verify", "trees"])
+@pytest.mark.parametrize("only", ["6", "d=0", "d=", "D=6", "d=6x", "d=-6"])
+def test_only_filter_must_read_d_equals_n(capsys, command, only):
+    # a filter that no table can match is a usage error, not an empty report
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--only", only])
+    assert exc.value.code == 2
+    assert "expected d=<n> with n >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "trees"])
+@pytest.mark.parametrize("group", ["e6", "Q9", "B1"])
+def test_unknown_group_filter_exits_3(capsys, command, group):
+    code, out = run([command, "--group", group])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_filters_select_the_matching_golden_lines():
+    golden = (pathlib.Path(__file__).parent / "data" / "verify.tsv").read_text().splitlines()
+    want = [golden[0]] + [line for line in golden[1:] if line.startswith("d2/E6.")]
+    code, out = run(["--corpus", str(DATA), "--format", "tsv", "verify",
+                     "--only", "d=2", "--group", "E6"])
+    assert code == 0 and out.splitlines() == want
+    assert len(want) == 7  # five table checks and one tree
 
 
 def test_wellformed_table_file_verifies(tmp_path):

@@ -1,14 +1,16 @@
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
 from unipdec.cyclo import CycloError, FactoredPoly, parse_factored
-from unipdec.degrees import (A_value, UnipChar, UnsupportedGroupError, _minus_divisors,
-                             _plus_divisors, _series_tag, _shift_exponent, a_value,
-                             catalog, defect, degree_poly, find_char, group_order_poly,
-                             perversity, perversity_2_shortcut, symbol_degree)
+from unipdec.degrees import (A_value, UnipChar, UnsupportedGroupError, _ennola_index,
+                             _hooks, _minus_divisors, _order_factors, _plus_divisors,
+                             _series_tag, _shift_exponent, a_value, catalog, defect,
+                             degree_poly, find_char, group_order_poly, perversity,
+                             perversity_2_shortcut, symbol_degree)
 from unipdec.labels import BetaSymbol, GroupDescriptor, classical_label_list, label_symbol
 
 D4 = GroupDescriptor.parse("D4")
@@ -312,3 +314,137 @@ def test_symbol_degree_raises_as_the_counter_reference():
                 assert symbol_degree(g, sym) == want, (str(g), str(sym))
                 seen["agreed"] += 1
     assert seen["raised"] > 1000 and seen["agreed"] > 1000, seen
+
+
+# ---------------------------------------------------------------------------
+# The per-factor group orders and type-A degrees that the count kernel
+# replaced, kept verbatim (renamed) as the reference: one FactoredPoly per
+# q^k -+ 1 factor, multiplied out, and 2A and 2E6 rebuilt by the Ennola
+# transform.
+
+def _ref_prod_factored(factors):
+    """The product of `factors`, built as one FactoredPoly."""
+    scalar, q_exp, mults = Fraction(1), 0, {}
+    for f in factors:
+        scalar *= f.scalar
+        q_exp += f.q_exp
+        for d, m in f.cyclo_mults:
+            mults[d] = mults.get(d, 0) + m
+    return FactoredPoly.from_parts(scalar, q_exp, mults)
+
+
+@lru_cache(maxsize=None)
+def _ref_fp_qk_minus_1(k):
+    """q^k - 1 in factored form."""
+    return FactoredPoly.from_parts(1, 0, dict.fromkeys(_minus_divisors(k), 1))
+
+
+@lru_cache(maxsize=None)
+def _ref_fp_qk_plus_1(k):
+    """q^k + 1 in factored form (the constant 2 for k = 0)."""
+    if k == 0:
+        return FactoredPoly.from_parts(2, 0, {})
+    return FactoredPoly.from_parts(1, 0, dict.fromkeys(_plus_divisors(k), 1))
+
+
+_REF_EXC_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+}
+
+
+@lru_cache(maxsize=None)
+def _ref_group_order_poly(g):
+    s, n = g.series, g.rank
+    if s == "A":
+        return _ref_prod_factored([FactoredPoly.from_parts(1, n * (n + 1) // 2, {})]
+                                  + [_ref_fp_qk_minus_1(i) for i in range(2, n + 2)])
+    if s == "2A":
+        return _ref_ennola(_ref_group_order_poly(GroupDescriptor("A", n)))
+    if s in ("B", "C"):
+        return _ref_prod_factored([FactoredPoly.from_parts(1, n * n, {})]
+                                  + [_ref_fp_qk_minus_1(2 * i) for i in range(1, n + 1)])
+    if s == "D":
+        return _ref_prod_factored([FactoredPoly.from_parts(1, n * (n - 1), {}),
+                                   _ref_fp_qk_minus_1(n)]
+                                  + [_ref_fp_qk_minus_1(2 * i) for i in range(1, n)])
+    if s == "2D":
+        return _ref_prod_factored([FactoredPoly.from_parts(1, n * (n - 1), {}),
+                                   _ref_fp_qk_plus_1(n)]
+                                  + [_ref_fp_qk_minus_1(2 * i) for i in range(1, n)])
+    if s == "2E6":
+        return _ref_ennola(_ref_group_order_poly(GroupDescriptor("E6", 6)))
+    degrees = _REF_EXC_DEGREES[s]
+    return _ref_prod_factored([FactoredPoly.from_parts(1, sum(d - 1 for d in degrees), {})]
+                              + [_ref_fp_qk_minus_1(d) for d in degrees])
+
+
+def _ref_ennola(p):
+    mults = {}
+    sign = 1 if p.scalar > 0 else -1
+    if p.q_exp % 2 == 1:
+        sign = -sign
+    for e, m in p.cyclo_mults:
+        mults[_ennola_index(e)] = mults.get(_ennola_index(e), 0) + m
+        if e in (1, 2) and m % 2 == 1:
+            sign = -sign
+    scalar = abs(p.scalar)
+    # sign bookkeeping only records that |R(-q)| is again a degree polynomial
+    return FactoredPoly.from_parts(scalar, p.q_exp, mults)
+
+
+def _ref_gl_degree(lam):
+    """Unipotent character degree of GL_N for a partition of N (hook formula)."""
+    N = sum(lam)
+    nval = sum(i * p for i, p in enumerate(lam))
+    num = _ref_prod_factored([FactoredPoly.from_parts(1, nval, {})]
+                             + [_ref_fp_qk_minus_1(i) for i in range(1, N + 1)])
+    den = _ref_prod_factored([_ref_fp_qk_minus_1(h) for h in _hooks(lam)])
+    return num.divide(den)
+
+
+def _ref_type_a_catalog(g):
+    """`degrees._build_catalog` of a type-A or 2A group, on the reference degrees."""
+    chars = []
+    for lab in classical_label_list(g):
+        deg = _ref_gl_degree(lab.bip.left)
+        if g.series == "2A":
+            deg = _ref_ennola(deg)
+        chars.append(UnipChar(g, lab, deg, _series_tag(lab), label_symbol(g, lab)))
+    chars.sort(key=lambda c: (c.degree.a_value(), c.degree.A_value(), str(c.label)))
+    return tuple(chars)
+
+
+def _exact_parts(p):
+    """A FactoredPoly's data with the scalar's type: equal parts print alike."""
+    return type(p.scalar), p.scalar, p.q_exp, p.cyclo_mults, repr(p)
+
+
+_ORDER_GROUPS = ([GroupDescriptor("A", n) for n in range(1, 11)]
+                 + [GroupDescriptor("2A", n) for n in range(2, 11)]
+                 + [GroupDescriptor(s, n) for s in ("B", "C", "D", "2D") for n in range(2, 11)]
+                 + [GroupDescriptor.parse(s) for s in ("E6", "2E6", "E7", "E8", "F4")])
+
+
+@pytest.mark.parametrize("g", _ORDER_GROUPS, ids=str)
+def test_group_order_matches_per_factor_reference(g):
+    assert _exact_parts(group_order_poly(g)) == _exact_parts(_ref_group_order_poly(g))
+
+
+def test_order_factors_twist_one_factor_of_2d():
+    # for even n the 2D_n order has two factors with k = n; only one is q^n + 1
+    assert _order_factors(GroupDescriptor("2D", 4)) == [
+        (2, False), (4, False), (6, False), (4, True)]
+    assert _order_factors(GroupDescriptor("2A", 3)) == [(2, False), (3, True), (4, False)]
+    assert [k for k, twisted in _order_factors(GroupDescriptor.parse("2E6")) if twisted] \
+        == [5, 9]
+
+
+@pytest.mark.parametrize("g", [GroupDescriptor("A", n) for n in range(1, 11)]
+                         + [GroupDescriptor("2A", n) for n in range(2, 11)], ids=str)
+def test_type_a_catalog_matches_per_factor_reference(g):
+    got, want = catalog(g), _ref_type_a_catalog(g)
+    assert got == want
+    assert [_exact_parts(c.degree) for c in got] == [_exact_parts(c.degree) for c in want]

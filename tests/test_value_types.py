@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from unipdec import cyclo, tables, verify
-from unipdec.cyclo import CycloError, DensePoly, FactoredPoly, cyclotomic, prod_factored
+from unipdec.cyclo import CycloError, DensePoly, FactoredPoly, cyclotomic
 from unipdec.degrees import catalog
 from unipdec.labels import (BetaSymbol, Bipartition, GroupDescriptor, LabelError,
                             check_partition, label_symbol)
@@ -142,15 +142,6 @@ def test_products_and_quotients_match_reference():
         assert canonical_parts(ab.divide(b)) == canonical_parts(a)
         k = rng.choice([2, -1, Fraction(1, 3)])
         assert canonical_parts(a * k) == reference_canonical(a.scalar * k, a.cyclo_mults)
-        polys = [random_poly(rng) for _ in range(rng.randint(1, 4))]
-        prod = prod_factored(polys)
-        scalar, mults = Fraction(1), {}
-        for p in polys:
-            scalar *= p.scalar
-            for d, m in p.cyclo_mults:
-                mults[d] = mults.get(d, 0) + m
-        assert canonical_parts(prod) == reference_canonical(scalar, mults)
-        assert prod.q_exp == sum(p.q_exp for p in polys)
         for e in range(1, 14):
             assert a.root_multiplicity(e) == dict(a.cyclo_mults).get(e, 0)
         assert a.A_value() == a.q_exp + sum(m * cyclotomic(d).degree()
