@@ -7,6 +7,15 @@ coordinates.  Pairing a character against the Deligne-Lusztig character R_w
 then reduces to Weyl-group character values through the almost characters
 attached to the principal-series members of its family.
 
+What is memoised, each handed out read-only: the families of a group
+(`families`), the members' coordinates and 2^m of each family (`_family`,
+per entry multiset), and each character's Fourier row, both as Fractions
+over the whole family (`family_fourier`) and as integer signs over its
+principal-series members with the common denominator 2^m (`_signed_row`).
+So <rho, R_w> is one sum of signed Weyl values and one Fraction, and
+`dl_vector` computes each principal-series Weyl value once per call for
+all characters.
+
 Only untwisted classical groups are supported; twisted and exceptional
 multiplicities are deliberately not guessed at.
 """
@@ -17,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .degrees import catalog
+from .degrees import catalog, catalog_map
 from .labels import BetaSymbol, UnsupportedGroupError
 from .weyl import char_value_B, char_value_D
 
@@ -26,12 +35,19 @@ class FourierError(ValueError):
     pass
 
 
+def _size(sym):
+    return len(sym.top) + len(sym.bottom)
+
+
 def _entry_key(sym, parity):
-    """Entry multiset after shifting the symbol to total size congruent to parity."""
+    """The reduced symbol, checked to have a number of entries of the given parity.
+
+    A shift adds one entry to each row, so it cannot fix the parity.
+    """
     sym = sym.reduced()
-    while (len(sym.top) + len(sym.bottom)) % 2 != parity % 2:
-        sym = sym.shifted(1)
-    # one extra normalising shift keeps tiny symbols comparable
+    if _size(sym) % 2 != parity % 2:
+        raise FourierError(f"symbol {sym} has {_size(sym)} entries, "
+                           f"not a number of parity {parity % 2}")
     return sym
 
 
@@ -50,20 +66,13 @@ def families(group):
     if group.series not in ("B", "C", "D"):
         raise UnsupportedGroupError(f"families implemented for untwisted classical {group}")
     parity = _family_parity(group)
-    chars = catalog(group)
-    keyed = {}
-    for c in chars:
-        sym = _entry_key(c.symbol, parity)
-        # grow every symbol to a common size so multisets are comparable
-        keyed[str(c.label)] = sym
-    maxlen = max(len(s.top) + len(s.bottom) for s in keyed.values())
+    reduced = {str(c.label): _entry_key(c.symbol, parity) for c in catalog(group)}
+    # grow every symbol to a common size so multisets are comparable
+    maxlen = max(_size(s) for s in reduced.values())
+    keyed = {lab: sym.shifted((maxlen - _size(sym)) // 2) for lab, sym in reduced.items()}
     fams = {}
     for lab, sym in keyed.items():
-        while len(sym.top) + len(sym.bottom) < maxlen:
-            sym = sym.shifted(1)
-        keyed[lab] = sym
-        key = tuple(sorted(sym.top + sym.bottom))
-        fams.setdefault(key, []).append(lab)
+        fams.setdefault(sym.entries(), []).append(lab)
     return (MappingProxyType(keyed),
             MappingProxyType({key: tuple(labs) for key, labs in fams.items()}))
 
@@ -71,9 +80,7 @@ def families(group):
 def family_of(group, label_text):
     """All catalog labels in the family of the given character."""
     keyed, fams = families(group)
-    sym = keyed[label_text]
-    key = tuple(sorted(sym.top + sym.bottom))
-    return tuple(sorted(fams[key]))
+    return tuple(sorted(fams[keyed[label_text].entries()]))
 
 
 def _singles(entries):
@@ -106,27 +113,60 @@ def _special_symbol(entries):
 
 
 @lru_cache(maxsize=None)
+def _family(group, entries):
+    """The family with this entry multiset: a read-only mapping of each
+    member label to its coordinate, in family order, and the denominator 2^m."""
+    keyed, fams = families(group)
+    singles = _singles(entries)
+    twom = max(len(singles) - (1 if len(singles) % 2 else 2), 0)
+    special = _special_symbol(entries)
+    coords = {lab: _coords(keyed[lab], special.bottom, singles) for lab in fams[entries]}
+    return MappingProxyType(coords), 2 ** (twom // 2)
+
+
+def _signs(group, label_text):
+    """(coordinates of the family of a character, its 2^m, and the sign
+    (-1)^|M cap M'| of each member against it)."""
+    keyed, _ = families(group)
+    coords, den = _family(group, keyed[label_text].entries())
+    me = coords[label_text]
+    return coords, den, tuple(-1 if len(me & c) % 2 else 1 for c in coords.values())
+
+
+@lru_cache(maxsize=None)
 def family_fourier(group, label_text):
     """Fourier pairing row of a character against its family.
 
     Returns a read-only mapping {member label: Fraction} with denominator
     2^m; it is memoised and shared by every caller.
     """
-    keyed, fams = families(group)
-    sym = keyed[label_text]
-    entries = tuple(sorted(sym.top + sym.bottom))
-    members = fams[entries]
-    singles = _singles(list(entries))
-    twom = max(len(singles) - (1 if len(singles) % 2 else 2), 0)
-    special = _special_symbol(entries)
-    me = _coords(sym, special.bottom, singles)
-    row = {}
-    for lab in members:
-        other = _coords(keyed[lab], special.bottom, singles)
-        inter = len(me & other)
-        # representatives are only defined modulo complement for even |Z_1|
-        row[lab] = Fraction((-1) ** (inter % 2), 2 ** (twom // 2))
-    return MappingProxyType(row)
+    coords, den, signs = _signs(group, label_text)
+    return MappingProxyType({lab: Fraction(s, den) for lab, s in zip(coords, signs)})
+
+
+@lru_cache(maxsize=None)
+def _signed_row(group, label_text):
+    """The Fourier row of a character on the principal-series members of its
+    family: (2^m, ((sign, bipartition, degenerate type-D label), ...)), in
+    family order."""
+    coords, den, signs = _signs(group, label_text)
+    cm = catalog_map(group)
+    labels = [(cm[lab].label, s) for lab, s in zip(coords, signs) if cm[lab].hc_series == "ps"]
+    return den, tuple((s, label.bip, group.series == "D" and label.kind == "split")
+                      for label, s in labels)
+
+
+def _check_class(group, cls):
+    if group.series not in ("B", "C", "D"):
+        raise UnsupportedGroupError(
+            f"Deligne-Lusztig multiplicities are not computed for {group}")
+    if group.series == "D" and len(cls.negative) % 2:
+        raise FourierError("class does not define an element of W(D_n)")
+
+
+def _weyl_value(n, bip, degenerate, cls):
+    """Value at cls of the Weyl character of a principal-series almost character."""
+    return char_value_D(n, bip, cls) if degenerate else char_value_B(n, bip, cls)
 
 
 def dl_multiplicity(group, label_text, cls):
@@ -135,32 +175,26 @@ def dl_multiplicity(group, label_text, cls):
     Equals the Fourier row of rho paired with Weyl character values of the
     principal-series almost characters in its family.
     """
-    if group.series not in ("B", "C", "D"):
-        raise UnsupportedGroupError(
-            f"Deligne-Lusztig multiplicities are not computed for {group}")
-    if group.series == "D" and len(cls.negative) % 2:
-        raise FourierError("class does not define an element of W(D_n)")
-    row = family_fourier(group, label_text)
-    total = Fraction(0)
-    from .degrees import catalog_map
-    cm = catalog_map(group)
-    for lab, coef in row.items():
-        c = cm[lab]
-        if c.hc_series != "ps":
-            continue
-        bip = c.label.bip
-        if group.series in ("B", "C"):
-            val = char_value_B(group.rank, bip, cls)
-        else:
-            if c.label.kind == "split":
-                val = char_value_D(group.rank, bip, cls)
-            else:
-                val = char_value_B(group.rank, bip, cls)
-        total += coef * val
-    return total
+    _check_class(group, cls)
+    den, terms = _signed_row(group, label_text)
+    return Fraction(sum(s * _weyl_value(group.rank, bip, deg, cls) for s, bip, deg in terms),
+                    den)
 
 
 def dl_vector(group, cls):
     """<rho, R_w> for every catalog character, as a dict label -> Fraction."""
-    return {str(c.label): dl_multiplicity(group, str(c.label), cls)
-            for c in catalog(group)}
+    chars = catalog(group)
+    _check_class(group, cls)
+    values = {}
+    out = {}
+    for c in chars:
+        lab = str(c.label)
+        den, terms = _signed_row(group, lab)
+        total = 0
+        for s, bip, deg in terms:
+            v = values.get((bip, deg))
+            if v is None:
+                v = values[bip, deg] = _weyl_value(group.rank, bip, deg, cls)
+            total += s * v
+        out[lab] = Fraction(total, den)
+    return out

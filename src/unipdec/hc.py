@@ -5,13 +5,16 @@ induction (type D via the symmetrised B_n-cover), cuspidal-core parts (B2:,
 B6:, D4:) through their relative type-B Weyl groups.  This is what the
 (HCi)/(HCr) checks of the verification engine consume.
 
-What is memoised: the induction of one W(B_m)-character into W(B_n)
-(`weyl.induce_char`, keyed by the bipartition, n and the GL-factor
-partitions) and the induction matrix of a (source, target) pair
-(`induction_matrix`, which `hc_restrict` reads on every call).  Both are
-handed out read-only.  `hc_induce` is not memoised per source label: it
-sums the cached W(B_n)-characters over the whole cover vector and only then
-reads the sum back as labels of the target.  The halving at a degenerate
+What is memoised, each handed out read-only: per (group, label text), the
+HC series of a source label and its cover of W(B_n)-characters
+(`_label_cover`) and the catalog label of a target label (`_canonical_text`);
+the induction of one W(B_m)-character into W(B_n) (`weyl.induce_char`,
+keyed by the bipartition, n and the GL-factor partitions); and the
+induction matrix of a (source, target) pair (`induction_matrix`, which
+`hc_restrict` reads on every call).  `hc_induce` itself is not memoised: it
+sums the source labels' covers over the whole vector, in vector order, then
+sums the cached W(B_n)-characters over that cover and only then reads the
+sum back as labels of the target.  The halving at a degenerate
 type-D label stays on that sum because a coefficient there can be odd for
 one source label and even for the vector: lam+ and lam- each put their
 coefficient once on the cover, the pair twice.  Halving label by label
@@ -36,39 +39,36 @@ class HCError(ValueError):
     pass
 
 
-def _series_parts(group, vector):
-    """Split a label->coeff vector by ordinary HC series (core tag)."""
-    parts = {}
-    for lab, c in vector.items():
-        if isinstance(c, ParamExpr) and c.is_zero():
-            continue
-        if not isinstance(c, ParamExpr) and c == 0:
-            continue
-        parsed = parse_label(lab, group)
-        core = parsed.core or "ps"
-        parts.setdefault(core, {})[parsed] = c
-    return parts
+def _is_zero(c):
+    return c.is_zero() if isinstance(c, ParamExpr) else c == 0
 
 
-def _to_b_cover(group, labeled):
-    """Principal-series D/2D/B vector as a type-B Weyl character vector.
+@lru_cache(maxsize=None)
+def _label_cover(group, text):
+    """The ordinary HC series (core tag, "ps" for the principal series) of a
+    source label and its cover: ((bipartition, multiplicity), ...).
 
-    For type D the cover is symmetrised: a label {lam, mu} contributes both
-    orientations, a degenerate pair contributes the sum of its +/- parts.
+    A GL-factor's S_k-character goes to the hyperoctahedral cover through
+    all two-sided splittings; a type-D principal-series label is
+    symmetrised, {lam, mu} contributing both orientations and each half of
+    a degenerate pair its bipartition once.
     """
-    out = {}
-    for lab, c in labeled.items():
-        bip = lab.bip
-        if group.series == "D":
-            if lab.kind == "split":
-                out[bip] = out.get(bip, 0) + c  # half of the +/- pair
-            else:
-                out[bip] = out.get(bip, 0) + c
-                sw = bip.swapped()
-                out[sw] = out.get(sw, 0) + c
-        else:
-            out[bip] = out.get(bip, 0) + c
-    return out
+    label = parse_label(text, group)
+    core = label.core or "ps"
+    bip = label.bip
+    if core != "ps":
+        return core, ((bip, 1),)
+    if group.series in ("A", "2A"):
+        return core, tuple(sym_to_hyper(bip.left).items())
+    if group.series == "D" and label.kind != "split":
+        return core, ((bip, 1), (bip.swapped(), 1))
+    return core, ((bip, 1),)
+
+
+@lru_cache(maxsize=None)
+def _canonical_text(group, text):
+    """The catalog label text of a label of the group."""
+    return str(find_char(group, text).label)
 
 
 def _cover_rank(group):
@@ -141,25 +141,20 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
 
 def _induce(source_group, vector, target_group, extra_a_factors):
     """hc_induce with the coefficients taken as they are given."""
-    parts = _series_parts(source_group, vector)
-    if parts:
+    # the covers of the source labels, summed per series in vector order
+    covers = {}
+    for lab, c in vector.items():
+        if _is_zero(c):
+            continue
+        core, terms = _label_cover(source_group, lab)
+        cover = covers.setdefault(core, {})
+        for bip, k in terms:
+            cover[bip] = cover.get(bip, 0) + c * k
+    if covers:
         _cover_rank(source_group)  # raises for a source outside A, B, C, D, 2D
     a_factors = tuple(tuple(p) for p in extra_a_factors)
     out = {}
-    for core, labeled in parts.items():
-        if core == "ps" and source_group.series in ("A", "2A"):
-            # a GL-factor: its Weyl group S_k induces into the hyperoctahedral
-            # cover through all two-sided splittings
-            cover = {}
-            for lab, c in labeled.items():
-                for bip, k in sym_to_hyper(lab.bip.left).items():
-                    cover[bip] = cover.get(bip, 0) + c * k
-        elif core == "ps":
-            cover = _to_b_cover(source_group, labeled)
-        else:
-            cover = {}
-            for lab, c in labeled.items():
-                cover[lab.bip] = cover.get(lab.bip, 0) + c
+    for core, cover in covers.items():
         n = _rel_rank(target_group, core)
         acc = {}
         for bip, c in cover.items():
@@ -168,17 +163,13 @@ def _induce(source_group, vector, target_group, extra_a_factors):
         if core == "ps":
             part = _from_b_cover(target_group, acc)
         else:
-            prefix = core
-            part = {}
-            for bip, c in acc.items():
-                text = f"{prefix}:{bip}" if bip.size() else prefix
-                part[text] = c
+            part = {(f"{core}:{bip}" if bip.size() else core): c for bip, c in acc.items()}
         for lab, c in part.items():
             out[lab] = out.get(lab, 0) + c
     # normalise labels against the target catalog
     canon = {}
     for lab, c in out.items():
-        key = str(find_char(target_group, lab).label)
+        key = _canonical_text(target_group, lab)
         canon[key] = canon.get(key, 0) + c
     return canon
 

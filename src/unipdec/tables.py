@@ -608,6 +608,9 @@ def parse(text):
             k = k.strip()
             if k not in _TABLE_KEYS:
                 raise TableError(f"line {lineno}: unknown key {k!r} in [table]")
+            if k in meta:
+                raise TableError(f"line {lineno}: key {k!r} repeated in [table] "
+                                 f"(first on line {meta_line[k]})")
             meta[k] = v.strip()
             meta_line[k] = lineno
         elif section == "chars":
@@ -628,13 +631,13 @@ def parse(text):
                     tentative = True
                 else:
                     raise TableError(f"line {lineno}: bad column tag {t!r}")
-            entries = {}
+            entries = []
             for piece in body.split():
                 if "=" not in piece:
                     raise TableError(f"line {lineno}: bad entry {piece!r}")
                 lab, expr = piece.split("=", 1)
-                entries[lab] = parse_expr(expr)
-            cols.append((series, tentative, entries))
+                entries.append((lab, parse_expr(expr)))
+            cols.append((series, tentative, entries, lineno))
         else:
             raise TableError(f"line {lineno}: text outside any section")
     if not chars:
@@ -681,12 +684,14 @@ def parse(text):
         raise TableError("duplicate row label")
     row_degrees = tuple(degree(deg, lineno) if deg else None for _, deg, lineno in chars)
     columns = []
-    for j, (series, tentative, entries) in enumerate(cols):
+    for j, (series, tentative, entries, lineno) in enumerate(cols):
         by_index = {}
-        for lab, expr in entries.items():
+        for lab, expr in entries:
             lab = canon(lab)
             if lab not in row_index:
                 raise TableError(f"column {j + 1}: unknown label {lab!r}")
+            if row_index[lab] in by_index:
+                raise TableError(f"line {lineno}: row {lab!r} given twice in one column")
             by_index[row_index[lab]] = expr
         columns.append(Column(series, tentative, by_index))
     if len(columns) != len(row_labels):

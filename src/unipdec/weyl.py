@@ -19,7 +19,9 @@ caller can alter a later result; `induce` builds a fresh dict on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -66,7 +68,6 @@ def signed_classes(n):
 
 def class_size(n, cls):
     """Conjugacy class size in B_n from the centraliser order formula."""
-    import math
     cent = 1
     for parts in (cls.positive, cls.negative):
         mult = {}
@@ -367,8 +368,6 @@ def restrict_B(chi, a, b):
 
 def inner_product_B(n, f, g):
     """Inner product of two class functions given as dicts class -> value."""
-    import math
-    from fractions import Fraction
     total = Fraction(0)
     order = (2 ** n) * math.factorial(n)
     for cls in signed_classes(n):

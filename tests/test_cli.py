@@ -132,6 +132,10 @@ _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\
     ("d = 2", "d = 2\nconstraint = 1 >= 0", "line 4: unknown key 'constraint' in [table]"),
     ("d = 2", "d = 2\ndegrees = ful",
      "line 4: degrees must be full, leading or none, not 'ful'"),
+    ("d = 2", "d = 2\ngroup = B4", "line 4: key 'group' repeated in [table] (first on line 2)"),
+    (".4=1", ".4=1 .4=7", "line 7: row '.4' given twice in one column"),
+    # {4, -} written in both orientations is one type-D row
+    (".4=1", ".4=1 4.=7", "line 7: row '.4' given twice in one column"),
 ])
 def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     d = tmp_path / "d2"
