@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: verify (run the corpus suite), degrees, craven, hecke, induce,
-trees.  Exit codes: 0 all pass, 1 check failure, 2 data or parse error,
-3 unsupported request.
+trees.  Exit codes: 0 all pass, 1 check failure, 2 a bad argument (from
+argparse) or a data or parse error, 3 unsupported request.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from .hecke import HeckeError, HeckeSpec, Param, parse_spec, product_count
 from .labels import Bipartition, GroupDescriptor, LabelError
 from .tables import TableError
 from .verify import corpus_tables, corpus_trees, run_table_checks
-from .weyl import induce_char
+from .weyl import WeylError, induce_char
+
+
+def _positive(text):
+    if not re.fullmatch(r"[1-9]\d*", text):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, not {text!r}")
+    return int(text)
 
 
 def _only_d(text):
@@ -123,11 +129,8 @@ def cmd_hecke(args):
         if args.spec:
             specs = parse_spec(args.spec)
         else:
-            if args.type == "B":
-                specs = [HeckeSpec("B", args.rank, Param.parse(args.b1),
-                                   Param.parse(args.branch))]
-            else:
-                specs = [HeckeSpec(args.type, args.rank, None, Param.parse(args.branch))]
+            b1 = Param.parse(args.b1) if args.type == "B" else None
+            specs = [HeckeSpec(args.type, args.rank, b1, Param.parse(args.branch))]
         n = product_count(specs, args.d)
     except HeckeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -145,11 +148,10 @@ def cmd_hecke(args):
 
 def cmd_induce(args):
     try:
-        chi = Bipartition.parse(args.char)
-    except LabelError as exc:
+        res = induce_char(Bipartition.parse(args.char), args.rank)
+    except (LabelError, WeylError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    res = induce_char(chi, args.rank)
     rows = sorted((str(b), m) for b, m in res.items())
     _emit(rows, ("character", "multiplicity"), args.format)
     return 0
@@ -185,17 +187,18 @@ def main(argv=None):
     for name in ("degrees", "craven"):
         p = sub.add_parser(name, help="list label | degree | a | A | defect | pi_d")
         p.add_argument("--group", required=True)
-        p.add_argument("--d", type=int, default=2)
+        p.add_argument("--d", type=_positive, default=2)
         p.set_defaults(func=cmd_degrees)
 
     for alias in ("hecke", "hecke-count"):
         p = sub.add_parser(alias, help="count simple modules of a specialised algebra")
-        p.add_argument("--spec", help="e.g. 'B4;q^2;q' or products 'A1;q x B2;q^2;q'")
+        given = p.add_mutually_exclusive_group(required=True)
+        given.add_argument("--spec", help="e.g. 'B4;q^2;q' or products 'A1;q x B2;q^2;q'")
+        given.add_argument("--rank", type=int, help="the rank of a --type algebra")
         p.add_argument("--type", choices=("A", "B", "D"), default="B")
-        p.add_argument("--rank", type=int)
         p.add_argument("--b1", default="1")
         p.add_argument("--branch", default="q")
-        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--d", type=_positive, required=True)
         p.add_argument("--list", action="store_true",
                        help="also print the crystal multipartitions")
         p.set_defaults(func=cmd_hecke)

@@ -20,11 +20,15 @@ one source label and even for the vector: lam+ and lam- each put their
 coefficient once on the cover, the pair twice.  Halving label by label
 would raise on such vectors; an odd coefficient of the summed vector is a
 real gap and raises HCError (the A3 -> D4 Levi table is one).
+
+Coefficients are ints or `ParamExpr`s, mixed, in plain arithmetic.  One
+fork stays: `hc_induce` induces a vector of constant `ParamExpr`s (each
+column of a Levi table, all of them constant) in ints, which keeps (HCi)
+cheap; without it a library-checks pass takes about a fifth longer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -37,10 +41,6 @@ from .weyl import induce_char, sym_to_hyper
 
 class HCError(ValueError):
     pass
-
-
-def _is_zero(c):
-    return c.is_zero() if isinstance(c, ParamExpr) else c == 0
 
 
 @lru_cache(maxsize=None)
@@ -109,10 +109,9 @@ def _from_b_cover(group, cover):
 
 def _half(c):
     if isinstance(c, ParamExpr):
-        half = ParamExpr({m: Fraction(v, 2) for m, v in c.terms.items()})
-        if any(v.denominator != 1 for v in half.terms.values()):
+        if any(v % 2 for v in c.terms.values()):
             raise HCError("odd coefficient at a degenerate label")
-        return ParamExpr({m: int(v) for m, v in half.terms.items()})
+        return ParamExpr._of_sorted({m: v // 2 for m, v in c.terms.items()})
     if c % 2:
         raise HCError("odd coefficient at a degenerate label")
     return c // 2
@@ -132,6 +131,7 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
     if vector and all(isinstance(c, ParamExpr) for c in vector.values()):
         # a table column: constant entries are induced as ints, and every
         # coefficient of the result is a ParamExpr, as it would be anyway
+        # (kept for speed: every (HCi) column comes here; see the docstring)
         ints = {lab: int_or_expr(c) for lab, c in vector.items()}
         if all(isinstance(c, int) for c in ints.values()):
             out = _induce(source_group, ints, target_group, extra_a_factors)
@@ -144,7 +144,7 @@ def _induce(source_group, vector, target_group, extra_a_factors):
     # the covers of the source labels, summed per series in vector order
     covers = {}
     for lab, c in vector.items():
-        if _is_zero(c):
+        if not c:
             continue
         core, terms = _label_cover(source_group, lab)
         cover = covers.setdefault(core, {})
@@ -195,17 +195,10 @@ def hc_restrict(target_group, vector, source_group):
     out = {}
     for lab in src:
         coef = 0
-        col = cols[lab]
-        for tlab, mult in col.items():
-            v = vector.get(tlab, 0)
-            if isinstance(v, ParamExpr) or isinstance(coef, ParamExpr):
-                coef = coef + v * mult if mult else coef
-            elif mult:
-                coef += v * mult
-        if isinstance(coef, ParamExpr):
-            if not coef.is_zero():
-                out[lab] = coef
-        elif coef:
+        for tlab, mult in cols[lab].items():
+            if mult:
+                coef = coef + vector.get(tlab, 0) * mult
+        if coef:
             out[lab] = coef
     return out
 

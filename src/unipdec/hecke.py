@@ -310,8 +310,10 @@ def parse_spec(text):
     for piece in text.split("x"):
         piece = piece.strip()
         parts = [p.strip() for p in piece.split(";")]
-        head = parts[0]
-        ctype, rank = head[0], int(head[1:])
+        ctype, rank = parts[0][:1], parts[0][1:]
+        if not rank.isdecimal():
+            raise HeckeError(f"no rank in {piece!r}")
+        rank = int(rank)
         if ctype == "B":
             if len(parts) != 3:
                 raise HeckeError(f"type B spec needs two parameters: {piece!r}")

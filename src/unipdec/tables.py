@@ -51,6 +51,10 @@ class ParamExpr:
     Monomials are sorted tuples of names; the empty tuple is the constant
     term.  Table files only ever contain affine expressions, but arithmetic
     on them is closed under multiplication for the verification engine.
+
+    It mixes with `int` (`k + e` is `ParamExpr.const(k) + e`) and is false
+    only when zero, so a coefficient can stay an int until a parameter
+    enters; a float or Fraction operand of + or - is a TypeError.
     """
 
     __slots__ = ("terms",)
@@ -73,7 +77,7 @@ class ParamExpr:
 
     @classmethod
     def const(cls, c):
-        return cls({(): int(c)})
+        return cls({(): _integer(c)})
 
     @classmethod
     def var(cls, name, coeff=1):
@@ -81,6 +85,9 @@ class ParamExpr:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return all(m == () for m in self.terms)
@@ -111,23 +118,24 @@ class ParamExpr:
     def __add__(self, other):
         if isinstance(other, int):
             other = ParamExpr.const(other)
+        elif not isinstance(other, ParamExpr):
+            return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return ParamExpr._of_sorted(out)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return ParamExpr.const(other) + self if isinstance(other, int) else NotImplemented
 
     def __neg__(self):
         return ParamExpr._of_sorted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = ParamExpr.const(other)
-        return self + (-other)
+        return self + (-other) if isinstance(other, (int, ParamExpr)) else NotImplemented
 
     def __rsub__(self, other):
-        return ParamExpr.const(other) - self
+        return ParamExpr.const(other) - self if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -192,12 +200,20 @@ class ParamExpr:
     __repr__ = __str__
 
 
+def _integer(value):
+    """An int, or a Fraction with denominator 1, as an int; anything else
+    (a float, a proper Fraction) is a TypeError, never truncated."""
+    if isinstance(value, (int, Fraction)) and value.denominator == 1:
+        return int(value)
+    raise TypeError(f"not an integer: {value!r}")
+
+
 def int_or_expr(value):
     """`value` as an int when it is a constant with an int coefficient (zero
     included), else as its ParamExpr.  Anything that is not a ParamExpr is
-    taken as int(value), as ParamExpr.const takes it."""
+    taken as ParamExpr.const takes it."""
     if not isinstance(value, ParamExpr):
-        return int(value)
+        return _integer(value)
     terms = value.terms
     if not terms:
         return 0

@@ -73,11 +73,6 @@ class ParamBox:
     def provably_positive(self, expr):
         return self.bounds(expr)[0] > 0
 
-    def possibly_nonzero(self, expr):
-        # an entry counts as possibly nonzero unless it vanishes identically
-        # on the whole box; free parameters always admit positive values
-        return not self.provably_zero(expr)
-
 
 # ---------------------------------------------------------------------------
 # degrees attached to table rows
@@ -133,7 +128,7 @@ def check_unitriangular(table):
         if col.entries.get(j) != ParamExpr.const(1):
             sink.append(f"column {j + 1}: diagonal entry is not 1")
         for i, expr in col.entries.items():
-            if i == j or not box.possibly_nonzero(expr):
+            if i == j or box.provably_zero(expr):
                 continue
             if i < j:
                 sink.append(f"entry ({table.rows[i]}, col {j + 1}) above the diagonal")
@@ -171,25 +166,26 @@ def check_craven(table):
     relations = []
     for j, col in enumerate(table.columns):
         for i, expr in col.entries.items():
-            if i == j or not box.possibly_nonzero(expr):
+            if i == j or pi[i] > pi[j]:
                 continue
-            if pi[i] <= pi[j]:
-                red = table.system.reduce(expr)
-                if box.provably_positive(red):
-                    msg = (f"entry ({table.rows[i]}, col {table.rows[j]}) = {expr} "
-                           f"nonzero but pi_{d}(row) = {pi[i]} <= {pi[j]}")
-                    if col.tentative:
-                        relations.append("tentative column: " + msg)
-                    else:
-                        violations.append(msg)
-                    continue
-                names = sorted(red.names())
-                if (not red.constant() and red.is_affine()
-                        and all(v > 0 for m, v in red.terms.items() if m)):
-                    forced |= set(names)
+            lo, hi = box.bounds(expr)
+            if lo == hi == 0:
+                continue  # vanishes on the whole box
+            if lo > 0:
+                msg = (f"entry ({table.rows[i]}, col {table.rows[j]}) = {expr} "
+                       f"nonzero but pi_{d}(row) = {pi[i]} <= {pi[j]}")
+                if col.tentative:
+                    relations.append("tentative column: " + msg)
                 else:
-                    relations.append(f"forced relation {red} = 0 at "
-                                     f"({table.rows[i]}, col {table.rows[j]})")
+                    violations.append(msg)
+                continue
+            red = table.system.reduce(expr)
+            if (not red.constant() and red.is_affine()
+                    and all(v > 0 for m, v in red.terms.items() if m)):
+                forced |= red.names()
+            else:
+                relations.append(f"forced relation {red} = 0 at "
+                                 f"({table.rows[i]}, col {table.rows[j]})")
     report = CheckReport("craven", "fail" if violations else "pass",
                          violations or [f"forced zeros: {sorted(forced)}"] )
     report.data["forced"] = sorted(forced)
@@ -202,10 +198,7 @@ def check_craven(table):
 
 def _lead(vec, order):
     for i, lab in enumerate(order):
-        e = vec.get(lab)
-        if e and not (isinstance(e, int) and e == 0):
-            if isinstance(e, ParamExpr) and e.is_zero():
-                continue
+        if vec.get(lab):
             return i
     return len(order)
 
@@ -314,8 +307,8 @@ def decompose_in_columns(table, vector):
         c = int_or_expr(vector.get(rows[j], 0))
         for k, e in lower:
             ck = coeffs[k]
-            if ck != 0:
-                c = _plus(c, -(ck * e))
+            if ck:
+                c = c - ck * e
         coeffs.append(int_or_expr(c))
     return [_expr(c) for c in coeffs]
 
@@ -326,19 +319,12 @@ def recompose(table, coeffs):
     out = {}
     for c, column in zip(coeffs, table.int_columns):
         c = int_or_expr(c)
-        if c == 0:
+        if not c:
             continue
         for i, e in column:
             lab = rows[i]
-            out[lab] = _plus(out.get(lab, 0), c * e)
+            out[lab] = out.get(lab, 0) + c * e
     return {lab: _expr(v) for lab, v in out.items()}
-
-
-def _plus(a, b):
-    """a + b for ints and ParamExprs, the terms of a first."""
-    if isinstance(a, int) and isinstance(b, ParamExpr):
-        return ParamExpr.const(a) + b
-    return a + b
 
 
 def _expr(c):
@@ -350,9 +336,7 @@ def check_backsub_roundtrip(table, vector):
     coeffs = decompose_in_columns(table, vector)
     back = recompose(table, coeffs)
     for lab in table.rows:
-        want = vector.get(lab, 0)
-        want = want if isinstance(want, ParamExpr) else ParamExpr.const(want)
-        if back.get(lab, ParamExpr()) != want:
+        if back.get(lab, ParamExpr()) != _expr(vector.get(lab, 0)):
             return False
     return True
 

@@ -1,6 +1,7 @@
 import io
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -225,3 +226,39 @@ def test_python_dash_m_runs_verify_from_a_checkout():
                           cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (root / "tests" / "data" / "verify.tsv").read_text()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["degrees", "--group", "D4", "--d", "0"], 2, "expected an integer >= 1, not '0'"),
+    (["degrees", "--group", "D4", "--d", "-2"], 2, "expected an integer >= 1, not '-2'"),
+    (["hecke", "--type", "B", "--d", "2"], 2, "one of the arguments --spec --rank"),
+    (["hecke", "--spec", "B;q;q", "--d", "2"], 3, "error: no rank in 'B;q;q'"),
+    (["induce", "--char", "3.1", "--rank", "2"], 3,
+     "error: factor sizes exceed the target rank"),
+], ids=["degrees-d-0", "degrees-d-minus-2", "hecke-no-rank", "hecke-spec-no-rank",
+        "induce-too-large"])
+def test_bad_requests_exit_without_a_traceback(capsys, argv, code, message):
+    # 1 means "a check failed"; a bad argument is 2, an unsupported request 3
+    try:
+        got, _ = run(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert message in capsys.readouterr().err
+
+
+def readme_commands():
+    """The `unipdec …` lines of the README's `## Command line` sh block."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("unipdec ")]
+
+
+def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)  # `verify --out summary.tsv` writes here
+    monkeypatch.delenv("UNIPDEC_CORPUS", raising=False)
+    for argv in commands:
+        assert run(argv)[0] == 0, argv

@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,33 @@ def test_constant_expr_hashes_as_its_int():
     assert {ParamExpr.const(-5): "x"}[-5] == "x"
     assert len({ParamExpr.const(7), 7, parse_expr("3+4")}) == 1
     assert ParamExpr.var("d") not in {0, 1}
+
+
+def test_expr_mixes_with_int():
+    a = parse_expr("a")
+    assert list((2 + a).terms.items()) == [((), 2), (("a",), 1)]
+    assert list((a + 2).terms.items()) == [(("a",), 1), ((), 2)]
+    assert 2 - a == parse_expr("2-a") and a - 2 == parse_expr("a-2")
+    assert 0 + a == a and (a - a) + 0 == 0
+    assert a and parse_expr("3") and not parse_expr("a-a") and not ParamExpr()
+    assert a * Fraction(4, 2) == parse_expr("2a")
+    assert ParamExpr.const(Fraction(6, 2)) == 3 and tables.int_or_expr(Fraction(6, 2)) == 3
+
+
+@pytest.mark.parametrize("case", [
+    lambda a: Fraction(1, 2) - a,      # was -a
+    lambda a: 2.5 - a,                 # was 2-a
+    lambda a: ParamExpr.const(Fraction(7, 2)),  # was 3
+    lambda a: a + Fraction(1, 2),      # was an AttributeError
+    lambda a: a - 0.5,
+    lambda a: 1.0 + a,
+    lambda a: tables.int_or_expr(Fraction(7, 2)),
+    lambda a: tables.int_or_expr(2.0),
+], ids=["half-minus-a", "float-minus-a", "const-of-7/2", "a-plus-half", "a-minus-float",
+        "float-plus-a", "int_or_expr-of-7/2", "int_or_expr-of-float"])
+def test_expr_refuses_what_is_not_an_integer(case):
+    with pytest.raises(TypeError):
+        case(parse_expr("a"))
 
 
 def test_shipped_tables_roundtrip():
