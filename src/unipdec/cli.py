@@ -22,10 +22,13 @@ from .verify import corpus_tables, corpus_trees, run_table_checks
 from .weyl import WeylError, induce_char
 
 
-def _positive(text):
-    if not re.fullmatch(r"[1-9]\d*", text):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, not {text!r}")
-    return int(text)
+def _at_least(low):
+    """The argparse type of an integer >= `low`."""
+    def parse(text):
+        if not re.fullmatch(r"[0-9]+", text) or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, not {text!r}")
+        return int(text)
+    return parse
 
 
 def _only_d(text):
@@ -187,25 +190,25 @@ def main(argv=None):
     for name in ("degrees", "craven"):
         p = sub.add_parser(name, help="list label | degree | a | A | defect | pi_d")
         p.add_argument("--group", required=True)
-        p.add_argument("--d", type=_positive, default=2)
+        p.add_argument("--d", type=_at_least(1), default=2)
         p.set_defaults(func=cmd_degrees)
 
     for alias in ("hecke", "hecke-count"):
         p = sub.add_parser(alias, help="count simple modules of a specialised algebra")
         given = p.add_mutually_exclusive_group(required=True)
         given.add_argument("--spec", help="e.g. 'B4;q^2;q' or products 'A1;q x B2;q^2;q'")
-        given.add_argument("--rank", type=int, help="the rank of a --type algebra")
+        given.add_argument("--rank", type=_at_least(0), help="the rank of a --type algebra")
         p.add_argument("--type", choices=("A", "B", "D"), default="B")
         p.add_argument("--b1", default="1")
         p.add_argument("--branch", default="q")
-        p.add_argument("--d", type=_positive, required=True)
+        p.add_argument("--d", type=_at_least(1), required=True)
         p.add_argument("--list", action="store_true",
                        help="also print the crystal multipartitions")
         p.set_defaults(func=cmd_hecke)
 
     p = sub.add_parser("induce", help="induce a W(B_m) character to W(B_n)")
     p.add_argument("--char", required=True, help="bipartition, e.g. 2.1")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_at_least(0), required=True)
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("trees", help="check every shipped Brauer tree")

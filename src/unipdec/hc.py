@@ -21,10 +21,7 @@ coefficient once on the cover, the pair twice.  Halving label by label
 would raise on such vectors; an odd coefficient of the summed vector is a
 real gap and raises HCError (the A3 -> D4 Levi table is one).
 
-Coefficients are ints or `ParamExpr`s, mixed, in plain arithmetic.  One
-fork stays: `hc_induce` induces a vector of constant `ParamExpr`s (each
-column of a Levi table, all of them constant) in ints, which keeps (HCi)
-cheap; without it a library-checks pass takes about a fifth longer.
+Coefficients are ints or `ParamExpr`s, mixed, in plain arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from types import MappingProxyType
 from .degrees import catalog, find_char
 from .labels import (_CORE_RANK, UnsupportedGroupError, d_canonical_bip,
                      parse_label, split_label)
-from .tables import ParamExpr, int_or_expr
+from .tables import ParamExpr
 from .weyl import induce_char, sym_to_hyper
 
 
@@ -128,19 +125,6 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
     if target_group.series in ("B", "C", "D") and source_group.series != target_group.series:
         if not (source_group.series in ("A", "D", "B", "C")):
             raise UnsupportedGroupError("mixed-series HC induction not supported")
-    if vector and all(isinstance(c, ParamExpr) for c in vector.values()):
-        # a table column: constant entries are induced as ints, and every
-        # coefficient of the result is a ParamExpr, as it would be anyway
-        # (kept for speed: every (HCi) column comes here; see the docstring)
-        ints = {lab: int_or_expr(c) for lab, c in vector.items()}
-        if all(isinstance(c, int) for c in ints.values()):
-            out = _induce(source_group, ints, target_group, extra_a_factors)
-            return {lab: ParamExpr.const(c) for lab, c in out.items()}
-    return _induce(source_group, vector, target_group, extra_a_factors)
-
-
-def _induce(source_group, vector, target_group, extra_a_factors):
-    """hc_induce with the coefficients taken as they are given."""
     # the covers of the source labels, summed per series in vector order
     covers = {}
     for lab, c in vector.items():

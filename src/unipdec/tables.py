@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import inf
 
 from .cyclo import CycloError, parse_factored
 from .labels import GroupDescriptor, LabelError, UnsupportedGroupError, resolve_label
@@ -140,6 +141,8 @@ class ParamExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return ParamExpr._of_sorted({m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, ParamExpr):
+            return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -475,10 +478,6 @@ class DecompTable:
         return found
 
 
-# the cap on a free parameter that no constraint bounds above
-CAP = 30
-
-
 @dataclass(frozen=True)
 class ParamSystem:
     """A table's parameters and conditions, derived once per table.
@@ -487,10 +486,11 @@ class ParamSystem:
     defined parameter to its expression over the free parameters, in the
     order `resolve` assigns them; it is None if the definitions are cyclic,
     and `reduce` then substitutes nothing.  `lows` and `highs` bound each
-    free parameter by its one-variable constraints, `highs` by `CAP` at
-    most (but never below `lows`).  `entries` holds the distinct
-    non-constant matrix entries, and `negative_constant` says whether some
-    constant entry is negative.
+    free parameter by its one-variable constraints alone, `highs` by
+    `math.inf` where none bounds it above (but never below `lows`), so the
+    box holds every admissible assignment.  `entries` holds the distinct
+    non-constant matrix entries, and `negative_constant` the first negative
+    constant entry as (row index, column index, value), or None.
 
     `conditions` holds every admissibility condition (each defined
     parameter >= 0, each constraint, each distinct non-constant entry >= 0)
@@ -507,7 +507,7 @@ class ParamSystem:
     lows: dict
     highs: dict
     entries: tuple
-    negative_constant: bool
+    negative_constant: tuple | None
     conditions: tuple
 
     @classmethod
@@ -529,7 +529,7 @@ class ParamSystem:
                 break
         lows, highs = {}, {}
         for p in free:
-            lo, hi = 0, CAP
+            lo, hi = 0, inf
             for c in table.constraints:
                 if c.rel == ">=" and c.expr.names() == {p}:
                     coeff = c.expr.terms.get((p,), 0)
@@ -540,13 +540,13 @@ class ParamSystem:
                         hi = min(hi, const // -coeff)
             lows[p], highs[p] = lo, max(hi, lo)
         entries = {}
-        negative_constant = False
-        for col in table.columns:
-            for expr in col.entries.values():
-                if expr.is_constant():
-                    negative_constant |= expr.constant() < 0
-                else:
+        negative_constant = None
+        for j, col in enumerate(table.columns):
+            for i, expr in col.entries.items():
+                if not expr.is_constant():
                     entries[expr] = None
+                elif negative_constant is None and expr.constant() < 0:
+                    negative_constant = (i, j, expr.constant())
         conditions = ()
         if order is not None:
             conditions = _excess_conditions(

@@ -4,18 +4,21 @@ Each check returns a CheckReport carrying a status ("pass" / "fail" / "warn")
 and human-readable evidence.  Symbolic entries are handled by exact interval
 reasoning over the box of the table's `ParamSystem`: defined parameters are
 substituted first (`ParamSystem.reduce`), and each free parameter ranges over
-[`lows`, `highs`] from its one-variable constraints, at most `tables.CAP`.
+[`lows`, `highs`] from its one-variable constraints alone (`math.inf` where
+none bounds it above), so a verdict on the box holds for every admissible
+assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import inf
 
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor, LabelError
-from .tables import CAP, ParamExpr, int_or_expr
+from .tables import ParamExpr, int_or_expr
 from .weyl import sign_value
 
 
@@ -42,9 +45,10 @@ class ParamBox:
     def bounds(self, expr):
         """(lower, upper) over the box, ignoring joint constraints (sound).
 
-        A defined parameter left by `ParamSystem.reduce` (the definitions
-        are cyclic) ranges over [0, CAP].  A constant c gives (c, c) without
-        a substitution."""
+        Either end may be infinite; a defined parameter left by
+        `ParamSystem.reduce` (cyclic definitions) ranges over [0, inf).  A
+        monomial with a factor bounded above by 0 is bounded above by 0.  A
+        constant c gives (c, c) without a substitution."""
         if expr.is_constant():
             c = expr.constant()
             return c, c
@@ -58,7 +62,8 @@ class ParamBox:
             hi_m = 1
             for name in mono:
                 lo_m *= system.lows.get(name, 0)
-                hi_m *= system.highs.get(name, CAP)
+                high = system.highs.get(name, inf)
+                hi_m = hi_m * high if hi_m and high else 0  # never 0 * inf
             if c > 0:
                 lo += c * lo_m
                 hi += c * hi_m
@@ -454,12 +459,13 @@ def hc_induced_columns(levi_group, levi_table, target_group, target_table):
     Returns a CheckReport plus the list of coefficient vectors; failure means
     some induced projective has a provably negative coefficient.
     """
-    from .hc import hc_induce, table_column_vector
+    from .hc import hc_induce
     box = ParamBox(target_table)
     bad = []
     decomps = []
-    for j in range(levi_table.size()):
-        vec = hc_induce(levi_group, table_column_vector(levi_table, j), target_group)
+    rows = levi_table.rows
+    for j, column in enumerate(levi_table.int_columns):
+        vec = hc_induce(levi_group, {rows[i]: e for i, e in column}, target_group)
         coeffs = decompose_in_columns(target_table, vec)
         decomps.append(coeffs)
         for k, c in enumerate(coeffs):
@@ -575,14 +581,19 @@ def run_table_checks(table):
     reports = [check_degrees(table), check_unitriangular(table), check_craven(table)]
     if table.d == 2:
         reports.append(check_steinberg_mults(table))
-    if table.system.order is None:
-        reports.append(CheckReport("satisfiable", "warn",
-                                   ["cyclic parameter definitions: no witness search"]))
-        return reports
-    sols = table.sample_admissible(bound=8)
-    reports.append(CheckReport("satisfiable", "pass" if sols or not table.params
-                               else "fail",
-                               [f"{len(sols)} witness assignments" if sols else
-                                ("no parameters" if not table.params else
-                                 "no admissible assignment found")]))
+    # "fail" only with a proof that nothing is admissible; an empty search is "warn"
+    system = table.system
+    if system.negative_constant:
+        i, j, value = system.negative_constant
+        status, text = "fail", (f"entry ({table.rows[i]}, col {j + 1}) is the negative "
+                                f"constant {value}")
+    elif system.order is None:
+        status, text = "warn", "cyclic parameter definitions: no witness search"
+    elif sols := table.sample_admissible(bound=8):
+        status, text = "pass", f"{len(sols)} witness assignments"
+    elif not system.free:
+        status, text = "fail", "no free parameters, and the one assignment is not admissible"
+    else:
+        status, text = "warn", "no admissible assignment found with free parameters <= 8"
+    reports.append(CheckReport("satisfiable", status, [text]))
     return reports

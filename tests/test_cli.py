@@ -247,6 +247,37 @@ def test_bad_requests_exit_without_a_traceback(capsys, argv, code, message):
     assert message in capsys.readouterr().err
 
 
+_NEGATIVE = "entry (1^2, col 1) is the negative constant -1"
+_FIXED = "no free parameters, and the one assignment is not admissible"
+
+
+@pytest.mark.parametrize("head, entry, evidence", [
+    ("", "-1", _NEGATIVE),
+    ("params = a\n", "-1", _NEGATIVE),  # was "no admissible assignment found"
+    ("constraints = 0>=1\n", "1", _FIXED),  # was "pass: no parameters"
+    ("params = a\nconstraints = a=-1\n", "a", _FIXED),
+], ids=["negative-no-params", "negative-one-param", "false-constant-constraint",
+        "negative-defined-param"])
+def test_satisfiable_fails_with_a_proof(tmp_path, head, entry, evidence):
+    d = tmp_path / "d2"
+    d.mkdir()
+    (d / "A1.dmx").write_text(f"[table]\ngroup = A1\nd = 2\n{head}[chars]\n2\n1^2\n"
+                              f"[cols]\nseries=ps : 2=1 1^2={entry}\nseries=ps : 1^2=1\n")
+    code, out = run(["--corpus", str(tmp_path), "--format", "tsv", "verify"])
+    assert code == 1
+    assert out.splitlines()[-1] == f"d2/A1.dmx\tsatisfiable\tfail\t{evidence}"
+
+
+@pytest.mark.parametrize("argv", [["hecke", "--type", "B", "--rank", "-3", "--d", "2"],
+                                  ["induce", "--char", "2.1", "--rank", "-3"]],
+                         ids=["hecke", "induce"])
+def test_negative_rank_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "argument --rank: expected an integer >= 0, not '-3'" in capsys.readouterr().err
+
+
 def readme_commands():
     """The `unipdec …` lines of the README's `## Command line` sh block."""
     text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,15 +1,20 @@
-"""Every name a module of `src/unipdec` imports is read in that module.
+"""Every name a module of `src/unipdec` imports is read in that module, and
+every name it defines is read somewhere.
 
-The scan uses only `ast`: a name bound by `import` or `from ... import` must
-occur as a name somewhere else in the module.  `__init__.py` is exempt (its
+The scans use only `ast`.  A name bound by `import` or `from ... import` must
+occur as a name somewhere else in the module; `__init__.py` is exempt (its
 imports are the package's re-exports), and so is `from __future__ import
-annotations`.
+annotations`.  A top-level def, class or constant must be read in `src`,
+`tests` or `perfbench`: loaded as a name, taken as an attribute, imported by
+name, or named in a target string of `perfbench/tracer.py` (which wraps its
+targets by name).
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "unipdec"
 
 
 def unused_imports(source):
@@ -40,3 +45,58 @@ def test_scan_sees_an_unused_import():
         ("shutil", source.count("\n") + 2)]
     assert unused_imports("from __future__ import annotations\n"
                           "import os.path\nfrom a import b as c\nos.sep\n") == [("c", 3)]
+
+
+def defined_names(source):
+    """The top-level defs, classes and assigned names of `source`, dunders
+    excepted, as (name, line) in source order."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.id, node.lineno) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]
+    return [(name, line) for name, line in out if not name.startswith("__")]
+
+
+def read_names(source):
+    """The names `source` loads, takes as attributes or imports by name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def tracer_target_names():
+    """Each dotted part of every string in `perfbench/tracer.py`."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".")}
+
+
+def test_every_defined_name_is_read_somewhere():
+    reads = tracer_target_names()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            reads |= read_names(path.read_text())
+    defined = {path.name: defined_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert sum(map(len, defined.values())) > 200
+    dead = {module: [(name, line) for name, line in names if name not in reads]
+            for module, names in defined.items()}
+    assert {module: names for module, names in dead.items() if names} == {}
+
+
+def test_dead_name_scan_sees_a_name_nothing_reads():
+    source = "CAP = 30\nMAX = 2\ndef f():\n    return MAX\nclass K:\n    pass\n"
+    assert defined_names(source) == [("CAP", 1), ("MAX", 2), ("f", 3), ("K", 5)]
+    assert read_names(source) == {"MAX"}
+    assert read_names("from m import CAP\nK.f\n") == {"CAP", "K", "f"}
+    assert {"verify", "ParamBox", "bounds", "hc_induce"} <= tracer_target_names()

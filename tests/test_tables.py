@@ -71,6 +71,13 @@ def test_expr_refuses_what_is_not_an_integer(case):
         case(parse_expr("a"))
 
 
+def test_expr_times_a_float_is_a_type_error():
+    with pytest.raises(TypeError):
+        parse_expr("a") * 2.5
+    with pytest.raises(TypeError):
+        2.5 * parse_expr("a")
+
+
 def test_shipped_tables_roundtrip():
     count = 0
     for f in all_dmx():

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import random
 
@@ -357,7 +358,7 @@ class Reference:
     """ParamBox as it was before it read its bounds and substitutions from
     the table's ParamSystem.  Kept verbatim as the reference."""
 
-    def __init__(self, table, hi=30):
+    def __init__(self, table, hi=math.inf):
         self.table = table
         self.hi = hi
         system = table.system
@@ -402,7 +403,8 @@ class Reference:
             hi_m = 1
             for name in mono:
                 lo_m *= self.low.get(name, 0)
-                hi_m *= self.high.get(name, self.hi)
+                high = self.high.get(name, self.hi)
+                hi_m = hi_m * high if hi_m and high else 0
             if c > 0:
                 lo += c * lo_m
                 hi += c * hi_m
@@ -500,12 +502,59 @@ def test_param_box_matches_reference_on_fuzzed_tables():
 
 
 def test_param_box_on_cyclic_definitions():
-    # a=b+c; b=a-1: nothing is substituted and a, b range over [0, CAP]
+    # a=b+c; b=a-1: nothing is substituted and a, b range over [0, inf)
     table = SYNTHETIC["cyclic"]
     box = verify.ParamBox(table)
-    assert box.bounds(tables.parse_expr("a")) == (0, 30)
-    assert box.bounds(tables.parse_expr("a+b")) == (0, 60)
-    assert box.bounds(tables.parse_expr("c")) == (0, 30)
+    assert box.bounds(tables.parse_expr("a")) == (0, math.inf)
+    assert box.bounds(tables.parse_expr("a+b")) == (0, math.inf)
+    assert box.bounds(tables.parse_expr("c")) == (0, math.inf)
+
+
+def _a1(params, constraints, entry):
+    """An A1 table whose column 1 has `entry` at row 1^2."""
+    return tables.parse("[table]\ngroup = A1\nd = 2\n"
+                        f"params = {params}\nconstraints = {constraints}\n"
+                        "[chars]\n2\n1^2\n[cols]\n"
+                        f"series=ps : 2=1 1^2={entry}\nseries=ps : 1^2=1\n")
+
+
+def test_param_box_bounds_40_minus_d_by_the_constraints_alone():
+    # d = 40 is admissible, so 40-d is not provably positive
+    table = _a1("d", "d>=0", "d")
+    assert table.is_admissible({"d": 40})
+    box = verify.ParamBox(table)
+    assert box.bounds(tables.parse_expr("40-d")) == (-math.inf, 40)
+    assert not box.provably_positive(tables.parse_expr("40-d"))
+
+
+def test_param_box_bounds_d_minus_35_by_the_constraints_alone():
+    # d = 40 makes d-35 positive: it is not negative for all admissible d
+    table = _a1("d", "d>=0", "d")
+    assert table.is_admissible({"d": 40})
+    assert verify.ParamBox(table).bounds(tables.parse_expr("d-35")) == (-35, math.inf)
+
+
+def test_param_box_monomial_with_a_zero_upper_bound():
+    # p <= 0 times the unbounded q: the upper bound is 0, not nan
+    table = _a1("p q", "p<=0", "p+q")
+    box = verify.ParamBox(table)
+    pq = tables.parse_expr("p") * tables.parse_expr("q")
+    assert box.bounds(pq) == (0, 0)
+    assert box.bounds(2 - 3 * pq) == (2, 2)
+    assert box.bounds(pq * tables.parse_expr("q")) == (0, 0)
+
+
+@pytest.mark.parametrize("params, constraints, witness", [
+    ("d", "d>=9", {"d": 9}),   # admissible, but past the search's 8
+    ("d e", "2d-2e=1", None),  # no integer solution; no proof of that yet
+], ids=["d-at-least-9", "parity"])
+def test_satisfiable_warns_when_the_search_finds_nothing(params, constraints, witness):
+    table = _a1(params, constraints, "d")
+    if witness:
+        assert table.is_admissible(witness)
+    rep = verify.run_table_checks(table)[-1]
+    assert (rep.check, rep.status, rep.evidence) == (
+        "satisfiable", "warn", ["no admissible assignment found with free parameters <= 8"])
 
 
 def test_satisfiable_warns_on_cyclic_definitions():
