@@ -235,9 +235,6 @@ class TreeReport:
     status: str
     evidence: str = ""
 
-    def __bool__(self):
-        return self.status == "pass"
-
 
 def _reduce(coeffs, phi):
     """coeffs mod the monic integer polynomial phi, as an integer tuple of

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: verify (run the corpus suite), degrees, craven, hecke, induce,
-trees.  Exit codes: 0 all pass, 1 check failure, 2 a bad argument (from
-argparse) or a data or parse error, 3 unsupported request.
+trees.  verify and trees print the records of `verify.corpus_reports` and
+`verify.tree_reports`.  Exit codes: 0 all pass, 1 check failure, 2 a bad
+argument (from argparse) or a data or parse error, 3 unsupported request.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ import os
 import re
 import sys
 
-from .blocks import BlockError, tree_check
+from .blocks import BlockError
 from .degrees import (UnsupportedGroupError, a_value, A_value, catalog, defect,
                       perversity)
 from .hecke import HeckeError, HeckeSpec, Param, parse_spec, product_count
 from .labels import Bipartition, GroupDescriptor, LabelError
 from .tables import TableError
-from .verify import corpus_tables, corpus_trees, run_table_checks
+from .verify import corpus_reports, tree_reports
 from .weyl import WeylError, induce_char
 
 
@@ -39,34 +40,6 @@ def _only_d(text):
     return int(m.group(1))
 
 
-def _table_filter(args):
-    """Keep a table or a tree when it matches --only and --group; an
-    unknown --group raises UnsupportedGroupError (exit 3)."""
-    group = GroupDescriptor.parse(args.group) if args.group else None
-
-    def keep(path, table):
-        return ((args.only is None or table.d == args.only)
-                and (group is None or table.group == group))
-    return keep
-
-
-def _tree_results(corpus, keep):
-    """Yield (path, status, evidence or chain) for each corpus tree kept.
-
-    A tree file that cannot be parsed or checked raises BlockError naming
-    the file.
-    """
-    for path, tree in corpus_trees(corpus):
-        if not keep(path, tree):
-            continue
-        try:
-            rep = tree_check(tree)
-        except UnsupportedGroupError as exc:
-            raise BlockError(f"{path}: {exc}") from exc
-        chain = " -- ".join(lab or "O" for lab in tree.chain)
-        yield path, rep.status, rep.evidence or chain
-
-
 def _emit(rows, header, fmt, file=None):
     """Print a header and rows as TSV or as aligned text to `file` (stdout)."""
     if fmt == "tsv":
@@ -82,38 +55,22 @@ def _emit(rows, header, fmt, file=None):
 
 
 def cmd_verify(args):
-    keep = _table_filter(args)
-    failed = False
+    group = GroupDescriptor.parse(args.group) if args.group else None  # unknown: exit 3
     lines = []
-    out_path = getattr(args, "out", None)
     try:
-        for path, table in corpus_tables(args.corpus):
-            if not keep(path, table):
-                continue
-            for rep in run_table_checks(table):
-                lines.append((path, rep.check, rep.status,
-                              "; ".join(rep.evidence[:2])))
-                if rep.status == "fail":
-                    failed = True
-                    if args.fail_fast:
-                        raise StopIteration
-        for path, status, text in _tree_results(args.corpus, keep):
-            lines.append((path, "tree", status, text))
-            if status == "fail":
-                failed = True
-                if args.fail_fast:
-                    raise StopIteration
-    except StopIteration:
-        pass
+        for path, rep in corpus_reports(args.corpus, args.only, group):
+            lines.append((path, rep.check, rep.status, "; ".join(rep.evidence[:2])))
+            if args.fail_fast and rep.status == "fail":
+                break
     except (TableError, BlockError, OSError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     header = ("table", "check", "status", "evidence")
     _emit(lines, header, args.format)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             _emit(lines, header, "tsv", fh)
-    return 1 if failed else 0
+    return 1 if any(status == "fail" for _, _, status, _ in lines) else 0
 
 
 def cmd_degrees(args):
@@ -161,9 +118,10 @@ def cmd_induce(args):
 
 
 def cmd_trees(args):
-    keep = _table_filter(args)
+    group = GroupDescriptor.parse(args.group) if args.group else None  # unknown: exit 3
     try:
-        lines = list(_tree_results(args.corpus, keep))
+        lines = [(path, rep.status, rep.evidence[0])
+                 for path, rep in tree_reports(args.corpus, args.only, group)]
     except (BlockError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -140,6 +140,7 @@ class ParamExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _integer(other)
             return ParamExpr._of_sorted({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, ParamExpr):
             return NotImplemented

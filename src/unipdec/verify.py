@@ -6,7 +6,8 @@ reasoning over the box of the table's `ParamSystem`: defined parameters are
 substituted first (`ParamSystem.reduce`), and each free parameter ranges over
 [`lows`, `highs`] from its one-variable constraints alone (`math.inf` where
 none bounds it above), so a verdict on the box holds for every admissible
-assignment.
+assignment.  `corpus_reports` walks the corpus and yields a (path,
+CheckReport) record for every table check and every Brauer tree.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
 
+from .blocks import BlockError, load_trees, tree_check
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor, LabelError
@@ -28,9 +30,6 @@ class CheckReport:
     status: str
     evidence: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.status == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +122,28 @@ def check_degrees(table):
 # unitriangularity with a/A-monotonicity
 
 def check_unitriangular(table):
-    box = ParamBox(table)
+    """Every entry below the diagonal that is not provably zero has strictly
+    larger a- and A-values than its column's leader.  (`tables.parse` has
+    already put a 1 on the diagonal and nothing above it.)"""
     chars = row_chars(table)
+    if any(c is None for c in chars):
+        return CheckReport("unitriangular", "warn",
+                           ["no catalog degrees: a/A-monotonicity not checked"])
+    box = ParamBox(table)
     bad = []
     tentative_bad = []
-    have_degrees = all(c is not None for c in chars)
     for j, col in enumerate(table.columns):
-        sink = tentative_bad if col.tentative else bad
-        if col.entries.get(j) != ParamExpr.const(1):
-            sink.append(f"column {j + 1}: diagonal entry is not 1")
+        rj = chars[j].degree
         for i, expr in col.entries.items():
             if i == j or box.provably_zero(expr):
                 continue
-            if i < j:
-                sink.append(f"entry ({table.rows[i]}, col {j + 1}) above the diagonal")
-            elif have_degrees:
-                ri, rj = chars[i].degree, chars[j].degree
-                if not (ri.a_value() > rj.a_value() and ri.A_value() > rj.A_value()):
-                    sink.append("a/A-monotonicity fails at "
-                                f"({table.rows[i]}, col {table.rows[j]})")
-    status = "fail" if bad else ("warn" if (tentative_bad or not have_degrees)
-                                 else "pass")
-    evidence = bad or [f"tentative column: {e}" for e in tentative_bad]
-    if not have_degrees and not evidence:
-        evidence = ["no catalog degrees: a/A-monotonicity not checked"]
-    return CheckReport("unitriangular", status, evidence)
+            ri = chars[i].degree
+            if not (ri.a_value() > rj.a_value() and ri.A_value() > rj.A_value()):
+                (tentative_bad if col.tentative else bad).append(
+                    f"a/A-monotonicity fails at ({table.rows[i]}, col {table.rows[j]})")
+    status = "fail" if bad else ("warn" if tentative_bad else "pass")
+    return CheckReport("unitriangular", status,
+                       bad or [f"tentative column: {e}" for e in tentative_bad])
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +558,6 @@ def corpus_trees(corpus=None):
     A tree file that does not parse, or that does not sit in a directory
     d<n> with n >= 1, raises BlockError naming the file.
     """
-    from .blocks import BlockError, load_trees
     for sub, f, text in _corpus_files(corpus, ".trees"):
         try:
             d = int(sub[1:]) if sub[1:].isdecimal() else 0
@@ -576,12 +571,9 @@ def corpus_trees(corpus=None):
             yield f"{sub}/{f}", t
 
 
-def run_table_checks(table):
-    """The standard per-table suite; returns the list of CheckReports."""
-    reports = [check_degrees(table), check_unitriangular(table), check_craven(table)]
-    if table.d == 2:
-        reports.append(check_steinberg_mults(table))
-    # "fail" only with a proof that nothing is admissible; an empty search is "warn"
+def check_satisfiable(table):
+    """Is some assignment admissible?  "fail" only with a proof that none
+    is; an empty witness search is "warn"."""
     system = table.system
     if system.negative_constant:
         i, j, value = system.negative_constant
@@ -595,5 +587,46 @@ def run_table_checks(table):
         status, text = "fail", "no free parameters, and the one assignment is not admissible"
     else:
         status, text = "warn", "no admissible assignment found with free parameters <= 8"
-    reports.append(CheckReport("satisfiable", status, [text]))
-    return reports
+    return CheckReport("satisfiable", status, [text])
+
+
+def run_table_checks(table):
+    """The standard per-table suite; returns the list of CheckReports."""
+    checks = [check_degrees, check_unitriangular, check_craven]
+    if table.d == 2:
+        checks.append(check_steinberg_mults)
+    checks.append(check_satisfiable)
+    return [check(table) for check in checks]
+
+
+def _selected(item, d, group):
+    """Does a table or tree match `d` and `group` (None matches all)?"""
+    return (d is None or item.d == d) and (group is None or item.group == group)
+
+
+def tree_reports(corpus=None, d=None, group=None):
+    """Yield (relative path, CheckReport "tree") for every corpus tree
+    selected by `d` and `group`; the evidence is the failure or the chain.
+
+    A tree file that cannot be parsed or checked raises BlockError naming
+    the file.
+    """
+    for path, tree in corpus_trees(corpus):
+        if not _selected(tree, d, group):
+            continue
+        try:
+            rep = tree_check(tree)
+        except UnsupportedGroupError as exc:
+            raise BlockError(f"{path}: {exc}") from exc
+        chain = " -- ".join(lab or "O" for lab in tree.chain)
+        yield path, CheckReport("tree", rep.status, [rep.evidence or chain])
+
+
+def corpus_reports(corpus=None, d=None, group=None):
+    """Yield (relative path, CheckReport) for every check of the corpus
+    selected by `d` and `group`: the tables' suites, then the trees."""
+    for path, table in corpus_tables(corpus):
+        if _selected(table, d, group):
+            for rep in run_table_checks(table):
+                yield path, rep
+    yield from tree_reports(corpus, d, group)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -365,11 +364,3 @@ def restrict_B(chi, a, b):
                     out[key] = out.get(key, 0) + c
     return out
 
-
-def inner_product_B(n, f, g):
-    """Inner product of two class functions given as dicts class -> value."""
-    total = Fraction(0)
-    order = (2 ** n) * math.factorial(n)
-    for cls in signed_classes(n):
-        total += Fraction(class_size(n, cls)) * f[cls] * g[cls]
-    return total / order

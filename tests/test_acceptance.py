@@ -8,11 +8,9 @@ entry at phi{30,15}.
 import pathlib
 import random
 
-import pytest
-
 from unipdec import tables, verify
-from unipdec.blocks import block_partition, load_trees, tree_check
-from unipdec.cyclo import FactoredPoly, parse_factored
+from unipdec.blocks import block_partition, tree_check
+from unipdec.cyclo import FactoredPoly
 from unipdec.degrees import catalog, defect, find_char, perversity, perversity_2_shortcut
 from unipdec.fourier import dl_multiplicity
 from unipdec.hc import table_column_vector

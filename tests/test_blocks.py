@@ -5,14 +5,14 @@ from math import lcm
 
 import pytest
 
-from unipdec import blocks
+from unipdec import blocks, tables
 from unipdec.blocks import (BlockPartition, BrauerTree, block_partition, load_trees,
                             parse_tree_line, symbol_core, tree_check)
 from unipdec.cyclo import DensePoly, FactoredPoly, cyclotomic, euler_phi
 from unipdec.degrees import catalog, defect, find_char, group_order_poly
 from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError,
                             beta_to_partition)
-from unipdec.verify import corpus_trees
+from unipdec.verify import ParamBox, corpus_trees, row_chars
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
 
@@ -452,3 +452,24 @@ def test_gl_weight_one_trees_pass():
     for t in trees:
         rep = tree_check(t)
         assert rep.status == "pass", (str(t.group), t.d, t.chain, rep.evidence)
+
+
+def test_no_shipped_column_crosses_blocks():
+    # a projective indecomposable lies in one block: every entry of a column
+    # outside the block of its leader vanishes on the whole parameter box
+    checked = 0
+    for f in sorted(DATA.glob("d*/*.dmx")) + sorted(DATA.glob("levi/*.dmx")):
+        t = tables.parse(f.read_text())
+        chars = row_chars(t)
+        if None in chars:
+            continue  # no catalog, so no block partition (d6/E8.phi6sq.dmx)
+        labels = [str(c.label) for c in chars]
+        partition = block_partition(t.group, t.d)
+        box = ParamBox(t)
+        for j, col in enumerate(t.columns):
+            block, _ = partition.block_of(labels[j])
+            for i, e in col.entries.items():
+                assert labels[i] in block or box.provably_zero(e), (
+                    f.name, labels[i], labels[j], str(e))
+        checked += 1
+    assert checked == 29

@@ -2,6 +2,7 @@ import io
 import os
 import pathlib
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -173,6 +174,41 @@ def test_filters_select_the_matching_golden_lines():
                      "--only", "d=2", "--group", "E6"])
     assert code == 0 and out.splitlines() == want
     assert len(want) == 7  # five table checks and one tree
+
+
+def _corpus_with_a_negative_entry(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(DATA, corpus)
+    table = corpus / "d2" / "D4.all.dmx"
+    text = table.read_text()
+    table.write_text(text.replace("series=ps : 1.3=1 2+=1 ", "series=ps : 1.3=1 2+=-1 "))
+    assert table.read_text() != text
+    return corpus
+
+
+def test_fail_fast_stops_after_the_first_failing_line(tmp_path):
+    corpus = str(_corpus_with_a_negative_entry(tmp_path))
+    code, out = run(["--corpus", corpus, "--format", "tsv", "verify"])
+    lines = out.splitlines()
+    fails = [k for k, line in enumerate(lines) if line.split("\t")[2] == "fail"]
+    assert code == 1 and len(lines) == 242
+    assert lines[fails[0]] == ("d2/D4.all.dmx\tsatisfiable\tfail\t"
+                               "entry (2+, col 2) is the negative constant -1")
+    code, out = run(["--corpus", corpus, "--format", "tsv", "verify", "--fail-fast"])
+    assert code == 1 and out.splitlines() == lines[:fails[0] + 1]
+
+
+def test_trees_prints_the_tree_lines_of_verify():
+    code, verified = run(["--corpus", str(DATA), "--format", "tsv", "verify"])
+    assert code == 0
+    want = []
+    for line in verified.splitlines()[1:]:
+        path, check, status, evidence = line.split("\t")
+        if check == "tree":
+            want.append("\t".join((path, status, evidence)))
+    code, out = run(["--corpus", str(DATA), "--format", "tsv", "trees"])
+    assert code == 0 and len(want) == 124
+    assert out.splitlines() == ["file\tstatus\ttree"] + want
 
 
 def test_wellformed_table_file_verifies(tmp_path):

@@ -57,7 +57,6 @@ def test_d4_cuspidal_family():
 
 def test_fourier_row_is_half_integral_and_involutive_on_4_family():
     labels = family_of(B4, ".4")
-    import itertools
     mat = {a: family_fourier(B4, a) for a in labels}
     for a in labels:
         for b in labels:

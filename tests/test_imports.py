@@ -1,9 +1,9 @@
-"""Every name a module of `src/unipdec` imports is read in that module, and
-every name it defines is read somewhere.
+"""Every name a module of `src/unipdec` or `tests` imports is read in that
+module, and every name a module of `src/unipdec` defines is read somewhere.
 
 The scans use only `ast`.  A name bound by `import` or `from ... import` must
-occur as a name somewhere else in the module; `__init__.py` is exempt (its
-imports are the package's re-exports), and so is `from __future__ import
+occur as a name somewhere else in the module; the package's `__init__.py` is
+exempt (its imports are the package's re-exports), and so is `from __future__ import
 annotations`.  A top-level def, class or constant must be read in `src`,
 `tests` or `perfbench`: loaded as a name, taken as an attribute, imported by
 name, or named in a target string of `perfbench/tracer.py` (which wraps its
@@ -34,6 +34,13 @@ def unused_imports(source):
 def test_no_unused_imports_in_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert len(found) > 10
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_unused_imports_in_tests():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted((ROOT / "tests").glob("*.py"))}
     assert len(found) > 10
     assert {name: names for name, names in found.items() if names} == {}
 

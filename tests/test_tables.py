@@ -64,11 +64,21 @@ def test_expr_mixes_with_int():
     lambda a: 1.0 + a,
     lambda a: tables.int_or_expr(Fraction(7, 2)),
     lambda a: tables.int_or_expr(2.0),
+    lambda a: a * Fraction(1, 2),      # was 1/2a
+    lambda a: Fraction(1, 2) * a,
 ], ids=["half-minus-a", "float-minus-a", "const-of-7/2", "a-plus-half", "a-minus-float",
-        "float-plus-a", "int_or_expr-of-7/2", "int_or_expr-of-float"])
+        "float-plus-a", "int_or_expr-of-7/2", "int_or_expr-of-float", "a-times-half",
+        "half-times-a"])
 def test_expr_refuses_what_is_not_an_integer(case):
     with pytest.raises(TypeError):
         case(parse_expr("a"))
+
+
+def test_expr_times_an_integral_fraction_has_int_coefficients():
+    # Fraction(4, 2) is stored as 2, so int_or_expr of a constant multiple is an int
+    a = parse_expr("a")
+    assert type((a * Fraction(4, 2)).terms[("a",)]) is int
+    assert type(tables.int_or_expr(ParamExpr.const(3) * Fraction(4, 2))) is int
 
 
 def test_expr_times_a_float_is_a_type_error():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from unipdec import tables, verify
-from unipdec.hc import hc_induce, hc_restrict, table_column_vector
+from unipdec.hc import table_column_vector
 from unipdec.labels import GroupDescriptor
 from unipdec.roots import coxeter_number, regular_height_bound
 from unipdec.tables import ParamExpr

@@ -11,9 +11,9 @@ from itertools import product
 
 import pytest
 
-from unipdec.labels import Bipartition, bipartitions, partitions
+from unipdec.labels import Bipartition, bipartitions
 from unipdec.weyl import (SignedClass, char_value_B, char_value_D, class_size,
-                          induce, inner_product_B, restrict_B, sign_value,
+                          induce, restrict_B, sign_value,
                           signed_classes, w0_class, WeylError)
 
 # symmetric group character tables, values keyed by (irr partition, class partition)
