@@ -8,18 +8,22 @@ B6:, D4:) through their relative type-B Weyl groups.  This is what the
 What is memoised, each handed out read-only: per (group, label text), the
 HC series of a source label and its cover of W(B_n)-characters
 (`_label_cover`) and the catalog label of a target label (`_canonical_text`);
-the induction of one W(B_m)-character into W(B_n) (`weyl.induce_char`,
-keyed by the bipartition, n and the GL-factor partitions); and the
-induction matrix of a (source, target) pair (`induction_matrix`, which
-`hc_restrict` reads on every call).  `hc_induce` itself is not memoised: it
-sums the source labels' covers over the whole vector, in vector order, then
-sums the cached W(B_n)-characters over that cover and only then reads the
-sum back as labels of the target.  The halving at a degenerate
-type-D label stays on that sum because a coefficient there can be odd for
-one source label and even for the vector: lam+ and lam- each put their
-coefficient once on the cover, the pair twice.  Halving label by label
-would raise on such vectors; an odd coefficient of the summed vector is a
-real gap and raises HCError (the A3 -> D4 Levi table is one).
+per (group, bipartition), how a W(B_n)-character of a cover reads back as
+catalog labels of the target, halved or not, and which swapped partner must
+carry the same coefficient in type D (`_read_back`); the induction of one
+W(B_m)-character into W(B_n) (`weyl.induce_char`, keyed by the bipartition,
+n and the GL-factor partitions); and the induction matrix of a (source,
+target) pair (`induction_matrix`, which `hc_restrict` reads on every call).
+`hc_induce` itself is not memoised: it sums the source labels' covers over
+the whole vector, in vector order, then sums the cached W(B_n)-characters
+over that cover and only then reads the sum back as labels of the target.
+The halving at a degenerate type-D label stays on that sum because a
+coefficient there can be odd for one source label and even for the vector:
+lam+ and lam- each put their coefficient once on the cover, the pair twice.
+Halving label by label would raise on such vectors; an odd coefficient of
+the summed vector is a real gap and raises HCError (the A3 -> D4 Levi table
+is one).  The source must be of the target's series or of type A (a GL_n
+Levi); any other source raises UnsupportedGroupError.
 
 Coefficients are ints or `ParamExpr`s, mixed, in plain arithmetic.
 """
@@ -31,7 +35,7 @@ from types import MappingProxyType
 
 from .degrees import catalog, find_char
 from .labels import (_CORE_RANK, UnsupportedGroupError, d_canonical_bip,
-                     parse_label, split_label)
+                     format_partition, parse_label)
 from .tables import ParamExpr
 from .weyl import induce_char, sym_to_hyper
 
@@ -84,24 +88,36 @@ def _rel_rank(group, core):
     return base - _CORE_RANK.get(core, 0) if core != "ps" else base
 
 
-def _from_b_cover(group, cover):
-    """Read a symmetrised B-cover vector back as labels of the group."""
-    out = {}
-    if group.series == "D":
-        for bip, c in cover.items():
-            if bip.left == bip.right:
-                # split evenly between the +/- pair
-                for sgn in "+-":
-                    out[str(split_label(bip.left, sgn))] = _half(c)
-            elif bip == d_canonical_bip(bip):
-                # the swapped orientation carries the same coefficient
-                if cover.get(bip.swapped()) != c:
-                    raise HCError("asymmetric cover vector for a type-D group")
-                out[str(bip)] = c
-        return out
+@lru_cache(maxsize=None)
+def _read_back(group, bip):
+    """How a W(B_n)-character of a cover reads back as labels of the group:
+    (catalog texts it lands on, whether it lands halved, the bipartition
+    whose coefficient must equal its own or None).
+
+    In type D a degenerate bipartition lands halved on its +/- pair, and
+    the two orientations of any other land once, on the canonical one's
+    label; each orientation names the other as its partner.
+    """
+    if group.series != "D":
+        return (_canonical_text(group, str(bip)),), False, None
+    if bip.left == bip.right:
+        half = format_partition(bip.left)
+        return tuple(_canonical_text(group, half + sgn) for sgn in "+-"), True, None
+    texts = (_canonical_text(group, str(bip)),) if bip == d_canonical_bip(bip) else ()
+    return texts, False, bip.swapped()
+
+
+def _from_b_cover(group, cover, out):
+    """Add a symmetrised B-cover vector into `out`, read back as catalog
+    labels of the group."""
     for bip, c in cover.items():
-        out[str(bip)] = c
-    return out
+        texts, halved, partner = _read_back(group, bip)
+        if partner is not None and cover.get(partner) != c:
+            raise HCError("asymmetric cover vector for a type-D group")
+        if halved:
+            c = _half(c)
+        for key in texts:
+            out[key] = out.get(key, 0) + c
 
 
 def _half(c):
@@ -120,11 +136,11 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
     `vector` maps label strings of the source group to coefficients; the
     source sits inside the target as a Levi of the same classical family,
     optionally times GL-factors carrying the partitions in
-    `extra_a_factors`; leftover rank is torus.
+    `extra_a_factors`; leftover rank is torus.  A source of another series
+    than the target's (type A aside) raises UnsupportedGroupError.
     """
-    if target_group.series in ("B", "C", "D") and source_group.series != target_group.series:
-        if not (source_group.series in ("A", "D", "B", "C")):
-            raise UnsupportedGroupError("mixed-series HC induction not supported")
+    if source_group.series not in (target_group.series, "A"):
+        raise UnsupportedGroupError("mixed-series HC induction not supported")
     # the covers of the source labels, summed per series in vector order
     covers = {}
     for lab, c in vector.items():
@@ -145,17 +161,12 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
             for b2, k in induce_char(bip, n, a_factors).items():
                 acc[b2] = acc.get(b2, 0) + c * k
         if core == "ps":
-            part = _from_b_cover(target_group, acc)
-        else:
-            part = {(f"{core}:{bip}" if bip.size() else core): c for bip, c in acc.items()}
-        for lab, c in part.items():
-            out[lab] = out.get(lab, 0) + c
-    # normalise labels against the target catalog
-    canon = {}
-    for lab, c in out.items():
-        key = _canonical_text(target_group, lab)
-        canon[key] = canon.get(key, 0) + c
-    return canon
+            _from_b_cover(target_group, acc, out)
+            continue
+        for bip, c in acc.items():
+            key = _canonical_text(target_group, f"{core}:{bip}" if bip.size() else core)
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 @lru_cache(maxsize=None)

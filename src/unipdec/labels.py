@@ -120,12 +120,19 @@ def format_partition(parts):
 
 @dataclass(frozen=True)
 class Bipartition:
+    """Two partitions; hashed once, as hash((left, right)), on construction."""
+
     left: tuple
     right: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "left", check_partition(self.left))
-        object.__setattr__(self, "right", check_partition(self.right))
+        left, right = check_partition(self.left), check_partition(self.right)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_hash", hash((left, right)))
+
+    def __hash__(self):
+        return self._hash
 
     def size(self):
         return sum(self.left) + sum(self.right)

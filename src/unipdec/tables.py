@@ -78,7 +78,10 @@ class ParamExpr:
 
     @classmethod
     def const(cls, c):
-        return cls({(): _integer(c)})
+        c = _integer(c)
+        out = cls.__new__(cls)
+        out.terms = {(): c} if c else {}
+        return out
 
     @classmethod
     def var(cls, name, coeff=1):
@@ -216,6 +219,8 @@ def int_or_expr(value):
     """`value` as an int when it is a constant with an int coefficient (zero
     included), else as its ParamExpr.  Anything that is not a ParamExpr is
     taken as ParamExpr.const takes it."""
+    if type(value) is int:
+        return value
     if not isinstance(value, ParamExpr):
         return _integer(value)
     terms = value.terms

@@ -299,9 +299,14 @@ def decompose_in_columns(table, vector):
     """Coefficients c with vector = sum c_j * column_j; exact back-substitution.
 
     `vector` maps row labels to integers (or ParamExpr).  Returns a list of
-    ParamExpr coefficients.  The work is done in ints and turns to ParamExpr
-    arithmetic only where a parameter enters (`table.below_diagonal`).
+    ParamExpr coefficients: those of `_backsub`, wrapped.
     """
+    return [_expr(c) for c in _backsub(table, vector)]
+
+
+def _backsub(table, vector):
+    """The coefficients of `decompose_in_columns`, each an int until a
+    parameter enters (`table.below_diagonal`), then a ParamExpr."""
     rows = table.rows
     coeffs = []
     for j, lower in enumerate(table.below_diagonal):
@@ -311,11 +316,16 @@ def decompose_in_columns(table, vector):
             if ck:
                 c = c - ck * e
         coeffs.append(int_or_expr(c))
-    return [_expr(c) for c in coeffs]
+    return coeffs
 
 
 def recompose(table, coeffs):
     """sum c_j * column_j as a dict row label -> ParamExpr."""
+    return {lab: _expr(v) for lab, v in _recompose(table, coeffs).items()}
+
+
+def _recompose(table, coeffs):
+    """The sum of `recompose`, its values ints until a parameter enters."""
     rows = table.rows
     out = {}
     for c, column in zip(coeffs, table.int_columns):
@@ -325,7 +335,7 @@ def recompose(table, coeffs):
         for i, e in column:
             lab = rows[i]
             out[lab] = out.get(lab, 0) + c * e
-    return {lab: _expr(v) for lab, v in out.items()}
+    return out
 
 
 def _expr(c):
@@ -334,12 +344,8 @@ def _expr(c):
 
 def check_backsub_roundtrip(table, vector):
     """vector -> coefficients -> vector must be the identity (exactness)."""
-    coeffs = decompose_in_columns(table, vector)
-    back = recompose(table, coeffs)
-    for lab in table.rows:
-        if back.get(lab, ParamExpr()) != _expr(vector.get(lab, 0)):
-            return False
-    return True
+    back = _recompose(table, _backsub(table, vector))
+    return all(back.get(lab, 0) == vector.get(lab, 0) for lab in table.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +418,12 @@ def check_dl_constraints(table, cls, columns):
     `columns` holds 1-based column indices for which the PIM provably does
     not occur in any smaller R_v so that (DL) applies; the derived affine
     inequalities (-1)^l(w) * coefficient >= 0 are returned and checked for
-    consistency on the admissible box.
+    consistency on the admissible box.  An index outside 1..size raises
+    ValueError.
     """
+    for j in columns:
+        if not 1 <= j <= table.size():
+            raise ValueError(f"column index {j} outside 1..{table.size()}")
     try:
         v = dl_vector(table.group, cls)
     except UnsupportedGroupError as exc:
@@ -452,8 +462,9 @@ MAX_SUBSUM_SUPPORT = 14
 def hc_induced_columns(levi_group, levi_table, target_group, target_table):
     """(HCi): induce every Levi PIM and decompose it in the target columns.
 
-    Returns a CheckReport plus the list of coefficient vectors; failure means
-    some induced projective has a provably negative coefficient.
+    Returns a CheckReport whose `data["decompositions"]` holds the list of
+    coefficient vectors; failure means some induced projective has a
+    provably negative coefficient.
     """
     from .hc import hc_induce
     box = ParamBox(target_table)
@@ -490,9 +501,13 @@ def hcr_candidates(target_group, target_table, combo, levis):
 
     `combo` maps column indices to multiplicities; `levis` is a list of
     (levi_group, levi_table) pairs used for the restriction test.  Subsums
-    are returned as sorted tuples of (column index, multiplicity).
+    are returned as sorted tuples of (column index, multiplicity).  A column
+    index outside 0..size-1 raises ValueError.
     """
     from itertools import product as iproduct
+    for j in combo:
+        if not 0 <= j < target_table.size():
+            raise ValueError(f"column index {j} outside 0..{target_table.size() - 1}")
     cols = sorted(combo)
     if sum(combo.values()) > MAX_SUBSUM_SUPPORT:
         raise ValueError("subsum support too large; refusing the exponential search")

@@ -400,6 +400,32 @@ def test_hc_induce_unsupported_source_still_raises():
     assert got[0] == "UnsupportedGroupError"
 
 
+@pytest.mark.parametrize("source, vector, target", [
+    ("B3", {"3.": 1}, "D4"),     # every orientation of the cover is non-canonical
+    ("D4", {"1.3": 1}, "B5"),
+    ("D4", {"1.3": 1}, "2D5"),
+    ("C3", {"3.": 1}, "B4"),
+    ("2D4", {"3.": 1}, "D5"),
+])
+def test_hc_induce_refuses_a_source_of_another_series(source, vector, target):
+    # none of these sources is a Levi subgroup of its target
+    gs, gt = GroupDescriptor.parse(source), GroupDescriptor.parse(target)
+    with pytest.raises(UnsupportedGroupError, match="mixed-series HC induction not supported"):
+        hc_induce(gs, vector, gt)
+
+
+def test_hc_induce_raises_on_an_asymmetric_type_d_cover():
+    # a cover that only a mixed-series source could give: either orientation
+    # first, the asymmetry raises rather than dropping the non-canonical entry
+    d4 = GroupDescriptor.parse("D4")
+    for bip in (Bipartition((3,), (1,)), Bipartition((1,), (3,))):
+        with pytest.raises(HCError, match="asymmetric cover vector"):
+            hc._from_b_cover(d4, {bip: 1}, {})
+    out = {}
+    hc._from_b_cover(d4, {Bipartition((1,), (3,)): 2, Bipartition((3,), (1,)): 2}, out)
+    assert out == {"1.3": 2}
+
+
 def test_hc_restrict_matches_reference_on_d4_d5_narrative():
     tD4, tD5 = load("d2/D4.all.dmx"), load("d2/D5.principal.dmx")
     # the subsums that the (HCr) search of the criterion-10 narrative tests
@@ -444,6 +470,21 @@ def test_backsub_matches_reference_on_corpus():
                 coeffs[k] = coeffs[k] + ParamExpr.var(rng.choice(names))
             assert same(verify.recompose(t, coeffs), Reference.recompose(t, coeffs)), rel
         assert verify.check_backsub_roundtrip(t, vec)
+    assert seen == 26
+
+
+def test_backsub_roundtrip_holds_on_every_corpus_table():
+    # the round trip compares the int-until-a-parameter values raw, with ==
+    rng = random.Random(18)
+    seen = 0
+    for rel, t in corpus():
+        seen += 1
+        names = t.params or ("z",)
+        for _ in range(4):
+            mixed = random_vector(rng, list(t.rows), names)
+            ints = {lab: rng.randint(-3, 6) for lab in mixed}
+            assert verify.check_backsub_roundtrip(t, ints), (rel, ints)
+            assert verify.check_backsub_roundtrip(t, mixed), (rel, mixed)
     assert seen == 26
 
 

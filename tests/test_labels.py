@@ -2,7 +2,22 @@ import pytest
 
 from unipdec.labels import (BetaSymbol, Bipartition, GroupDescriptor, LabelError,
                             bipartition_to_symbol, bipartitions, classical_label_list,
-                            parse_label, parse_partition, symbol_to_bipartition)
+                            d_canonical_bip, parse_label, parse_partition,
+                            symbol_to_bipartition)
+from unipdec.weyl import sym_to_hyper
+
+
+def test_bipartition_hash_is_that_of_a_fresh_equal_instance():
+    # the hash is computed once, on the checked parts; every way of building
+    # a bipartition must give the hash of an equal one built afresh
+    built = [Bipartition.parse(t) for t in ("21.1^2", ".4", "3.", ".")]
+    built += [b.swapped() for b in built] + [d_canonical_bip(b) for b in built]
+    built += list(sym_to_hyper((2, 1))) + [Bipartition([2, 1, 0], (0,)), Bipartition((), [])]
+    for b in built:
+        fresh = Bipartition(tuple(b.left), tuple(b.right))
+        assert b == fresh and hash(b) == hash(fresh) == hash((b.left, b.right)), b
+        assert {fresh: 1}[b] == 1
+    assert repr(Bipartition([2, 1, 0], ())) == "Bipartition(left=(2, 1), right=())"
 
 
 def test_partition_grammar():

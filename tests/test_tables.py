@@ -81,6 +81,18 @@ def test_expr_times_an_integral_fraction_has_int_coefficients():
     assert type(tables.int_or_expr(ParamExpr.const(3) * Fraction(4, 2))) is int
 
 
+def test_const_stores_an_int_and_nothing_for_zero():
+    assert ParamExpr.const(0).terms == {} and ParamExpr.const(Fraction(0, 3)).terms == {}
+    assert ParamExpr.const(-4).terms == {(): -4}
+    two = ParamExpr.const(Fraction(4, 2))
+    assert two.terms == {(): 2} and type(two.terms[()]) is int
+    with pytest.raises(TypeError):
+        ParamExpr.const(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        ParamExpr.const(2.0)
+    assert tables.int_or_expr(7) == 7 and type(tables.int_or_expr(True)) is int
+
+
 def test_expr_times_a_float_is_a_type_error():
     with pytest.raises(TypeError):
         parse_expr("a") * 2.5

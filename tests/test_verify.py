@@ -176,6 +176,14 @@ def test_dl_constraints_B4_coxeter():
     assert ineqs[19] == ParamExpr.const(1) - ParamExpr.var("x3")   # x3 <= 1
 
 
+@pytest.mark.parametrize("column", [0, -1, 21])
+def test_dl_constraints_reject_a_column_out_of_range(column):
+    # column 0 must not wrap around to column 20's coefficient
+    t = load("d2/B4.symbolic.dmx")
+    with pytest.raises(ValueError, match=f"column index {column} outside 1..20"):
+        verify.check_dl_constraints(t, coxeter_class(4), [17, column])
+
+
 def test_dl_flipped_entry_is_infeasible():
     text = (DATA / "d2" / "B4.symbolic.dmx").read_text().replace(
         "params = x1 x2 x3 x4", "params = x1 x2 x3 x4").replace(
@@ -214,6 +222,15 @@ def test_hcr_subsum_narrative():
     # distinct ones, one twice: the only compatible split is Psi_3 plus 2 Psi_6
     splits = [c for c in cands if sum(m for _, m in c) == 1]
     assert ((2, 1),) in splits and ((5, 1),) in splits
+
+
+@pytest.mark.parametrize("combo", [{-1: 1, 5: 1}, {2: 1, 20: 1}])
+def test_hcr_rejects_a_column_out_of_range(combo):
+    # the key -1 must not wrap around to column 19
+    tD4, tD5 = load("d2/D4.all.dmx"), load("d2/D5.principal.dmx")
+    bad = min(combo) if min(combo) < 0 else max(combo)
+    with pytest.raises(ValueError, match=f"column index {bad} outside 0..19"):
+        verify.hcr_candidates(tD5.group, tD5, combo, [(tD4.group, tD4)])
 
 
 def test_hcr_rejects_artificial_column():
