@@ -365,16 +365,17 @@ def _small_arg_count(e, d):
 
 
 def perversity(c, d):
-    """Craven's pi_d: (A+a)/d + m(1,R)/2 + small-argument root count."""
+    """Craven's pi_d: (A+a)/d + m(1,R)/2 + small-argument root count.
+
+    Every term is a multiple of 1/(2d), so the integer numerator
+    2(A+a) + d*m(1,R) + 2d*count is summed and one Fraction built over 2d.
+    """
     if d < 1:
         raise ValueError("d must be positive")
     deg = c.degree
-    val = Fraction(deg.A_value() + deg.a_value(), d)
-    val += Fraction(deg.root_multiplicity(1), 2)
-    for e, m in deg.cyclo_mults:
-        if e > 1:
-            val += m * _small_arg_count(e, d)
-    return val
+    count = sum(m * _small_arg_count(e, d) for e, m in deg.cyclo_mults if e > 1)
+    num = 2 * (deg.A_value() + deg.a_value()) + d * deg.root_multiplicity(1) + 2 * d * count
+    return Fraction(num, 2 * d)
 
 
 def perversity_2_shortcut(c):

@@ -85,6 +85,8 @@ def _cover_rank(group):
 
 def _rel_rank(group, core):
     base = _cover_rank(group)
+    if base is None:  # a type-A target has no W(B_n) cover
+        raise UnsupportedGroupError(f"HC induction into {group} not implemented")
     return base - _CORE_RANK.get(core, 0) if core != "ps" else base
 
 

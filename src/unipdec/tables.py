@@ -94,7 +94,10 @@ class ParamExpr:
         return bool(self.terms)
 
     def is_constant(self):
-        return all(m == () for m in self.terms)
+        """Is it an integer (zero included)?  Only the empty monomial can
+        make up a constant, so this never looks past one term."""
+        terms = self.terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def constant(self):
         return self.terms.get((), 0)
@@ -186,10 +189,13 @@ class ParamExpr:
         return ParamExpr._of_sorted(out)
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
+        if len(terms) == 1 and () in terms:
+            return str(terms[()])
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])):
+        for m, c in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
             name = "".join(m) if len(m) <= 1 else "*".join(m)
             if not m:
                 piece = str(abs(c))
@@ -239,7 +245,9 @@ def parse_expr(text):
     ParamExpr per term would give.  The terms are memoised per text; each
     call returns a fresh ParamExpr, since a ParamExpr holds a dict.
     """
-    return ParamExpr._of_sorted(_expr_terms(text))
+    out = ParamExpr.__new__(ParamExpr)
+    out.terms = dict(_expr_terms(text))  # it stores no zero coefficient
+    return out
 
 
 @cache
@@ -611,6 +619,15 @@ _TABLE_KEYS = ("group", "d", "block", "degrees", "params", "constraints")
 
 
 def parse(text):
+    """Parse one table file (grammar in the module docstring).
+
+    Each distinct label text is canonicalised once per file: the rows' texts
+    first, then an entry's text on its first sight, into a dict from raw
+    text to row index.  Every entry is a fresh ParamExpr.  An error in a
+    row, entry, column or constraint names its line: the row's, the
+    column's, the `constraints =` line, and for an undeclared parameter the
+    first line that uses it.
+    """
     section = None
     meta = {}
     meta_line = {}
@@ -658,7 +675,10 @@ def parse(text):
                 if "=" not in piece:
                     raise TableError(f"line {lineno}: bad entry {piece!r}")
                 lab, expr = piece.split("=", 1)
-                entries.append((lab, parse_expr(expr)))
+                try:
+                    entries.append((lab, parse_expr(expr)))
+                except TableError as exc:
+                    raise TableError(f"line {lineno}: {exc}") from exc
             cols.append((series, tentative, entries, lineno))
         else:
             raise TableError(f"line {lineno}: text outside any section")
@@ -680,19 +700,25 @@ def parse(text):
     if d < 1:
         raise TableError(f"line {meta_line['d']}: d must be positive, not {d}")
     params = tuple(meta.get("params", "").split())
-    constraints = tuple(parse_constraint(c) for c in meta.get("constraints", "").split(";")
-                        if c.strip())
+    try:
+        constraints = tuple(parse_constraint(c)
+                            for c in meta.get("constraints", "").split(";") if c.strip())
+    except TableError as exc:
+        raise TableError(f"line {meta_line['constraints']}: {exc}") from exc
     degrees_kind = meta.get("degrees", "none")
     if degrees_kind not in ("full", "leading", "none"):
         raise TableError(f"line {meta_line['degrees']}: degrees must be full, leading "
                          f"or none, not {degrees_kind!r}")
 
-    def canon(text):
+    def canon(text, lineno):
         # row labels are stored in canonical orientation so vectors computed
         # from the catalogs match up with the table rows
         if group.series not in ("A", "2A", "B", "C", "D", "2D"):
             return text
-        return _canonical_label(group, text)
+        try:
+            return _canonical_label(group, text)
+        except TableError as exc:
+            raise TableError(f"line {lineno}: {exc}") from exc
 
     def degree(text, lineno):
         try:
@@ -700,37 +726,51 @@ def parse(text):
         except CycloError as exc:
             raise TableError(f"line {lineno}: {exc}") from exc
 
-    row_labels = tuple(canon(lab) for lab, _, _ in chars)
-    row_index = {lab: i for i, lab in enumerate(row_labels)}
-    if len(row_index) != len(row_labels):
-        raise TableError("duplicate row label")
+    row_labels = tuple(canon(lab, lineno) for lab, _, lineno in chars)
+    first = {}  # canonical label -> row index
+    for i, lab in enumerate(row_labels):
+        if lab in first:
+            raise TableError(f"line {chars[i][2]}: duplicate row label {lab!r} "
+                             f"(first on line {chars[first[lab]][2]})")
+        first[lab] = i
+    row_of = {raw: i for i, (raw, _, _) in enumerate(chars)}  # raw text -> row index
     row_degrees = tuple(degree(deg, lineno) if deg else None for _, deg, lineno in chars)
     columns = []
+    used = {}  # parameter name -> first line that uses it
     for j, (series, tentative, entries, lineno) in enumerate(cols):
         by_index = {}
-        for lab, expr in entries:
-            lab = canon(lab)
-            if lab not in row_index:
-                raise TableError(f"column {j + 1}: unknown label {lab!r}")
-            if row_index[lab] in by_index:
-                raise TableError(f"line {lineno}: row {lab!r} given twice in one column")
-            by_index[row_index[lab]] = expr
+        for raw, expr in entries:
+            i = row_of.get(raw)
+            if i is None:
+                lab = canon(raw, lineno)
+                if lab not in first:
+                    raise TableError(f"line {lineno}: column {j + 1}: unknown label {lab!r}")
+                i = row_of[raw] = first[lab]
+            if i in by_index:
+                raise TableError(f"line {lineno}: row {row_labels[i]!r} given twice "
+                                 f"in one column")
+            by_index[i] = expr
+            for mono in expr.terms:
+                for name in mono:
+                    used.setdefault(name, lineno)
         columns.append(Column(series, tentative, by_index))
     if len(columns) != len(row_labels):
         raise TableError(f"{len(columns)} columns for {len(row_labels)} rows")
     for j, col in enumerate(columns):
-        if col.entries.get(j) != ParamExpr.const(1):
-            raise TableError(f"column {j + 1} has no diagonal 1 at {row_labels[j]!r}")
-        if any(i < j for i in col.entries):
-            raise TableError(f"column {j + 1} has entries above the diagonal")
-    unknown = set()
-    for col in columns:
-        for e in col.entries.values():
-            unknown |= e.names()
+        entry = col.entries.get(j)
+        if entry is None or entry.terms != {(): 1}:
+            raise TableError(f"line {cols[j][3]}: column {j + 1} has no diagonal 1 "
+                             f"at {row_labels[j]!r}")
+        if min(col.entries) < j:
+            raise TableError(f"line {cols[j][3]}: column {j + 1} has entries above "
+                             f"the diagonal")
     for c in constraints:
-        unknown |= c.expr.names()
-    if not unknown <= set(params):
-        raise TableError(f"undeclared parameters {sorted(unknown - set(params))}")
+        for name in c.expr.names():
+            used[name] = min(used.get(name, inf), meta_line["constraints"])
+    unknown = sorted(set(used) - set(params))
+    if unknown:
+        line = min(used[name] for name in unknown)
+        raise TableError(f"line {line}: undeclared parameters {unknown}")
     return DecompTable(group, d, meta.get("block", "principal"), degrees_kind,
                        params, constraints, row_labels, row_degrees, tuple(columns))
 

@@ -532,10 +532,11 @@ def hcr_candidates(target_group, target_table, combo, levis):
 # ---------------------------------------------------------------------------
 # corpus access and the full per-table suite
 
-def _corpus_files(corpus, suffix):
+def _corpus_files(corpus, suffix, error):
     """Yield (subdirectory name, file name, text) for every corpus file
     ending in `suffix`: the `d*` subdirectories of `corpus` (the shipped
-    data when None) in name order, and their files in name order."""
+    data when None) in name order, and their files in name order.  A file
+    that is not UTF-8 raises `error` naming it."""
     import importlib.resources
     import pathlib
     if corpus is None:
@@ -547,17 +548,21 @@ def _corpus_files(corpus, suffix):
         if not d_dir.is_dir():
             continue
         for f in sorted(p.name for p in d_dir.iterdir() if p.name.endswith(suffix)):
-            yield sub, f, d_dir.joinpath(f).read_text()
+            try:
+                text = d_dir.joinpath(f).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{sub}/{f}: {exc}") from exc
+            yield sub, f, text
 
 
 def corpus_tables(corpus=None):
     """Yield (relative path, DecompTable) for every shipped table.
 
-    A table that does not parse, or whose `d` is not that of its directory
-    d<n>, raises TableError naming the file.
+    A table that is not UTF-8, does not parse, or whose `d` is not that of
+    its directory d<n>, raises TableError naming the file.
     """
     from . import tables as tmod
-    for sub, f, text in _corpus_files(corpus, ".dmx"):
+    for sub, f, text in _corpus_files(corpus, ".dmx", tmod.TableError):
         try:
             table = tmod.parse(text)
             if sub != f"d{table.d}":
@@ -570,10 +575,10 @@ def corpus_tables(corpus=None):
 def corpus_trees(corpus=None):
     """Yield (relative path, BrauerTree) for every shipped tree.
 
-    A tree file that does not parse, or that does not sit in a directory
-    d<n> with n >= 1, raises BlockError naming the file.
+    A tree file that is not UTF-8, does not parse, or that does not sit in
+    a directory d<n> with n >= 1, raises BlockError naming the file.
     """
-    for sub, f, text in _corpus_files(corpus, ".trees"):
+    for sub, f, text in _corpus_files(corpus, ".trees", BlockError):
         try:
             d = int(sub[1:]) if sub[1:].isdecimal() else 0
             if d < 1:

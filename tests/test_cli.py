@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from unipdec.cli import main
+from unipdec.verify import corpus_tables
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
 
@@ -96,6 +97,26 @@ def test_verify_tsv_matches_golden_output():
     assert out == golden
 
 
+def test_degrees_tsv_matches_golden_output():
+    # tests/data/degrees.tsv is `unipdec --format tsv degrees` for every
+    # (group, d) pair of the corpus tables that has a catalog (no E8), one
+    # block per pair under a "# <group> d=<d>" line.  It pins the present
+    # output, not values known to be true: the F4 rows phi{4,7}' and
+    # phi{4,7}'' fail the catalog identities (ROADMAP item 6), and their
+    # fix must update the file.
+    golden = (pathlib.Path(__file__).parent / "data" / "degrees.tsv").read_text()
+    blocks = {}
+    for block in golden.split("# ")[1:]:
+        head, body = block.split("\n", 1)
+        blocks[head] = body
+    pairs = {f"{t.group} d={t.d}" for _, t in corpus_tables(str(DATA)) if str(t.group) != "E8"}
+    assert set(blocks) == pairs and len(pairs) == 22
+    for head, body in blocks.items():
+        group, d = head.split(" d=")
+        code, out = run(["--format", "tsv", "degrees", "--group", group, "--d", d])
+        assert code == 0 and out == body, head
+
+
 _BAD_TREES = [
     ("d3", "Q9.trees", "1^3. -- O", "cannot parse group descriptor 'Q9'"),
     ("d3", "D4.trees", "21^2. -- O -- O", "exactly one exceptional vertex"),
@@ -120,6 +141,7 @@ def test_malformed_tree_file_exits_2(tmp_path, capsys, sub, name, line, why, com
 
 
 _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\n"
+_COLS = ".4 | 1\n[cols]\nseries=ps : .4=1\n"  # replaced to give a second row and column
 
 
 @pytest.mark.parametrize("old, new, why", [
@@ -138,6 +160,18 @@ _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\
     (".4=1", ".4=1 .4=7", "line 7: row '.4' given twice in one column"),
     # {4, -} written in both orientations is one type-D row
     (".4=1", ".4=1 4.=7", "line 7: row '.4' given twice in one column"),
+    (".4 | 1", ".4 | 1\n| 1", "line 6: empty label"),
+    (".4 | 1", ".4 | 1\nx.y", "line 6: bad partition 'x'"),
+    (".4=1", ".4=a*b", "line 7: cannot parse expression 'a*b' at '*b'"),
+    (".4 | 1", ".4 | 1\n4.", "line 6: duplicate row label '.4' (first on line 5)"),
+    (".4=1", ".4=1 31.=1", "line 7: column 1: unknown label '.31'"),
+    (_COLS, ".4 | 1\n1.3\n[cols]\nseries=ps : .4=1\nseries=ps : .4=2\n",
+     "line 9: column 2 has no diagonal 1 at '1.3'"),
+    (_COLS, ".4 | 1\n1.3\n[cols]\nseries=ps : .4=1\nseries=ps : .4=2 1.3=1\n",
+     "line 9: column 2 has entries above the diagonal"),
+    ("d = 2", "d = 2\nconstraints = a", "line 4: no relation in constraint 'a'"),
+    (_COLS, ".4 | 1\n1.3\n[cols]\nseries=ps : .4=1 1.3=b\nseries=ps : 1.3=1\n",
+     "line 8: undeclared parameters ['b']"),
 ])
 def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     d = tmp_path / "d2"
@@ -147,6 +181,18 @@ def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: d2/X.dmx: ") and why in err
+
+
+@pytest.mark.parametrize("sub, name, command", [
+    ("d2", "X.dmx", "verify"), ("d3", "D4.trees", "verify"), ("d3", "D4.trees", "trees")])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, sub, name, command):
+    d = tmp_path / sub
+    d.mkdir()
+    (d / name).write_bytes(b"[table]\ngroup = D4\xff\n")
+    code, out = run(["--corpus", str(tmp_path), command])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sub}/{name}: ") and "can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "trees"])

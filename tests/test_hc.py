@@ -414,6 +414,18 @@ def test_hc_induce_refuses_a_source_of_another_series(source, vector, target):
         hc_induce(gs, vector, gt)
 
 
+@pytest.mark.parametrize("source, vector", [("A1", {"2": 1}), ("A2", {"3": 1})])
+def test_hc_induce_refuses_a_type_a_target(source, vector):
+    # type A has no W(B_n) cover to induce in; a type-A source into a
+    # classical target still induces
+    gs, a3 = GroupDescriptor.parse(source), GroupDescriptor.parse("A3")
+    with pytest.raises(UnsupportedGroupError, match="HC induction into A3 not implemented"):
+        hc_induce(gs, vector, a3)
+    with pytest.raises(UnsupportedGroupError, match="HC induction into A3 not implemented"):
+        hc.induction_matrix(gs, a3)
+    assert hc_induce(gs, vector, GroupDescriptor.parse("B3"))
+
+
 def test_hc_induce_raises_on_an_asymmetric_type_d_cover():
     # a cover that only a mixed-series source could give: either orientation
     # first, the asymmetry raises rather than dropping the non-canonical entry

@@ -173,8 +173,8 @@ series=ps : {row}=1
 
 
 @pytest.mark.parametrize("row, entry, message", [
-    ("q.", "1", "bad partition 'q'"),
-    ("1^2.", "2*x", "cannot parse expression '2*x' at '*x'"),
+    ("q.", "1", "line 6: bad partition 'q'"),
+    ("1^2.", "2*x", "line 8: cannot parse expression '2*x' at '*x'"),
 ])
 def test_parse_errors_repeat_after_memoised_parses(row, entry, message):
     text = _BAD_B2.format(row=row, entry=entry)
