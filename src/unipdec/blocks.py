@@ -34,11 +34,17 @@ class BlockError(ValueError):
 
 def _runner_core(row, e):
     """The e-core of a beta-set: each bead slid down its runner mod e, as
-    far as the beads below it allow (the bead count stays)."""
+    far as the beads below it allow (the bead count stays).  Read level by
+    level, the beads come out increasing."""
     counts = [0] * e
     for x in row:
         counts[x % e] += 1
-    return tuple(sorted(r + e * j for r, c in enumerate(counts) for j in range(c)))
+    out = []
+    for k in range(max(counts)):
+        for r, c in enumerate(counts):
+            if c > k:
+                out.append(r + e * k)
+    return tuple(out)
 
 
 def _ordered_reduced(top, bottom):
@@ -61,7 +67,8 @@ def symbol_core(sym, d):
     rho to level k - 1 of the other row.  Placing (rho, k) at slot
     2k + (rho xor k mod 2) makes every cohook a step of 2 slots down, so the
     core keeps the bead count per (runner, slot parity) and packs each one
-    into the lowest slots.
+    into the lowest slots.  Both rows are read level by level, so each
+    comes out increasing.
     """
     if d % 2:
         return _ordered_reduced(_runner_core(sym.top, d), _runner_core(sym.bottom, d))
@@ -72,11 +79,11 @@ def symbol_core(sym, d):
             k, r = divmod(x, e)
             counts[2 * r + ((rho ^ k) & 1)] += 1
     rows = ([], [])
-    for i, c in enumerate(counts):
-        r, parity = divmod(i, 2)
-        for k in range(c):  # slot parity + 2k sits at level k
-            rows[parity ^ (k & 1)].append(r + e * k)
-    return _ordered_reduced(tuple(sorted(rows[0])), tuple(sorted(rows[1])))
+    for k in range(max(counts)):
+        for i, c in enumerate(counts):
+            if c > k:  # slot parity + 2k of runner i // 2 sits at level k
+                rows[(i & 1) ^ (k & 1)].append(i // 2 + e * k)
+    return _ordered_reduced(tuple(rows[0]), tuple(rows[1]))
 
 
 def partition_core(beta, e):
@@ -274,9 +281,10 @@ def _monic_residue(q_exp, cyclo_mults, d):
     """q^q_exp * prod over e != d of Phi_e^m, reduced mod Phi_d: the value of
     the monic part of a degree, Phi_d removed, at a primitive d-th root of
     unity, as an integer tuple of length phi(d).  q^d = 1 there, so only
-    q_exp mod d matters."""
+    q_exp mod d matters, and `tree_check` passes q_exp mod d to share the
+    memo."""
     phi = cyclotomic(d).coeffs
-    out = _power_residue(0, q_exp % d, d)
+    out = _power_residue(0, q_exp, d)
     for e, m in cyclo_mults:
         if e != d:
             out = _mulmod(out, _power_residue(e, m, d), phi)
@@ -336,6 +344,7 @@ def tree_check(tree):
     at a primitive d-th root of unity zeta, in Z[q]/(Phi_d), with nothing
     expanded: Phi_d^M divides D_u + D_v iff u(zeta) + v(zeta) = 0, and
     u(zeta) is s times the integer residue of the monic part mod Phi_d.
+    zeta^d = 1, so the residues are memoised per (k mod d, factors, d).
     The alternating sum is Phi_d^(M-1) times a sum of such u, so it is
     divisible by Phi_d^(M-1) once it is nonzero.
 
@@ -367,8 +376,8 @@ def tree_check(tree):
         if u is None or v is None:
             continue
         du, dv = cm[u].degree, cm[v].degree
-        ru = _monic_residue(du.q_exp, du.cyclo_mults, d)
-        rv = _monic_residue(dv.q_exp, dv.cyclo_mults, d)
+        ru = _monic_residue(du.q_exp % d, du.cyclo_mults, d)
+        rv = _monic_residue(dv.q_exp % d, dv.cyclo_mults, d)
         # su * ru + sv * rv = 0, times the denominators of su and sv
         a, b = du.scalar.numerator, du.scalar.denominator
         c, e = dv.scalar.numerator, dv.scalar.denominator

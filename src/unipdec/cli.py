@@ -9,6 +9,7 @@ argument (from argparse) or a data or parse error, 3 unsupported request.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -56,20 +57,25 @@ def _emit(rows, header, fmt, file=None):
 
 def cmd_verify(args):
     group = GroupDescriptor.parse(args.group) if args.group else None  # unknown: exit 3
-    lines = []
-    try:
-        for path, rep in corpus_reports(args.corpus, args.only, group):
-            lines.append((path, rep.check, rep.status, "; ".join(rep.evidence[:2])))
-            if args.fail_fast and rep.status == "fail":
-                break
-    except (TableError, BlockError, OSError, LabelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    try:  # before the walk, so that a path that cannot be written fails fast
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
-    header = ("table", "check", "status", "evidence")
-    _emit(lines, header, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            _emit(lines, header, "tsv", fh)
+    with out or contextlib.nullcontext():
+        lines = []
+        try:
+            for path, rep in corpus_reports(args.corpus, args.only, group):
+                lines.append((path, rep.check, rep.status, "; ".join(rep.evidence[:2])))
+                if args.fail_fast and rep.status == "fail":
+                    break
+        except (TableError, BlockError, OSError, LabelError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        header = ("table", "check", "status", "evidence")
+        _emit(lines, header, args.format)
+        if out:
+            _emit(lines, header, "tsv", out)
     return 1 if any(status == "fail" for _, _, status, _ in lines) else 0
 
 

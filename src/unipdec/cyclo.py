@@ -170,7 +170,9 @@ def cyclotomic(d):
     return num
 
 
+@lru_cache(maxsize=None)
 def euler_phi(d):
+    """The degree of Phi_d; memoised per d."""
     return cyclotomic(d).degree()
 
 

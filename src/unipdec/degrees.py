@@ -326,7 +326,18 @@ def catalog_map(g):
 
 @lru_cache(maxsize=None)
 def find_char(g, text):
-    """The catalog character of g labelled `text`; memoised per (g, text)."""
+    """The catalog character of g labelled `text`; memoised per (g, text).
+
+    A text that is a catalog key is the text of the label it names (parsing
+    it gives a label of the same text), so it is looked up as it is.  Any
+    other text (spaces around it, a swapped type-D orientation, `D4:.`, an
+    unknown label, a group without a catalog) is parsed and resolved, and
+    raises as it always did.
+    """
+    try:
+        return catalog_map(g)[text]
+    except (KeyError, UnsupportedGroupError):
+        pass
     label = parse_label(text, g)
     cm = catalog_map(g)
     if str(label) in cm:

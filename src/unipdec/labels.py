@@ -70,9 +70,9 @@ class GroupDescriptor:
 def check_partition(parts):
     """The nonzero parts as a tuple of ints; raises unless they are
     non-increasing and positive (a non-increasing row is positive iff its
-    last part is)."""
+    last part is).  Order is checked against the C-level `sorted`."""
     parts = tuple(p for p in map(int, parts) if p)
-    if parts and (parts[-1] < 0 or any(a < b for a, b in zip(parts, parts[1:]))):
+    if parts and (parts[-1] < 0 or list(parts) != sorted(parts, reverse=True)):
         raise LabelError(f"not a partition: {parts}")
     return parts
 
@@ -175,9 +175,10 @@ class BetaSymbol:
     bottom: tuple
 
     def __post_init__(self):
-        # a strictly increasing row is nonnegative iff its first entry is
+        # a strictly increasing row is nonnegative iff its first entry is,
+        # and strictly increasing iff it equals its sorted set
         for row in (self.top, self.bottom):
-            if row and (row[0] < 0 or any(a >= b for a, b in zip(row, row[1:]))):
+            if row and (row[0] < 0 or list(row) != sorted(set(row))):
                 raise LabelError(f"bad symbol row {row}")
 
     def reduced(self):
@@ -326,13 +327,16 @@ def partitions(n, maxpart=None):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def bipartitions(n):
+    """Every bipartition of n, left side growing: memoised per n, and a
+    tuple so that no caller can change the memo."""
     out = []
     for k in range(n + 1):
         for l in partitions(k):
             for r in partitions(n - k):
                 out.append(Bipartition(l, r))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

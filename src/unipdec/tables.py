@@ -33,6 +33,7 @@ from functools import cache, cached_property
 from math import inf
 
 from .cyclo import CycloError, parse_factored
+from .degrees import catalog_map
 from .labels import GroupDescriptor, LabelError, UnsupportedGroupError, resolve_label
 
 
@@ -611,6 +612,20 @@ def _canonical_label(group, text):
         raise TableError(str(exc))
 
 
+def _catalog_label(group, text):
+    """`text` itself, once it is a key of the catalog of the exceptional
+    group `group`; E7 and E8 ship no catalog, so any non-empty text passes."""
+    if not text:
+        raise TableError("empty label")
+    try:
+        known = catalog_map(group)
+    except UnsupportedGroupError:
+        return text
+    if text not in known:
+        raise TableError(f"unknown label {text!r} (not in the {group} catalog)")
+    return text
+
+
 # FactoredPoly is frozen, so one parse per degree text can be shared
 _parse_degree = cache(parse_factored)
 
@@ -626,7 +641,9 @@ def parse(text):
     text to row index.  Every entry is a fresh ParamExpr.  An error in a
     row, entry, column or constraint names its line: the row's, the
     column's, the `constraints =` line, and for an undeclared parameter the
-    first line that uses it.
+    first line that uses it.  A label of an exceptional group is kept as it
+    is written; it must be a key of the group's catalog where one is
+    shipped (E6, 2E6, F4), while E7 and E8 accept any non-empty text.
     """
     section = None
     meta = {}
@@ -713,10 +730,10 @@ def parse(text):
     def canon(text, lineno):
         # row labels are stored in canonical orientation so vectors computed
         # from the catalogs match up with the table rows
-        if group.series not in ("A", "2A", "B", "C", "D", "2D"):
-            return text
         try:
-            return _canonical_label(group, text)
+            if group.series in ("A", "2A", "B", "C", "D", "2D"):
+                return _canonical_label(group, text)
+            return _catalog_label(group, text)
         except TableError as exc:
             raise TableError(f"line {lineno}: {exc}") from exc
 

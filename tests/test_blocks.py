@@ -12,7 +12,7 @@ from unipdec.cyclo import DensePoly, FactoredPoly, cyclotomic, euler_phi
 from unipdec.degrees import catalog, defect, find_char, group_order_poly
 from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError,
                             beta_to_partition)
-from unipdec.verify import ParamBox, corpus_trees, row_chars
+from unipdec.verify import ParamBox, corpus_tables, corpus_trees, row_chars
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
 
@@ -473,3 +473,27 @@ def test_no_shipped_column_crosses_blocks():
                     f.name, labels[i], labels[j], str(e))
         checked += 1
     assert checked == 29
+
+
+def test_blocks_tsv_matches_golden_output():
+    # tests/data/blocks.tsv is block_partition for every (group, d) pair of
+    # the corpus tables and trees, under a "# <group> d=<d>" line: one
+    # "defect<TAB>labels" line per block in block_partition order, the labels
+    # sorted and space-joined.  E8 at d = 6 is left out, as E8 has no
+    # catalog.  Like degrees.tsv it pins the present output, not values
+    # known to be true.
+    golden = (pathlib.Path(__file__).parent / "data" / "blocks.tsv").read_text()
+    pairs = {(t.group, t.d) for _, t in corpus_tables(str(DATA))}
+    pairs |= {(t.group, t.d) for _, t in corpus_trees(str(DATA))}
+    e8 = GroupDescriptor.parse("E8")
+    assert {(g, d) for g, d in pairs if g == e8} == {(e8, 6)}
+    with pytest.raises(UnsupportedGroupError):
+        block_partition(e8, 6)
+    pairs = sorted(((g, d) for g, d in pairs if g != e8), key=lambda p: (str(p[0]), p[1]))
+    assert len(pairs) == 64
+    got = "".join(f"# {g} d={d}\n" + "".join(f"{dft}\t{' '.join(sorted(labels))}\n"
+                                             for labels, dft in block_partition(g, d).blocks)
+                  for g, d in pairs)
+    for want, have in zip(golden.split("# ")[1:], got.split("# ")[1:]):
+        assert have == want, want.split("\n", 1)[0]  # the first pair that differs
+    assert got == golden

@@ -183,6 +183,33 @@ def test_malformed_table_file_exits_2(tmp_path, capsys, old, new, why):
     assert err.startswith("error: d2/X.dmx: ") and why in err
 
 
+def _exceptional_table_error(tmp_path, capsys, name, edit):
+    """The exit code, stdout and stderr of `verify` over a one-table corpus
+    holding `edit` applied to the shipped d2/<name>."""
+    d = tmp_path / "d2"
+    d.mkdir()
+    (d / name).write_text(edit((DATA / "d2" / name).read_text()))
+    code, out = run(["--corpus", str(tmp_path), "verify"])
+    return code, out, capsys.readouterr().err
+
+
+def test_label_missing_from_an_exceptional_catalog_exits_2(tmp_path, capsys):
+    # every occurrence renamed: rows are checked first, so the row's line is named
+    code, out, err = _exceptional_table_error(
+        tmp_path, capsys, "E6.principal.dmx", lambda text: text.replace("phi{1,0}", "zz"))
+    assert code == 2 and out == ""
+    assert err == ("error: d2/E6.principal.dmx: line 9: unknown label 'zz' "
+                   "(not in the E6 catalog)\n")
+
+
+def test_empty_exceptional_label_exits_2(tmp_path, capsys):
+    code, out, err = _exceptional_table_error(
+        tmp_path, capsys, "F4.principal.dmx",
+        lambda text: text.replace("[chars]\n", "[chars]\n| 1\n"))
+    assert code == 2 and out == ""
+    assert err == "error: d2/F4.principal.dmx: line 9: empty label\n"
+
+
 @pytest.mark.parametrize("sub, name, command", [
     ("d2", "X.dmx", "verify"), ("d3", "D4.trees", "verify"), ("d3", "D4.trees", "trees")])
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, sub, name, command):
@@ -283,6 +310,16 @@ def test_induce_tsv_output(char, rank):
     assert out.splitlines() == ["character\tmultiplicity"] + _INDUCE_TSV[char, rank]
     # a second run reads the memo and prints the same
     assert run(["--format", "tsv", "induce", "--char", char, "--rank", rank]) == (0, out)
+
+
+@pytest.mark.parametrize("target", ["nodir/x.tsv", "."])
+def test_verify_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    # the file is opened before the corpus is walked, so nothing is printed
+    path = tmp_path / target
+    code, out = run(["--corpus", str(DATA), "--format", "tsv", "verify", "--out", str(path)])
+    assert code == 2 and out == ""
+    reason = "No such file or directory" if target != "." else "Is a directory"
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "text"])

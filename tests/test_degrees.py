@@ -1,3 +1,4 @@
+import pathlib
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -8,10 +9,12 @@ import pytest
 from unipdec.cyclo import CycloError, FactoredPoly, parse_factored
 from unipdec.degrees import (A_value, UnipChar, UnsupportedGroupError, _ennola_index,
                              _hooks, _minus_divisors, _order_factors, _plus_divisors,
-                             _series_tag, _shift_exponent, a_value, catalog, defect,
-                             degree_poly, find_char, group_order_poly, perversity,
+                             _series_tag, _shift_exponent, a_value, catalog, catalog_map,
+                             defect, degree_poly, find_char, group_order_poly, perversity,
                              perversity_2_shortcut, symbol_degree)
-from unipdec.labels import BetaSymbol, GroupDescriptor, classical_label_list, label_symbol
+from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, classical_label_list,
+                            label_symbol, parse_label, resolve_label)
+from unipdec.verify import corpus_trees
 
 D4 = GroupDescriptor.parse("D4")
 B4 = GroupDescriptor.parse("B4")
@@ -448,3 +451,66 @@ def test_type_a_catalog_matches_per_factor_reference(g):
     got, want = catalog(g), _ref_type_a_catalog(g)
     assert got == want
     assert [_exact_parts(c.degree) for c in got] == [_exact_parts(c.degree) for c in want]
+
+
+# ---------------------------------------------------------------------------
+# find_char looks a catalog key up as it is; every other text is parsed
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
+
+
+def _raw_label_texts():
+    """(group, label text as written) for every row and entry of every
+    shipped table and every vertex of every shipped tree, E8 (no catalog)
+    left out."""
+    out = set()
+    for path in sorted(DATA.rglob("*.dmx")):
+        section, group = None, None
+        for line in path.read_text().splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line in ("[table]", "[chars]", "[cols]"):
+                section = line
+            elif section == "[table]" and line.startswith("group"):
+                group = GroupDescriptor.parse(line.split("=", 1)[1])
+            elif section == "[chars]" and line:
+                out.add((group, line.split("|", 1)[0].strip()))
+            elif section == "[cols]" and line:
+                out.update((group, piece.split("=", 1)[0])
+                           for piece in line.partition(":")[2].split())
+    out.update((t.group, lab) for _, t in corpus_trees(str(DATA)) for lab in t.characters())
+    return sorted(((g, text) for g, text in out if str(g) != "E8"),
+                  key=lambda pair: (str(pair[0]), pair[1]))
+
+
+def test_find_char_of_every_shipped_label_text():
+    texts = _raw_label_texts()
+    assert len(texts) > 500
+    for g, text in texts:
+        if g.series in ("E6", "2E6", "F4"):
+            want = catalog_map(g)[text]  # an exceptional text is an exact key
+        else:
+            want = catalog_map(g)[str(resolve_label(g, text))]
+        assert find_char(g, text) is want, (str(g), text)
+
+
+def test_every_catalog_key_parses_to_its_own_text():
+    # what lets find_char return catalog_map(g)[text] without parsing a key
+    groups = [GroupDescriptor(s, n) for s in ("A", "2A", "B", "C", "D", "2D") for n in range(2, 8)]
+    for g in groups + [GroupDescriptor.parse(s) for s in ("E6", "2E6", "F4")]:
+        for key, c in catalog_map(g).items():
+            assert str(parse_label(key, g)) == key == str(c.label), (str(g), key)
+
+
+def test_find_char_of_texts_that_are_not_keys():
+    assert find_char(D4, "D4:.") is catalog_map(D4)["D4"]
+    assert "3.1" not in catalog_map(D4)  # the swapped type-D orientation
+    assert find_char(D4, "3.1") is find_char(D4, "1.3")
+    b2 = GroupDescriptor.parse("B2")
+    assert find_char(b2, "B2") is catalog_map(b2)["B2:."]
+    assert find_char(D4, " 1.3 ") is find_char(D4, "1.3")
+    with pytest.raises(LabelError, match=r"label '5.' not in catalog of D4"):
+        find_char(D4, "5.")
+    with pytest.raises(LabelError, match="empty label"):
+        find_char(GroupDescriptor.parse("E8"), " ")
+    with pytest.raises(UnsupportedGroupError, match="no shipped catalog for E8"):
+        find_char(GroupDescriptor.parse("E8"), "phi{1,0}")

@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 
 from unipdec.labels import (BetaSymbol, Bipartition, GroupDescriptor, LabelError,
-                            bipartition_to_symbol, bipartitions, classical_label_list,
-                            d_canonical_bip, parse_label, parse_partition,
-                            symbol_to_bipartition)
+                            bipartition_to_symbol, bipartitions, check_partition,
+                            classical_label_list, d_canonical_bip, parse_label,
+                            parse_partition, partitions, symbol_to_bipartition)
 from unipdec.weyl import sym_to_hyper
 
 
@@ -114,3 +116,48 @@ def test_every_shipped_table_label_resolves():
                     find_char(t.group, lab)
                 except UnsupportedGroupError:
                     assert str(t.group) == "E8"  # only the degree-less E8 block
+
+
+def test_bipartitions_is_a_memoised_tuple_in_enumeration_order():
+    for n in range(11):
+        got = bipartitions(n)
+        want = [Bipartition(l, r) for k in range(n + 1)
+                for l in partitions(k) for r in partitions(n - k)]
+        assert type(got) is tuple and list(got) == want, n
+        assert bipartitions(n) is got
+    assert len(bipartitions(8)) == 185
+
+
+# every tuple of length <= 4 with entries in -1..4
+_SMALL_ROWS = [row for k in range(5) for row in product(range(-1, 5), repeat=k)]
+
+
+def test_check_partition_accepts_exactly_the_partitions():
+    # a partition is non-increasing and positive once its zeros are dropped
+    accepted = 0
+    for row in _SMALL_ROWS:
+        parts = tuple(x for x in row if x)
+        if all(x > 0 for x in parts) and all(a >= b for a, b in zip(parts, parts[1:])):
+            assert check_partition(row) == parts and check_partition(list(row)) == parts
+            accepted += 1
+        else:
+            with pytest.raises(LabelError) as exc:
+                check_partition(row)
+            assert str(exc.value) == f"not a partition: {parts}"
+    assert accepted == 280
+
+
+def test_beta_symbol_rows_are_strictly_increasing_and_nonnegative():
+    accepted = 0
+    for row in _SMALL_ROWS:
+        good = all(x >= 0 for x in row) and all(a < b for a, b in zip(row, row[1:]))
+        for top, bottom in ((row, ()), ((0, 2), row)):
+            if good:
+                sym = BetaSymbol(top, bottom)
+                assert (sym.top, sym.bottom) == (top, bottom)
+            else:
+                with pytest.raises(LabelError) as exc:
+                    BetaSymbol(top, bottom)
+                assert str(exc.value) == f"bad symbol row {row}"
+        accepted += good
+    assert accepted == 31
