@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pathlib
 import random
 from fractions import Fraction
@@ -108,6 +109,21 @@ def test_shipped_tables_roundtrip():
         assert emit(t2) == emit(t), f.name
         count += 1
     assert count >= 20
+
+
+def test_emit_matches_golden_hashes():
+    # tests/data/emit.tsv holds, for each shipped .dmx (levi/ included), the
+    # sha256 of emit(parse(file)); a change of representation must keep the
+    # emitted text byte for byte
+    golden = {}
+    for line in (pathlib.Path(__file__).parent / "data" / "emit.tsv").read_text().splitlines():
+        rel, digest = line.split("\t")
+        golden[rel] = digest
+    files = {f.relative_to(DATA).as_posix(): f for f in all_dmx()}
+    assert set(golden) == set(files) and len(files) == 30
+    changed = [rel for rel, f in files.items()
+               if hashlib.sha256(emit(parse(f.read_text())).encode()).hexdigest() != golden[rel]]
+    assert not changed, f"emit output differs from tests/data/emit.tsv for {changed}"
 
 
 def test_shipped_tables_satisfiable():
