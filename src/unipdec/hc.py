@@ -201,4 +201,14 @@ def hc_restrict(target_group, vector, source_group):
 
 
 def table_column_vector(table, j):
-    return {table.rows[i]: e for i, e in table.columns[j].entries.items()}
+    """Column j as row label -> ParamExpr, the one place that still hands
+    int entries out wrapped (callers read `.constant()`); the wrapper is
+    built bare, as `ParamExpr.const` checks outside input."""
+    out = {}
+    for i, e in table.columns[j].entries.items():
+        if type(e) is int:
+            wrapped = ParamExpr.__new__(ParamExpr)
+            wrapped.terms = {(): e} if e else {}
+            e = wrapped
+        out[table.rows[i]] = e
+    return out

@@ -1,9 +1,10 @@
 """Decomposition tables with symbolic entries, their file format, and constraints.
 
-Matrix entries are affine expressions in named nonnegative parameters
-(`ParamExpr`); internal computations (back-substitution through a
-unitriangular matrix) may produce genuine polynomials in the parameters,
-which the same class supports.
+A matrix entry is an `int`, or, when it names a parameter, an affine
+expression in named nonnegative parameters (`ParamExpr`); `parse` is the one
+place that makes this choice.  Internal computations (back-substitution
+through a unitriangular matrix) may produce genuine polynomials in the
+parameters, which the same class supports.
 
 File grammar, one table per file:
 
@@ -94,12 +95,6 @@ class ParamExpr:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self):
-        """Is it an integer (zero included)?  Only the empty monomial can
-        make up a constant, so this never looks past one term."""
-        terms = self.terms
-        return not terms or (len(terms) == 1 and () in terms)
-
     def constant(self):
         return self.terms.get((), 0)
 
@@ -119,9 +114,10 @@ class ParamExpr:
 
     def __hash__(self):
         # a constant equals its int, so it hashes as one
-        if self.is_constant():
-            return hash(self.constant())
-        return hash(frozenset(self.terms.items()))
+        terms = self.terms
+        if not terms or len(terms) == 1 and () in terms:
+            return hash(terms.get((), 0))
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -222,22 +218,6 @@ def _integer(value):
     raise TypeError(f"not an integer: {value!r}")
 
 
-def int_or_expr(value):
-    """`value` as an int when it is a constant with an int coefficient (zero
-    included), else as its ParamExpr.  Anything that is not a ParamExpr is
-    taken as ParamExpr.const takes it."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, ParamExpr):
-        return _integer(value)
-    terms = value.terms
-    if not terms:
-        return 0
-    if len(terms) == 1 and type(terms.get(())) is int:
-        return terms[()]
-    return value
-
-
 def parse_expr(text):
     """Parse an integer-affine expression like '24-15c17-5c18+6c19' or '2-d'.
 
@@ -249,6 +229,15 @@ def parse_expr(text):
     out = ParamExpr.__new__(ParamExpr)
     out.terms = dict(_expr_terms(text))  # it stores no zero coefficient
     return out
+
+
+def parse_entry(text):
+    """A table entry: the int of a text that names no parameter (`1+0a` is
+    1, `a-a` is 0), else a fresh ParamExpr, as `parse_expr` gives."""
+    terms = _expr_terms(text)
+    if not terms or len(terms) == 1 and () in terms:
+        return terms.get((), 0)
+    return ParamExpr._of_sorted(terms)
 
 
 @cache
@@ -314,7 +303,7 @@ def parse_constraint(text):
 class Column:
     series: str
     tentative: bool
-    entries: dict  # row index -> ParamExpr
+    entries: dict  # row index -> int, or ParamExpr if it names a parameter
 
 
 @dataclass
@@ -330,7 +319,7 @@ class DecompTable:
     columns: tuple     # Column, one per row
 
     def entry(self, i, j):
-        return self.columns[j].entries.get(i, ParamExpr())
+        return self.columns[j].entries.get(i, 0)
 
     def size(self):
         return len(self.rows)
@@ -350,21 +339,14 @@ class DecompTable:
         return ParamSystem.compile(self)
 
     @cached_property
-    def int_columns(self):
-        """Each column's entries as (row index, entry) pairs, constant
-        entries as int (`int_or_expr`); compiled on first use for
-        back-substitution, like `system`."""
-        return tuple(tuple((i, int_or_expr(e)) for i, e in col.entries.items())
-                     for col in self.columns)
-
-    @cached_property
     def below_diagonal(self):
         """For each row j, the nonzero entries (k, entry) of the columns k < j,
-        in increasing k, entries as in `int_columns`."""
+        in increasing k; compiled on first use for back-substitution, like
+        `system`."""
         rows = [[] for _ in self.rows]
-        for k, col in enumerate(self.int_columns):
-            for i, e in col:
-                if i > k and e != 0:
+        for k, col in enumerate(self.columns):
+            for i, e in col.entries.items():
+                if i > k and e:
                     rows[i].append((k, e))
         return tuple(map(tuple, rows))
 
@@ -558,10 +540,10 @@ class ParamSystem:
         negative_constant = None
         for j, col in enumerate(table.columns):
             for i, expr in col.entries.items():
-                if not expr.is_constant():
+                if type(expr) is not int:
                     entries[expr] = None
-                elif negative_constant is None and expr.constant() < 0:
-                    negative_constant = (i, j, expr.constant())
+                elif negative_constant is None and expr < 0:
+                    negative_constant = (i, j, expr)
         conditions = ()
         if order is not None:
             conditions = _excess_conditions(
@@ -573,8 +555,9 @@ class ParamSystem:
 
     def reduce(self, expr):
         """`expr` with each defined parameter replaced by its expression over
-        the free parameters (none replaced when the definitions are cyclic)."""
-        return expr.substitute(self.order or {})
+        the free parameters (none replaced when the definitions are cyclic);
+        an int passes through."""
+        return expr if type(expr) is int else expr.substitute(self.order or {})
 
 
 def _excess_conditions(free, lows, conditions):
@@ -638,7 +621,8 @@ def parse(text):
 
     Each distinct label text is canonicalised once per file: the rows' texts
     first, then an entry's text on its first sight, into a dict from raw
-    text to row index.  Every entry is a fresh ParamExpr.  An error in a
+    text to row index.  An entry is an int unless it names a parameter
+    (`parse_entry`); every ParamExpr entry is a fresh object.  An error in a
     row, entry, column or constraint names its line: the row's, the
     column's, the `constraints =` line, and for an undeclared parameter the
     first line that uses it.  A label of an exceptional group is kept as it
@@ -693,7 +677,7 @@ def parse(text):
                     raise TableError(f"line {lineno}: bad entry {piece!r}")
                 lab, expr = piece.split("=", 1)
                 try:
-                    entries.append((lab, parse_expr(expr)))
+                    entries.append((lab, parse_entry(expr)))
                 except TableError as exc:
                     raise TableError(f"line {lineno}: {exc}") from exc
             cols.append((series, tentative, entries, lineno))
@@ -767,15 +751,14 @@ def parse(text):
                 raise TableError(f"line {lineno}: row {row_labels[i]!r} given twice "
                                  f"in one column")
             by_index[i] = expr
-            for mono in expr.terms:
-                for name in mono:
+            if type(expr) is not int:
+                for name in expr.names():
                     used.setdefault(name, lineno)
         columns.append(Column(series, tentative, by_index))
     if len(columns) != len(row_labels):
         raise TableError(f"{len(columns)} columns for {len(row_labels)} rows")
     for j, col in enumerate(columns):
-        entry = col.entries.get(j)
-        if entry is None or entry.terms != {(): 1}:
+        if col.entries.get(j) != 1:
             raise TableError(f"line {cols[j][3]}: column {j + 1} has no diagonal 1 "
                              f"at {row_labels[j]!r}")
         if min(col.entries) < j:

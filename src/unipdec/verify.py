@@ -20,7 +20,7 @@ from .blocks import BlockError, load_trees, tree_check
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor, LabelError
-from .tables import ParamExpr, int_or_expr
+from .tables import ParamExpr
 from .weyl import sign_value
 
 
@@ -46,11 +46,10 @@ class ParamBox:
 
         Either end may be infinite; a defined parameter left by
         `ParamSystem.reduce` (cyclic definitions) ranges over [0, inf).  A
-        monomial with a factor bounded above by 0 is bounded above by 0.  A
-        constant c gives (c, c) without a substitution."""
-        if expr.is_constant():
-            c = expr.constant()
-            return c, c
+        monomial with a factor bounded above by 0 is bounded above by 0.  An
+        int c gives (c, c)."""
+        if type(expr) is int:
+            return expr, expr
         system = self.system
         expr = system.reduce(expr)
         lo = hi = expr.constant()
@@ -73,9 +72,6 @@ class ParamBox:
 
     def provably_zero(self, expr):
         return self.bounds(expr) == (0, 0)
-
-    def provably_positive(self, expr):
-        return self.bounds(expr)[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +177,7 @@ def check_craven(table):
                     violations.append(msg)
                 continue
             red = table.system.reduce(expr)
-            if (not red.constant() and red.is_affine()
+            if (type(red) is not int and not red.constant() and red.is_affine()
                     and all(v > 0 for m, v in red.terms.items() if m)):
                 forced |= red.names()
             else:
@@ -305,17 +301,18 @@ def decompose_in_columns(table, vector):
 
 
 def _backsub(table, vector):
-    """The coefficients of `decompose_in_columns`, each an int until a
-    parameter enters (`table.below_diagonal`), then a ParamExpr."""
+    """The coefficients of `decompose_in_columns`, each an int while the
+    vector's values and the entries it meets (`table.below_diagonal`) are
+    ints, else a ParamExpr."""
     rows = table.rows
     coeffs = []
     for j, lower in enumerate(table.below_diagonal):
-        c = int_or_expr(vector.get(rows[j], 0))
+        c = vector.get(rows[j], 0)
         for k, e in lower:
             ck = coeffs[k]
             if ck:
                 c = c - ck * e
-        coeffs.append(int_or_expr(c))
+        coeffs.append(c)
     return coeffs
 
 
@@ -325,14 +322,14 @@ def recompose(table, coeffs):
 
 
 def _recompose(table, coeffs):
-    """The sum of `recompose`, its values ints until a parameter enters."""
+    """The sum of `recompose`, its values ints while the coefficients and
+    entries summed are."""
     rows = table.rows
     out = {}
-    for c, column in zip(coeffs, table.int_columns):
-        c = int_or_expr(c)
+    for c, column in zip(coeffs, table.columns):
         if not c:
             continue
-        for i, e in column:
+        for i, e in column.entries.items():
             lab = rows[i]
             out[lab] = out.get(lab, 0) + c * e
     return out
@@ -398,7 +395,7 @@ def check_steinberg_mults(table):
             continue
         j = row_of[canon]
         entry = table.entry(st, j)
-        if entry != ParamExpr.const(expected):
+        if entry != expected:
             bad.append(f"column {lead_label}: Steinberg entry {entry} != {expected}")
         else:
             hits.append(f"{lead_label} -> {expected}")
@@ -471,8 +468,9 @@ def hc_induced_columns(levi_group, levi_table, target_group, target_table):
     bad = []
     decomps = []
     rows = levi_table.rows
-    for j, column in enumerate(levi_table.int_columns):
-        vec = hc_induce(levi_group, {rows[i]: e for i, e in column}, target_group)
+    for j, column in enumerate(levi_table.columns):
+        vec = hc_induce(levi_group, {rows[i]: e for i, e in column.entries.items()},
+                        target_group)
         coeffs = decompose_in_columns(target_table, vec)
         decomps.append(coeffs)
         for k, c in enumerate(coeffs):
@@ -522,7 +520,7 @@ def hcr_candidates(target_group, target_table, combo, levis):
                 continue
             for i, e in target_table.columns[j].entries.items():
                 lab = target_table.rows[i]
-                vec[lab] = vec.get(lab, ParamExpr()) + m * e
+                vec[lab] = vec.get(lab, 0) + m * e
         if all(restriction_nonneg(target_group, target_table, vec, lg, lt)
                for lg, lt in levis):
             out.append(tuple((j, m) for j, m in zip(cols, mults) if m))

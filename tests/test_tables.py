@@ -53,7 +53,7 @@ def test_expr_mixes_with_int():
     assert 0 + a == a and (a - a) + 0 == 0
     assert a and parse_expr("3") and not parse_expr("a-a") and not ParamExpr()
     assert a * Fraction(4, 2) == parse_expr("2a")
-    assert ParamExpr.const(Fraction(6, 2)) == 3 and tables.int_or_expr(Fraction(6, 2)) == 3
+    assert ParamExpr.const(Fraction(6, 2)) == 3
 
 
 @pytest.mark.parametrize("case", [
@@ -63,23 +63,20 @@ def test_expr_mixes_with_int():
     lambda a: a + Fraction(1, 2),      # was an AttributeError
     lambda a: a - 0.5,
     lambda a: 1.0 + a,
-    lambda a: tables.int_or_expr(Fraction(7, 2)),
-    lambda a: tables.int_or_expr(2.0),
     lambda a: a * Fraction(1, 2),      # was 1/2a
     lambda a: Fraction(1, 2) * a,
 ], ids=["half-minus-a", "float-minus-a", "const-of-7/2", "a-plus-half", "a-minus-float",
-        "float-plus-a", "int_or_expr-of-7/2", "int_or_expr-of-float", "a-times-half",
-        "half-times-a"])
+        "float-plus-a", "a-times-half", "half-times-a"])
 def test_expr_refuses_what_is_not_an_integer(case):
     with pytest.raises(TypeError):
         case(parse_expr("a"))
 
 
 def test_expr_times_an_integral_fraction_has_int_coefficients():
-    # Fraction(4, 2) is stored as 2, so int_or_expr of a constant multiple is an int
+    # Fraction(4, 2) is stored as 2, so a constant multiple has an int coefficient
     a = parse_expr("a")
     assert type((a * Fraction(4, 2)).terms[("a",)]) is int
-    assert type(tables.int_or_expr(ParamExpr.const(3) * Fraction(4, 2))) is int
+    assert type((ParamExpr.const(3) * Fraction(4, 2)).terms[()]) is int
 
 
 def test_const_stores_an_int_and_nothing_for_zero():
@@ -91,7 +88,6 @@ def test_const_stores_an_int_and_nothing_for_zero():
         ParamExpr.const(Fraction(1, 2))
     with pytest.raises(TypeError):
         ParamExpr.const(2.0)
-    assert tables.int_or_expr(7) == 7 and type(tables.int_or_expr(True)) is int
 
 
 def test_expr_times_a_float_is_a_type_error():
@@ -162,18 +158,48 @@ series=ps : 2=1
 
 
 def test_repeated_parse_gives_equal_tables_with_fresh_entries():
-    # parse memoises the text parsers; every ParamExpr it returns must still
-    # be a new object, since a ParamExpr holds a mutable dict
+    # parse memoises the text parsers.  A constant entry is an int, which
+    # cannot be changed, so sharing one is harmless; every ParamExpr it
+    # returns must still be a new object, since a ParamExpr holds a mutable
+    # dict
     text = (DATA / "d2" / "2E6.principal.dmx").read_text()
     a, b = parse(text), parse(text)
     assert a == b and a.params
+    varying = []
     for ca, cb in zip(a.columns, b.columns):
         for i, e in ca.entries.items():
-            assert e == cb.entries[i] and e is not cb.entries[i]
+            assert e == cb.entries[i]
+            if isinstance(e, ParamExpr):
+                assert e is not cb.entries[i] and e.names()
+                varying.append(e)
+            else:
+                assert type(e) is int
+    assert varying
     for ca, cb in zip(a.constraints, b.constraints):
         assert ca == cb and ca.expr is not cb.expr
-    a.columns[0].entries[0].terms[("zz",)] = 1  # the diagonal 1 of column 1
+    varying[0].terms[("zz",)] = 1
     assert parse(text) == b != a
+
+
+def test_every_shipped_entry_is_an_int_or_names_a_parameter():
+    ints = varying = 0
+    for f in all_dmx():
+        for col in parse(f.read_text()).columns:
+            for e in col.entries.values():
+                if type(e) is int:
+                    ints += 1
+                else:
+                    assert isinstance(e, ParamExpr) and e.names(), (f.name, e)
+                    varying += 1
+    assert ints > 2000 and varying > 100, (ints, varying)
+
+
+def test_constant_entry_texts_parse_to_ints():
+    t = _synthetic("a", "", [(1, 0, "1+0a"), (2, 0, "a-a"), (3, 0, "2-a")])
+    entries = t.columns[0].entries
+    assert entries == {0: 1, 1: 1, 2: 0, 3: parse_expr("2-a")}
+    assert [type(e) for e in entries.values()] == [int, int, int, ParamExpr]
+    assert tables.parse_entry("3b-3b+2") == 2 and tables.parse_entry("0") == 0
 
 
 _BAD_B2 = """[table]
@@ -335,6 +361,23 @@ class Reference:
         return found
 
 
+class _ParamEntryTable(tables.DecompTable):
+    def entry(self, i, j):
+        return self.columns[j].entries.get(i, ParamExpr())
+
+
+def with_param_entries(table):
+    """A copy of `table` whose int entries are `ParamExpr.const`, and whose
+    `entry` gives ParamExpr() off the listed entries, as every entry was
+    before parse stored constants as ints: the form the verbatim references
+    read."""
+    columns = tuple(dataclasses.replace(col, entries={
+        i: e if isinstance(e, ParamExpr) else ParamExpr.const(e)
+        for i, e in col.entries.items()}) for col in table.columns)
+    fields = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+    return _ParamEntryTable(**dict(fields, columns=columns))
+
+
 def _items(witnesses):
     # dict equality ignores key order; the witness dicts' order is compared too
     return [list(w.items()) for w in witnesses]
@@ -350,7 +393,7 @@ def test_corpus_has_26_tables():
 @pytest.mark.parametrize("bound", [8, 30])
 def test_sample_admissible_matches_reference_on_corpus(bound):
     for rel, table in CORPUS:
-        want = Reference(table).sample_admissible(bound=bound)
+        want = Reference(with_param_entries(table)).sample_admissible(bound=bound)
         assert _items(table.sample_admissible(bound=bound)) == _items(want), rel
 
 
@@ -360,7 +403,7 @@ def test_resolve_and_is_admissible_match_reference_on_corpus():
     unconstrained = [(rel + " unconstrained", dataclasses.replace(table, constraints=()))
                      for rel, table in CORPUS]
     for rel, table in CORPUS + unconstrained:
-        ref = Reference(table)
+        ref = Reference(with_param_entries(table))
         free, defined = ref.free_and_defined()
         assert table.system.free == free and table.system.defined == defined, rel
         for _ in range(40):
@@ -419,7 +462,7 @@ SYNTHETIC = {
 @pytest.mark.parametrize("bound,limit", [(8, 4000), (30, 4000), (8, 5), (30, 3)])
 def test_sample_admissible_matches_reference_on_synthetic(name, bound, limit):
     table = SYNTHETIC[name]
-    want = Reference(table).sample_admissible(bound=bound, limit=limit)
+    want = Reference(with_param_entries(table)).sample_admissible(bound=bound, limit=limit)
     assert _items(table.sample_admissible(bound=bound, limit=limit)) == _items(want)
 
 
@@ -505,7 +548,7 @@ def test_sample_admissible_matches_reference_on_fuzzed_tables(bound, limit, verd
     rng = random.Random(1000 * bound + limit)
     for _ in range(150):
         table = _random_synthetic(rng)
-        want = Reference(table).sample_admissible(bound=bound, limit=limit)
+        want = Reference(with_param_entries(table)).sample_admissible(bound=bound, limit=limit)
         verdicts.clear()
         got = table.sample_admissible(bound=bound, limit=limit)
         assert _items(got) == _items(want), emit(table)

@@ -292,16 +292,18 @@ def reference_parse_expr(text):
 
 
 def corpus_expressions(monkeypatch):
-    """Every string the corpus hands to parse_expr: entries and both sides
-    of every constraint."""
+    """Every expression text of the corpus: the entries, which parse hands
+    to parse_entry, and both sides of every constraint, to parse_expr."""
     seen = []
-    real = tables.parse_expr
 
-    def recording(text):
-        seen.append(text)
-        return real(text)
+    def recording(real):
+        def parse_recorded(text):
+            seen.append(text)
+            return real(text)
+        return parse_recorded
 
-    monkeypatch.setattr(tables, "parse_expr", recording)
+    monkeypatch.setattr(tables, "parse_expr", recording(tables.parse_expr))
+    monkeypatch.setattr(tables, "parse_entry", recording(tables.parse_entry))
     n = sum(1 for _ in verify.corpus_tables())
     for f in sorted((DATA / "levi").glob("*.dmx")):
         tables.parse(f.read_text())
