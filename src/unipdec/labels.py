@@ -375,11 +375,10 @@ def d_canonical_symbol(sym):
 
 
 def d_canonical_bip(bip):
-    """Canonical orientation of an unordered bipartition label for type D/2A-free use."""
+    """Canonical orientation of an unordered bipartition label for type D/2A-free
+    use: `bip` itself when it is canonical already, else its swap."""
     a, b = bip.left, bip.right
-    if (sum(b), b) < (sum(a), a) or (sum(b) == sum(a) and b < a):
-        a, b = b, a
-    return Bipartition(a, b)
+    return bip.swapped() if (sum(b), b) < (sum(a), a) else bip
 
 
 # ---------------------------------------------------------------------------

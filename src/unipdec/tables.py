@@ -595,14 +595,23 @@ def _canonical_label(group, text):
         raise TableError(str(exc))
 
 
+# an E7 or E8 label: phi{n,b} with up to two primes, in the principal, D4,
+# E6[..] or E7[..] series, or the name of a cuspidal character E7[..], E8[..]
+_E78_LABEL = re.compile(r"(?:(?:D4|E[67]\[[^\[\]:]+\]):)?phi\{\d+,\d+\}'{0,2}"
+                        r"|E[78]\[[^\[\]:]+\]")
+
+
 def _catalog_label(group, text):
     """`text` itself, once it is a key of the catalog of the exceptional
-    group `group`; E7 and E8 ship no catalog, so any non-empty text passes."""
+    group `group`; E7 and E8 ship no catalog, so their labels are only held
+    to the syntax of `_E78_LABEL`."""
     if not text:
         raise TableError("empty label")
     try:
         known = catalog_map(group)
     except UnsupportedGroupError:
+        if not _E78_LABEL.fullmatch(text):
+            raise TableError(f"bad {group} label {text!r}") from None
         return text
     if text not in known:
         raise TableError(f"unknown label {text!r} (not in the {group} catalog)")
@@ -627,7 +636,7 @@ def parse(text):
     column's, the `constraints =` line, and for an undeclared parameter the
     first line that uses it.  A label of an exceptional group is kept as it
     is written; it must be a key of the group's catalog where one is
-    shipped (E6, 2E6, F4), while E7 and E8 accept any non-empty text.
+    shipped (E6, 2E6, F4), and for E7 and E8 match `_E78_LABEL`.
     """
     section = None
     meta = {}

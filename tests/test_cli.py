@@ -210,6 +210,27 @@ def test_empty_exceptional_label_exits_2(tmp_path, capsys):
     assert err == "error: d2/F4.principal.dmx: line 9: empty label\n"
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("phi{112,3}", "phi{112,3}'''", 9),      # three primes
+    ("phi{112,3}", "zz", 9),
+    ("D4:phi{8,3}'", "B2:phi{8,3}'", 13),    # not a series of E8
+    ("E6[z3]:phi{2,2}", "E6[]:phi{2,2}", 18),
+    ("phi{3200,22}", "E8[z]:phi{3200,22}", 22),
+])
+def test_malformed_e8_label_exits_2(tmp_path, capsys, old, new, line):
+    # E8 ships no catalog: a label must still be phi{n,b}, a series-prefixed
+    # phi{n,b} or a cuspidal name; every occurrence is renamed, so the row's
+    # line is named
+    d = tmp_path / "d6"
+    d.mkdir()
+    (d / "E8.phi6sq.dmx").write_text((DATA / "d6" / "E8.phi6sq.dmx").read_text()
+                                     .replace(old, new))
+    code, out = run(["--corpus", str(tmp_path), "verify"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (f"error: d6/E8.phi6sq.dmx: line {line}: "
+                                       f"bad E8 label {new!r}\n")
+
+
 @pytest.mark.parametrize("sub, name, command", [
     ("d2", "X.dmx", "verify"), ("d3", "D4.trees", "verify"), ("d3", "D4.trees", "trees")])
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, sub, name, command):

@@ -22,6 +22,17 @@ def test_bipartition_hash_is_that_of_a_fresh_equal_instance():
     assert repr(Bipartition([2, 1, 0], ())) == "Bipartition(left=(2, 1), right=())"
 
 
+def test_d_canonical_bip_returns_a_canonical_input_itself():
+    # the smaller size on the left, the smaller partition at equal sizes
+    for text in (".4", "1.3", "2.2", "1^2.2", ".", "1^2.21"):
+        b = Bipartition.parse(text)
+        assert d_canonical_bip(b) is b, text
+    for text, want in (("4.", ".4"), ("3.1", "1.3"), ("2.1^2", "1^2.2"), ("21.1^2", "1^2.21")):
+        b = Bipartition.parse(text)
+        got = d_canonical_bip(b)
+        assert got == Bipartition.parse(want) == b.swapped() and d_canonical_bip(got) is got
+
+
 def test_partition_grammar():
     assert parse_partition("21^3") == (2, 1, 1, 1)
     assert parse_partition("2^21^2") == (2, 2, 1, 1)

@@ -194,6 +194,20 @@ def test_every_shipped_entry_is_an_int_or_names_a_parameter():
     assert ints > 2000 and varying > 100, (ints, varying)
 
 
+def test_e7_e8_label_syntax():
+    # every row of the shipped E8 table parses; an E7 table may name a
+    # cuspidal character, or a series through one of E6 or E7
+    e8 = parse((DATA / "d6" / "E8.phi6sq.dmx").read_text())
+    assert e8.size() == 21 and "E6[z3^2]:phi{2,2}" in e8.rows
+    rows = ["phi{1,0}", "E7[xi]:phi{1,0}", "E6[th]:phi{1,0}''", "E7[-xi]"]
+    text = ("[table]\ngroup = E7\nd = 2\n[chars]\n" + "\n".join(rows) + "\n[cols]\n"
+            + "".join(f"series=s : {lab}=1\n" for lab in rows))
+    assert parse(text).rows == tuple(rows)
+    for bad in ("phi{1,0}'''", "phi{1}", "E6[z3]", "E8[]", "D4:E7[xi]", "F4[i]"):
+        with pytest.raises(TableError, match=r"line 5: bad E7 label"):
+            parse(text.replace("phi{1,0}\n", bad + "\n", 1))
+
+
 def test_constant_entry_texts_parse_to_ints():
     t = _synthetic("a", "", [(1, 0, "1+0a"), (2, 0, "a-a"), (3, 0, "2-a")])
     entries = t.columns[0].entries
