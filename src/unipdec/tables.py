@@ -1,10 +1,10 @@
 """Decomposition tables with symbolic entries, their file format, and constraints.
 
 A matrix entry is an `int`, or, when it names a parameter, an affine
-expression in named nonnegative parameters (`ParamExpr`); `parse` is the one
-place that makes this choice.  Internal computations (back-substitution
-through a unitriangular matrix) may produce genuine polynomials in the
-parameters, which the same class supports.
+expression in named nonnegative parameters (`ParamExpr`); `parse_entry` is
+the one place that makes this choice.  Internal computations
+(back-substitution through a unitriangular matrix) may produce genuine
+polynomials in the parameters, which the same class supports.
 
 File grammar, one table per file:
 
