@@ -21,8 +21,7 @@ from math import lcm
 from .cyclo import cyclotomic
 from .degrees import (_ennola_index, catalog, catalog_map, defect, find_char,
                       group_order_poly)
-from .labels import (GroupDescriptor, LabelError, UnsupportedGroupError,
-                     beta_to_partition)
+from .labels import GroupDescriptor, UnsupportedGroupError, beta_to_partition
 
 
 class BlockError(ValueError):
@@ -354,17 +353,13 @@ def tree_check(tree):
     T(0) = L * S(2) is <= 0, since S is then <= 0 at q = 2 or at every large
     q, and passes when every coefficient is >= 0, since S(q) > 0 for all
     q >= 2 then.  Otherwise positivity is unproved and the tree gives `warn`
-    unless (iii) fails.
+    unless (iii) fails.  A label that is not in the catalog raises
+    LabelError.
     """
     group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
 
-    cm = {}
-    try:
-        for lab in tree.characters():
-            cm[lab] = find_char(group, lab)
-    except LabelError as exc:
-        return TreeReport(tree, "fail", str(exc))
+    cm = {lab: find_char(group, lab) for lab in tree.characters()}
     for lab in tree.characters():
         if defect(cm[lab], d) != 1:
             return TreeReport(tree, "fail",

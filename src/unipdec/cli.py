@@ -17,7 +17,8 @@ import sys
 from .blocks import BlockError
 from .degrees import (UnsupportedGroupError, a_value, A_value, catalog, defect,
                       perversity)
-from .hecke import HeckeError, HeckeSpec, Param, parse_spec, product_count
+from .hecke import (HeckeError, HeckeSpec, Param, SemisimpleMarker, crystal_multipartitions,
+                    parse_spec, product_count, specialize)
 from .labels import Bipartition, GroupDescriptor, LabelError
 from .tables import TableError
 from .verify import corpus_reports, tree_reports
@@ -103,7 +104,6 @@ def cmd_hecke(args):
         return 3
     print(n)
     if args.list and len(specs) == 1 and specs[0].coxeter_type == "B":
-        from .hecke import SemisimpleMarker, crystal_multipartitions, specialize
         res = specialize(specs[0], args.d)
         if not isinstance(res, SemisimpleMarker):
             for mp in sorted(crystal_multipartitions(specs[0].rank, res.e, res.charges)):

@@ -331,8 +331,9 @@ def find_char(g, text):
     A text that is a catalog key is the text of the label it names (parsing
     it gives a label of the same text), so it is looked up as it is.  Any
     other text (spaces around it, a swapped type-D orientation, `D4:.`, an
-    unknown label, a group without a catalog) is parsed and resolved, and
-    raises as it always did.
+    unknown label, a group without a catalog) is parsed and resolved; a
+    label not in the catalog raises LabelError, and a group without one
+    UnsupportedGroupError.
     """
     try:
         return catalog_map(g)[text]
@@ -346,6 +347,8 @@ def find_char(g, text):
         canon = resolve_label(g, text)
         if str(canon) in cm:
             return cm[str(canon)]
+    if label.kind == "named":  # an exceptional group's catalog names its labels
+        raise LabelError(f"unknown label {text!r} (not in the {g} catalog)")
     raise LabelError(f"label {text!r} not in catalog of {g}")
 
 

@@ -23,6 +23,9 @@ File grammar, one table per file:
     series=ps tentative : 1.3=1
 
 Column i is led by row i (diagonal ones); only nonzero entries are listed.
+Every label is resolved once, by `_row_char`, to the character of the
+group's catalog that it names; `DecompTable.chars` holds the rows'
+characters (None for E7 and E8, which ship no catalog).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from functools import cache, cached_property
 from math import inf
 
 from .cyclo import CycloError, parse_factored
-from .degrees import catalog_map
-from .labels import GroupDescriptor, LabelError, UnsupportedGroupError, resolve_label
+from .degrees import find_char
+from .labels import GroupDescriptor, LabelError, UnsupportedGroupError
 
 
 class TableError(ValueError):
@@ -315,6 +318,7 @@ class DecompTable:
     params: tuple
     constraints: tuple
     rows: tuple        # label strings, in order
+    chars: tuple | None  # the catalog character of each row; None without a catalog
     row_degrees: tuple  # FactoredPoly or None per row
     columns: tuple     # Column, one per row
 
@@ -586,36 +590,26 @@ def _excess_conditions(free, lows, conditions):
 # ---------------------------------------------------------------------------
 # parse / emit
 
-@cache
-def _canonical_label(group, text):
-    """The canonical label text of `text` in `group`, memoised across files."""
-    try:
-        return str(resolve_label(group, text))
-    except LabelError as exc:
-        raise TableError(str(exc))
-
-
 # an E7 or E8 label: phi{n,b} with up to two primes, in the principal, D4,
 # E6[..] or E7[..] series, or the name of a cuspidal character E7[..], E8[..]
 _E78_LABEL = re.compile(r"(?:(?:D4|E[67]\[[^\[\]:]+\]):)?phi\{\d+,\d+\}'{0,2}"
                         r"|E[78]\[[^\[\]:]+\]")
 
 
-def _catalog_label(group, text):
-    """`text` itself, once it is a key of the catalog of the exceptional
-    group `group`; E7 and E8 ship no catalog, so their labels are only held
-    to the syntax of `_E78_LABEL`."""
-    if not text:
-        raise TableError("empty label")
+@cache
+def _row_char(group, text):
+    """The catalog character of `group` labelled `text` (`find_char`),
+    memoised across files.  E7 and E8 ship no catalog: their labels are only
+    held to the syntax of `_E78_LABEL`, and give None.  A bad label raises
+    TableError."""
     try:
-        known = catalog_map(group)
+        return find_char(group, text)
+    except LabelError as exc:
+        raise TableError(str(exc)) from None
     except UnsupportedGroupError:
         if not _E78_LABEL.fullmatch(text):
             raise TableError(f"bad {group} label {text!r}") from None
-        return text
-    if text not in known:
-        raise TableError(f"unknown label {text!r} (not in the {group} catalog)")
-    return text
+        return None
 
 
 # FactoredPoly is frozen, so one parse per degree text can be shared
@@ -628,20 +622,22 @@ _TABLE_KEYS = ("group", "d", "block", "degrees", "params", "constraints")
 def parse(text):
     """Parse one table file (grammar in the module docstring).
 
-    Each distinct label text is canonicalised once per file: the rows' texts
-    first, then an entry's text on its first sight, into a dict from raw
-    text to row index.  An entry is an int unless it names a parameter
+    Each distinct label text is resolved once per file by `_row_char`: the
+    rows' texts first, then an entry's text on its first sight, into a dict
+    from raw text to row index.  A label must name a character of the
+    group's catalog, and is stored as that character's label text (for
+    E7 and E8, which ship no catalog, as it is written, once it matches
+    `_E78_LABEL`); `chars` holds the rows' characters, or None without a
+    catalog.  An entry is an int unless it names a parameter
     (`parse_entry`); every ParamExpr entry is a fresh object.  An error in a
     row, entry, column or constraint names its line: the row's, the
     column's, the `constraints =` line, and for an undeclared parameter the
-    first line that uses it.  A label of an exceptional group is kept as it
-    is written; it must be a key of the group's catalog where one is
-    shipped (E6, 2E6, F4), and for E7 and E8 match `_E78_LABEL`.
+    first line that uses it.
     """
     section = None
     meta = {}
     meta_line = {}
-    chars = []
+    row_lines = []
     cols = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
@@ -665,9 +661,9 @@ def parse(text):
         elif section == "chars":
             if "|" in line:
                 lab, deg = line.split("|", 1)
-                chars.append((lab.strip(), deg.strip(), lineno))
+                row_lines.append((lab.strip(), deg.strip(), lineno))
             else:
-                chars.append((line.strip(), "", lineno))
+                row_lines.append((line.strip(), "", lineno))
         elif section == "cols":
             head, _, body = line.partition(":")
             tags = head.split()
@@ -692,7 +688,7 @@ def parse(text):
             cols.append((series, tentative, entries, lineno))
         else:
             raise TableError(f"line {lineno}: text outside any section")
-    if not chars:
+    if not row_lines:
         raise TableError("no rows")
     if "group" not in meta:
         raise TableError("no 'group' key in [table]")
@@ -720,15 +716,14 @@ def parse(text):
         raise TableError(f"line {meta_line['degrees']}: degrees must be full, leading "
                          f"or none, not {degrees_kind!r}")
 
-    def canon(text, lineno):
-        # row labels are stored in canonical orientation so vectors computed
-        # from the catalogs match up with the table rows
+    def lookup(text, lineno):
+        # (character, label text): the catalog's text, so that vectors
+        # computed from the catalogs match up with the table rows
         try:
-            if group.series in ("A", "2A", "B", "C", "D", "2D"):
-                return _canonical_label(group, text)
-            return _catalog_label(group, text)
+            char = _row_char(group, text)
         except TableError as exc:
             raise TableError(f"line {lineno}: {exc}") from exc
+        return char, text if char is None else str(char.label)
 
     def degree(text, lineno):
         try:
@@ -736,15 +731,15 @@ def parse(text):
         except CycloError as exc:
             raise TableError(f"line {lineno}: {exc}") from exc
 
-    row_labels = tuple(canon(lab, lineno) for lab, _, lineno in chars)
+    row_chars, row_labels = zip(*(lookup(lab, lineno) for lab, _, lineno in row_lines))
     first = {}  # canonical label -> row index
     for i, lab in enumerate(row_labels):
         if lab in first:
-            raise TableError(f"line {chars[i][2]}: duplicate row label {lab!r} "
-                             f"(first on line {chars[first[lab]][2]})")
+            raise TableError(f"line {row_lines[i][2]}: duplicate row label {lab!r} "
+                             f"(first on line {row_lines[first[lab]][2]})")
         first[lab] = i
-    row_of = {raw: i for i, (raw, _, _) in enumerate(chars)}  # raw text -> row index
-    row_degrees = tuple(degree(deg, lineno) if deg else None for _, deg, lineno in chars)
+    row_of = {raw: i for i, (raw, _, _) in enumerate(row_lines)}  # raw text -> row index
+    row_degrees = tuple(degree(deg, lineno) if deg else None for _, deg, lineno in row_lines)
     columns = []
     used = {}  # parameter name -> first line that uses it
     for j, (series, tentative, entries, lineno) in enumerate(cols):
@@ -752,7 +747,7 @@ def parse(text):
         for raw, expr in entries:
             i = row_of.get(raw)
             if i is None:
-                lab = canon(raw, lineno)
+                _, lab = lookup(raw, lineno)
                 if lab not in first:
                     raise TableError(f"line {lineno}: column {j + 1}: unknown label {lab!r}")
                 i = row_of[raw] = first[lab]
@@ -780,8 +775,9 @@ def parse(text):
     if unknown:
         line = min(used[name] for name in unknown)
         raise TableError(f"line {line}: undeclared parameters {unknown}")
-    return DecompTable(group, d, meta.get("block", "principal"), degrees_kind,
-                       params, constraints, row_labels, row_degrees, tuple(columns))
+    return DecompTable(group, d, meta.get("block", "principal"), degrees_kind, params,
+                       constraints, row_labels, None if None in row_chars else row_chars,
+                       row_degrees, tuple(columns))
 
 
 def emit(table):

@@ -6,21 +6,22 @@ reasoning over the box of the table's `ParamSystem`: defined parameters are
 substituted first (`ParamSystem.reduce`), and each free parameter ranges over
 [`lows`, `highs`] from its one-variable constraints alone (`math.inf` where
 none bounds it above), so a verdict on the box holds for every admissible
-assignment.  `corpus_reports` walks the corpus and yields a (path,
-CheckReport) record for every table check and every Brauer tree.
+assignment.  The per-row checks read each row's catalog character from
+`table.chars`, as `tables.parse` resolved it.  `corpus_reports` walks the
+corpus and yields a (path, CheckReport) record for every table check and
+every Brauer tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import inf
 
 from .blocks import BlockError, load_trees, tree_check
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor, LabelError
-from .tables import ParamExpr
+from .tables import ParamExpr, TableError, parse
 from .weyl import sign_value
 
 
@@ -47,7 +48,9 @@ class ParamBox:
         Either end may be infinite; a defined parameter left by
         `ParamSystem.reduce` (cyclic definitions) ranges over [0, inf).  A
         monomial with a factor bounded above by 0 is bounded above by 0.  An
-        int c gives (c, c)."""
+        int c, or a ParamExpr that names no parameter, gives (c, c)."""
+        if type(expr) is not int and expr.terms.keys() <= {()}:
+            expr = expr.constant()
         if type(expr) is int:
             return expr, expr
         system = self.system
@@ -77,32 +80,14 @@ class ParamBox:
 # ---------------------------------------------------------------------------
 # degrees attached to table rows
 
-def row_chars(table):
-    """Catalog characters for the rows (None where the catalog has no entry)."""
-    return _row_chars(table.group, table.rows)
-
-
-@lru_cache(maxsize=None)
-def _row_chars(group, rows):
-    out = []
-    for lab in rows:
-        try:
-            out.append(find_char(group, lab))
-        except (LabelError, UnsupportedGroupError):
-            out.append(None)
-    return tuple(out)
-
-
 def check_degrees(table):
     """Row degree strings match the catalog (exactly, or to leading term)."""
     if table.degrees_kind == "none":
         return CheckReport("degrees", "warn", ["no degree column shipped"])
-    chars = row_chars(table)
+    if table.chars is None:
+        return CheckReport("degrees", "warn", ["no catalog: degrees not checked"])
     bad = []
-    for lab, deg, c in zip(table.rows, table.row_degrees, chars):
-        if c is None:
-            bad.append(f"{lab}: not in catalog")
-            continue
+    for lab, deg, c in zip(table.rows, table.row_degrees, table.chars):
         if deg is None:
             continue
         if table.degrees_kind == "full":
@@ -121,8 +106,8 @@ def check_unitriangular(table):
     """Every entry below the diagonal that is not provably zero has strictly
     larger a- and A-values than its column's leader.  (`tables.parse` has
     already put a 1 on the diagonal and nothing above it.)"""
-    chars = row_chars(table)
-    if any(c is None for c in chars):
+    chars = table.chars
+    if chars is None:
         return CheckReport("unitriangular", "warn",
                            ["no catalog degrees: a/A-monotonicity not checked"])
     box = ParamBox(table)
@@ -153,8 +138,8 @@ def check_craven(table):
     to zero.
     """
     d = table.d
-    chars = row_chars(table)
-    if any(c is None for c in chars):
+    chars = table.chars
+    if chars is None:
         return CheckReport("craven", "warn", ["degrees unavailable; check skipped"])
     box = ParamBox(table)
     pi = [perversity(c, d) for c in chars]
@@ -377,23 +362,18 @@ def check_steinberg_mults(table):
     if not cases:
         return CheckReport("steinberg", "warn",
                            [f"no Steinberg-multiplicity statement for {table.group}"])
-    chars = row_chars(table)
-    if any(c is None for c in chars):
+    chars = table.chars
+    if chars is None:
         return CheckReport("steinberg", "warn", ["degrees unavailable"])
     # the Steinberg character is the one of largest a-value
     st = max(range(len(chars)), key=lambda i: chars[i].degree.a_value())
+    row_of = {lab: i for i, lab in enumerate(table.rows)}
     bad = []
     hits = []
     for lead_label, expected in cases:
-        try:
-            canon = str(find_char(table.group, lead_label).label)
-        except LabelError:
-            bad.append(f"{lead_label}: not in catalog")
+        j = row_of.get(str(find_char(table.group, lead_label).label))
+        if j is None:
             continue
-        row_of = {lab: i for i, lab in enumerate(table.rows)}
-        if canon not in row_of:
-            continue
-        j = row_of[canon]
         entry = table.entry(st, j)
         if entry != expected:
             bad.append(f"column {lead_label}: Steinberg entry {entry} != {expected}")
@@ -427,8 +407,7 @@ def check_dl_constraints(table, cls, columns):
         return CheckReport("dl", "warn", [str(exc)])
     vec = {}
     for lab in table.rows:
-        canon = str(find_char(table.group, lab).label)
-        val = v[canon]
+        val = v[lab]
         if val.denominator != 1:
             return CheckReport("dl", "fail", [f"non-integral <{lab}, R_w> = {val}"])
         vec[lab] = int(val)
@@ -559,14 +538,13 @@ def corpus_tables(corpus=None):
     A table that is not UTF-8, does not parse, or whose `d` is not that of
     its directory d<n>, raises TableError naming the file.
     """
-    from . import tables as tmod
-    for sub, f, text in _corpus_files(corpus, ".dmx", tmod.TableError):
+    for sub, f, text in _corpus_files(corpus, ".dmx", TableError):
         try:
-            table = tmod.parse(text)
+            table = parse(text)
             if sub != f"d{table.d}":
-                raise tmod.TableError(f"d = {table.d} but the directory is {sub}")
-        except tmod.TableError as exc:
-            raise tmod.TableError(f"{sub}/{f}: {exc}") from exc
+                raise TableError(f"d = {table.d} but the directory is {sub}")
+        except TableError as exc:
+            raise TableError(f"{sub}/{f}: {exc}") from exc
         yield f"{sub}/{f}", table
 
 
@@ -626,15 +604,15 @@ def tree_reports(corpus=None, d=None, group=None):
     """Yield (relative path, CheckReport "tree") for every corpus tree
     selected by `d` and `group`; the evidence is the failure or the chain.
 
-    A tree file that cannot be parsed or checked raises BlockError naming
-    the file.
+    A tree file that cannot be parsed or checked (a group without a
+    catalog, a label not in it) raises BlockError naming the file.
     """
     for path, tree in corpus_trees(corpus):
         if not _selected(tree, d, group):
             continue
         try:
             rep = tree_check(tree)
-        except UnsupportedGroupError as exc:
+        except (LabelError, UnsupportedGroupError) as exc:
             raise BlockError(f"{path}: {exc}") from exc
         chain = " -- ".join(lab or "O" for lab in tree.chain)
         yield path, CheckReport("tree", rep.status, [rep.evidence or chain])

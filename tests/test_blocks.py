@@ -12,7 +12,7 @@ from unipdec.cyclo import DensePoly, FactoredPoly, cyclotomic, euler_phi
 from unipdec.degrees import catalog, defect, find_char, group_order_poly
 from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError,
                             beta_to_partition)
-from unipdec.verify import ParamBox, corpus_tables, corpus_trees, row_chars
+from unipdec.verify import ParamBox, corpus_tables, corpus_trees
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
 
@@ -460,10 +460,9 @@ def test_no_shipped_column_crosses_blocks():
     checked = 0
     for f in sorted(DATA.glob("d*/*.dmx")) + sorted(DATA.glob("levi/*.dmx")):
         t = tables.parse(f.read_text())
-        chars = row_chars(t)
-        if None in chars:
+        if t.chars is None:
             continue  # no catalog, so no block partition (d6/E8.phi6sq.dmx)
-        labels = [str(c.label) for c in chars]
+        labels = [str(c.label) for c in t.chars]
         partition = block_partition(t.group, t.d)
         box = ParamBox(t)
         for j, col in enumerate(t.columns):

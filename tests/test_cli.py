@@ -123,6 +123,7 @@ _BAD_TREES = [
     ("d3", "E7.trees", "phi{1,0} -- O", "no E7 catalog"),
     ("dx", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'dx' is not d<n> with n >= 1"),
     ("d0", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'d0' is not d<n> with n >= 1"),
+    ("d3", "D4.trees", "zz -- O -- .4", "bad partition 'zz'"),
 ]
 
 
@@ -162,6 +163,9 @@ _COLS = ".4 | 1\n[cols]\nseries=ps : .4=1\n"  # replaced to give a second row an
     (".4=1", ".4=1 4.=7", "line 7: row '.4' given twice in one column"),
     (".4 | 1", ".4 | 1\n| 1", "line 6: empty label"),
     (".4 | 1", ".4 | 1\nx.y", "line 6: bad partition 'x'"),
+    # a label of B5, not of D4, as a row and as an entry
+    (".4 | 1", ".4 | 1\n5.", "line 6: label '5.' not in catalog of D4"),
+    (".4=1", ".4=1 5.=1", "line 7: label '5.' not in catalog of D4"),
     (".4=1", ".4=a*b", "line 7: cannot parse expression 'a*b' at '*b'"),
     (".4 | 1", ".4 | 1\n4.", "line 6: duplicate row label '.4' (first on line 5)"),
     (".4=1", ".4=1 31.=1", "line 7: column 1: unknown label '.31'"),

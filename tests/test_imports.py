@@ -7,7 +7,8 @@ exempt (its imports are the package's re-exports), and so is `from __future__ im
 annotations`.  A top-level def, class or constant must be read in `src`,
 `tests` or `perfbench`: loaded as a name, taken as an attribute, imported by
 name, or named in a target string of `perfbench/tracer.py` (which wraps its
-targets by name).
+targets by name).  A module that a file of `src/unipdec` imports at its top
+level is not imported again inside a function.
 """
 
 import ast
@@ -52,6 +53,41 @@ def test_scan_sees_an_unused_import():
         ("shutil", source.count("\n") + 2)]
     assert unused_imports("from __future__ import annotations\n"
                           "import os.path\nfrom a import b as c\nos.sep\n") == [("c", 3)]
+
+
+def _imported_modules(node):
+    """The modules an import statement names: `from . import x` and
+    `from .x import y` both name `.x`."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = "." * node.level + (node.module or "")
+        return [base] if node.module else [base + a.name for a in node.names]
+    return []
+
+
+def repeated_imports(source):
+    """The modules that `source` imports at its top level and again inside
+    a function, as (module, line) of the inner import in source order."""
+    tree = ast.parse(source)
+    top = {m for node in tree.body for m in _imported_modules(node)}
+    inner = {node for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(f)}
+    return sorted(((m, node.lineno) for node in inner for m in _imported_modules(node)
+                   if m in top), key=lambda found: found[1])
+
+
+def test_no_module_imported_again_inside_a_function():
+    found = {path.name: repeated_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_scan_sees_a_repeated_import():
+    source = ("from . import tables\nfrom .hecke import a\nimport os\n"
+              "def f():\n    from .tables import b\n    import os.path\n"
+              "    def g():\n        from . import hecke\n    from .hc import c\n")
+    assert repeated_imports(source) == [(".tables", 5), (".hecke", 8)]
 
 
 def defined_names(source):

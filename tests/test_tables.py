@@ -208,6 +208,20 @@ def test_e7_e8_label_syntax():
             parse(text.replace("phi{1,0}\n", bad + "\n", 1))
 
 
+def test_rows_hold_their_catalog_characters():
+    # one resolution per row: every table with a catalog holds the row's
+    # character, whose label text is the row's text
+    files = all_dmx()
+    assert len(files) == 30
+    for f in files:
+        t = parse(f.read_text())
+        if f.name == "E8.phi6sq.dmx":
+            assert t.chars is None  # E8 ships no catalog
+            continue
+        assert len(t.chars) == t.size(), f.name
+        assert all(str(c.label) == lab for c, lab in zip(t.chars, t.rows)), f.name
+
+
 def test_constant_entry_texts_parse_to_ints():
     t = _synthetic("a", "", [(1, 0, "1+0a"), (2, 0, "a-a"), (3, 0, "2-a")])
     entries = t.columns[0].entries
@@ -231,6 +245,7 @@ series=ps : {row}=1
 @pytest.mark.parametrize("row, entry, message", [
     ("q.", "1", "line 6: bad partition 'q'"),
     ("1^2.", "2*x", "line 8: cannot parse expression '2*x' at '*x'"),
+    ("5.", "1", "line 6: label '5.' not in catalog of B2"),  # a B5 label
 ])
 def test_parse_errors_repeat_after_memoised_parses(row, entry, message):
     text = _BAD_B2.format(row=row, entry=entry)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from unipdec import tables, verify
+from unipdec.degrees import find_char
 from unipdec.hc import table_column_vector
 from unipdec.labels import GroupDescriptor
 from unipdec.roots import coxeter_number, regular_height_bound
@@ -156,6 +157,26 @@ def test_steinberg_multiplicities():
         rep = verify.check_steinberg_mults(t)
         assert rep.status == "pass", (rel, rep.evidence)
         assert len(rep.evidence) == leads
+
+
+def test_table_without_a_catalog_warns_in_every_row_check():
+    # E7 ships no catalog, so its shipped degrees cannot be compared
+    t = tables.parse("[table]\ngroup = E7\nd = 2\ndegrees = full\n[chars]\n"
+                     "phi{1,0} | 1\n[cols]\nseries=s : phi{1,0}=1\n")
+    assert t.chars is None
+    assert [(r.check, r.status) for r in verify.run_table_checks(t)] == [
+        ("degrees", "warn"), ("unitriangular", "warn"), ("craven", "warn"),
+        ("steinberg", "warn"), ("satisfiable", "pass")]
+
+
+def test_every_steinberg_lead_label_is_in_its_catalog():
+    # so check_steinberg_mults looks each one up without a fallback
+    groups = [GroupDescriptor(s, n) for s in ("B", "C", "D", "2D") for n in range(2, 11)]
+    leads = [(g, lab) for g in groups + [GroupDescriptor.parse("2E6")]
+             for lab, _ in verify._steinberg_cases(g)]
+    assert len(leads) == 40
+    for g, lab in leads:
+        find_char(g, lab)  # raises LabelError for a label not in the catalog
 
 
 def test_steinberg_detects_wrong_entry():
@@ -509,6 +530,27 @@ def test_param_box_bounds_every_corpus_entry_as_reference(monkeypatch):
                     assert reduced == [e]
                     varying += 1
     assert constant > 1000 and varying > 100, (constant, varying)
+
+
+def test_hc_induced_coefficients_are_bounded_without_reduce(monkeypatch):
+    # decompose_in_columns wraps its coefficients as ParamExprs, nearly all
+    # constant; one that names no parameter is bounded as (c, c) directly
+    reduced = []
+    real_reduce = tables.ParamSystem.reduce
+
+    def counting_reduce(system, expr):
+        reduced.append(expr)
+        return real_reduce(system, expr)
+
+    monkeypatch.setattr(tables.ParamSystem, "reduce", counting_reduce)
+    tA1, tD4 = load("levi/A1.d2.dmx"), load("d2/D4.all.dmx")
+    rep = verify.hc_induced_columns(tA1.group, tA1, tD4.group, tD4)
+    assert rep.status == "pass"
+    coeffs = [c for co in rep.data["decompositions"] for c in co]
+    assert len(coeffs) > 10 and all(isinstance(c, ParamExpr) for c in coeffs)
+    box = verify.ParamBox(tD4)
+    assert box.bounds(ParamExpr.const(-3)) == (-3, -3) and box.bounds(ParamExpr()) == (0, 0)
+    assert all(e.names() for e in reduced), reduced
 
 
 def test_param_box_matches_reference_on_fuzzed_tables():
