@@ -14,14 +14,14 @@ and single-block membership.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 
 from .cyclo import cyclotomic
 from .degrees import (_ennola_index, catalog, catalog_map, defect, find_char,
                       group_order_poly)
-from .labels import GroupDescriptor, UnsupportedGroupError, beta_to_partition
+from .labels import GroupDescriptor, LabelError, UnsupportedGroupError, beta_to_partition
 
 
 class BlockError(ValueError):
@@ -192,7 +192,9 @@ def block_partition(group, d):
 class BrauerTree:
     """Open line of character labels with one exceptional vertex 'O'.
 
-    `chain` holds labels with None marking the exceptional vertex;
+    `chain` holds the label texts as written, None marking the exceptional
+    vertex; `chars` their catalog characters (None at 'O'), resolved by
+    `find_char` when the tree is built, so that a bad label raises there;
     `edge_series` holds one modular HC-series tag per edge (may be empty).
     """
 
@@ -200,6 +202,11 @@ class BrauerTree:
     d: int
     chain: tuple
     edge_series: tuple = ()
+    chars: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chars", tuple(
+            None if lab is None else find_char(self.group, lab) for lab in self.chain))
 
     def characters(self):
         return [v for v in self.chain if v is not None]
@@ -226,12 +233,17 @@ def parse_tree_line(group, d, line):
 
 
 def load_trees(path_text, group, d):
+    """The trees of a `.trees` file, one a line; a line that does not parse
+    or names a label outside the catalog raises BlockError naming it."""
     out = []
-    for line in path_text.splitlines():
+    for lineno, line in enumerate(path_text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        out.append(parse_tree_line(group, d, line))
+        try:
+            out.append(parse_tree_line(group, d, line))
+        except (BlockError, LabelError, UnsupportedGroupError) as exc:
+            raise BlockError(f"line {lineno}: {exc}") from exc
     return out
 
 
@@ -353,13 +365,13 @@ def tree_check(tree):
     T(0) = L * S(2) is <= 0, since S is then <= 0 at q = 2 or at every large
     q, and passes when every coefficient is >= 0, since S(q) > 0 for all
     q >= 2 then.  Otherwise positivity is unproved and the tree gives `warn`
-    unless (iii) fails.  A label that is not in the catalog raises
-    LabelError.
+    unless (iii) fails.  The degrees are read from `tree.chars`, resolved
+    when the tree was built, so no label is looked up here.
     """
     group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
 
-    cm = {lab: find_char(group, lab) for lab in tree.characters()}
+    cm = dict(zip(tree.chain, tree.chars))
     for lab in tree.characters():
         if defect(cm[lab], d) != 1:
             return TreeReport(tree, "fail",
@@ -395,7 +407,7 @@ def tree_check(tree):
     # (iii) one block
     try:
         part = block_partition(group, d)
-        canon = [str(cm[lab].label) for lab in tree.characters()]
+        canon = [str(c.label) for c in tree.chars if c is not None]
         first, _ = part.block_of(canon[0])
         if any(lab not in first for lab in canon):
             return TreeReport(tree, "fail", "characters span several blocks")

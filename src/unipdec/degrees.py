@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .cyclo import CycloError, FactoredPoly, parse_factored
 from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnipLabel,
                      UnsupportedGroupError, classical_label_list, label_symbol,
-                     parse_label, resolve_label)
+                     resolve_label)
 
 
 @dataclass(frozen=True)
@@ -326,27 +326,23 @@ def catalog_map(g):
 
 @lru_cache(maxsize=None)
 def find_char(g, text):
-    """The catalog character of g labelled `text`; memoised per (g, text).
+    """The catalog character of g labelled `text`, memoised per (g, text):
+    the one step from a label text to its character.
 
-    A text that is a catalog key is the text of the label it names (parsing
-    it gives a label of the same text), so it is looked up as it is.  Any
-    other text (spaces around it, a swapped type-D orientation, `D4:.`, an
-    unknown label, a group without a catalog) is parsed and resolved; a
-    label not in the catalog raises LabelError, and a group without one
-    UnsupportedGroupError.
+    A catalog key is the canonical text of the label it names, so it is
+    looked up as it is.  Any other text (spaces around it, `1111.` for
+    `1^4.`, a swapped type-D orientation, `D4:.`, an unknown label, a group
+    without a catalog) is resolved by `resolve_label`; a label not in the
+    catalog raises LabelError, and a group without one UnsupportedGroupError.
     """
     try:
         return catalog_map(g)[text]
     except (KeyError, UnsupportedGroupError):
         pass
-    label = parse_label(text, g)
+    label = resolve_label(g, text)
     cm = catalog_map(g)
     if str(label) in cm:
         return cm[str(label)]
-    if g.series == "D":
-        canon = resolve_label(g, text)
-        if str(canon) in cm:
-            return cm[str(canon)]
     if label.kind == "named":  # an exceptional group's catalog names its labels
         raise LabelError(f"unknown label {text!r} (not in the {g} catalog)")
     raise LabelError(f"label {text!r} not in catalog of {g}")

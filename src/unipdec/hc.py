@@ -7,13 +7,14 @@ B6:, D4:) through their relative type-B Weyl groups.  This is what the
 
 What is memoised, each handed out read-only: per (group, label text), the
 HC series of a source label and its cover of W(B_n)-characters
-(`_label_cover`) and the catalog label of a target label (`_canonical_text`);
-per (group, bipartition), how a W(B_n)-character of a cover reads back as
-catalog labels of the target, halved or not, and which swapped partner must
-carry the same coefficient in type D (`_read_back`); the induction of one
-W(B_m)-character into W(B_n) (`weyl.induce_char`, keyed by the bipartition,
-n and the GL-factor partitions); and the induction matrix of a (source,
-target) pair (`induction_matrix`, which `hc_restrict` reads on every call).
+(`_label_cover`), and the catalog character of a target label
+(`degrees.find_char`); per (group, bipartition), how a W(B_n)-character of
+a cover reads back as catalog labels of the target, halved or not, and
+which swapped partner must carry the same coefficient in type D
+(`_read_back`); the induction of one W(B_m)-character into W(B_n)
+(`weyl.induce_char`, keyed by the bipartition, n and the GL-factor
+partitions); and the induction matrix of a (source, target) pair
+(`induction_matrix`, which `hc_restrict` reads on every call).
 `hc_induce` itself is not memoised: it sums the source labels' covers over
 the whole vector, in vector order, then sums the cached W(B_n)-characters
 over that cover and only then reads the sum back as labels of the target.
@@ -66,12 +67,6 @@ def _label_cover(group, text):
     return core, ((bip, 1),)
 
 
-@lru_cache(maxsize=None)
-def _canonical_text(group, text):
-    """The catalog label text of a label of the group."""
-    return str(find_char(group, text).label)
-
-
 def _cover_rank(group):
     s, n = group.series, group.rank
     if s in ("B", "C", "D"):
@@ -101,11 +96,11 @@ def _read_back(group, bip):
     label; each orientation names the other as its partner.
     """
     if group.series != "D":
-        return (_canonical_text(group, str(bip)),), False, None
+        return (str(find_char(group, str(bip)).label),), False, None
     if bip.left == bip.right:
         half = format_partition(bip.left)
-        return tuple(_canonical_text(group, half + sgn) for sgn in "+-"), True, None
-    texts = (_canonical_text(group, str(bip)),) if bip == d_canonical_bip(bip) else ()
+        return tuple(str(find_char(group, half + sgn).label) for sgn in "+-"), True, None
+    texts = (str(find_char(group, str(bip)).label),) if bip == d_canonical_bip(bip) else ()
     return texts, False, bip.swapped()
 
 
@@ -166,7 +161,7 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
             _from_b_cover(target_group, acc, out)
             continue
         for bip, c in acc.items():
-            key = _canonical_text(target_group, f"{core}:{bip}" if bip.size() else core)
+            key = str(find_char(target_group, f"{core}:{bip}" if bip.size() else core).label)
             out[key] = out.get(key, 0) + c
     return out
 

@@ -11,6 +11,10 @@ Label grammar (bit-exact, shared with the table files):
     core series     B2:2.   D4:21.1   B6  (bare core = empty bipartition)
     partitions      31   (A-series)
     named           phi{20,10}  phi{2,4}'  E6[z3]  F4[-1]  2A5:2
+
+A part is a digit 1-9, with an optional exponent 1-9 ("1^4" is 1111).
+`parse_label` keeps a classical label in canonical spelling: "1111." is
+kept as "1^4.", "D4:." as "D4".
 """
 
 from __future__ import annotations
@@ -77,30 +81,23 @@ def check_partition(parts):
     return parts
 
 
+_PART = re.compile(r"([1-9])(?:\^([1-9]))?")  # a part and its exponent
+_PARTITION = re.compile(f"(?:{_PART.pattern})+")
+
+
 def parse_partition(text):
     """Parse e.g. '21^3' -> (2,1,1,1) or '2^21^2' -> (2,2,1,1).
 
-    Parts are single digits (ranks stay below 10); an exponent keeps its
-    last digit for the next part when another '^' follows.
+    Parts and exponents are single digits 1-9 (ranks stay below 10), so an
+    exponent is one digit and the next digit starts a part; a 0 is rejected.
     """
     text = text.strip()
     if text in ("", "-"):
         return ()
-    parts = []
-    i = 0
-    while i < len(text):
-        if not text[i].isdigit():
-            raise LabelError(f"bad partition {text!r}")
-        part = int(text[i])
-        i += 1
-        exp = 1
-        if i < len(text) and text[i] == "^":
-            if i + 1 >= len(text) or not text[i + 1].isdigit():
-                raise LabelError(f"bad partition {text!r}")
-            exp = int(text[i + 1])  # single-digit exponents; ranks stay below 10
-            i += 2
-        parts.extend([part] * exp)
-    return check_partition(parts)
+    if not _PARTITION.fullmatch(text):
+        raise LabelError(f"bad partition {text!r}")
+    return check_partition([int(p) for p, e in _PART.findall(text)
+                            for _ in range(int(e or 1))])
 
 
 def format_partition(parts):
@@ -269,7 +266,9 @@ _CORE_DEFECT = {"B2": 3, "B6": 5, "D4": 4, "2D9": 6}
 def parse_label(text, group=None):
     """Parse a label string; `group` only disambiguates named exceptional labels.
 
-    Memoised per (text, group): the result is a frozen UnipLabel.
+    A classical label's text is canonical (as `bip_label`, `split_label`,
+    `core_label` and `format_partition` spell it).  Memoised per (text,
+    group): the result is a frozen UnipLabel.
     """
     text = text.strip()
     if not text:
@@ -278,22 +277,17 @@ def parse_label(text, group=None):
         return UnipLabel("named", text)
     m = re.match(r"^(B2|B6|D4|2D9):(.*)$", text)
     if m:
-        rest = m.group(2)
-        bip = Bipartition.parse(rest) if "." in rest else None
-        if bip is None:
+        if "." not in m.group(2):
             raise LabelError(f"core label needs a bipartition: {text!r}")
-        if bip.size() == 0:
-            return core_label(m.group(1), bip)
-        return UnipLabel("core", text, bip=bip, core=m.group(1))
+        return core_label(m.group(1), Bipartition.parse(m.group(2)))
     if text in _CORE_RANK:
         return core_label(text, Bipartition((), ()))
     if text.endswith("+") or text.endswith("-"):
-        half = parse_partition(text[:-1])
-        bip = Bipartition(half, half)
-        return UnipLabel("split", text, bip=bip, sign=text[-1])
+        return split_label(parse_partition(text[:-1]), text[-1])
     if "." in text:
-        return UnipLabel("bip", text, bip=Bipartition.parse(text))
-    return UnipLabel("partition", text, bip=Bipartition(parse_partition(text), ()))
+        return bip_label(Bipartition.parse(text))
+    parts = parse_partition(text)
+    return UnipLabel("partition", format_partition(parts), bip=Bipartition(parts, ()))
 
 
 def bip_label(bip):

@@ -20,7 +20,7 @@ from math import inf
 from .blocks import BlockError, load_trees, tree_check
 from .degrees import UnsupportedGroupError, find_char, perversity
 from .fourier import dl_vector
-from .labels import GroupDescriptor, LabelError
+from .labels import GroupDescriptor
 from .tables import ParamExpr, TableError, parse
 from .weyl import sign_value
 
@@ -551,8 +551,9 @@ def corpus_tables(corpus=None):
 def corpus_trees(corpus=None):
     """Yield (relative path, BrauerTree) for every shipped tree.
 
-    A tree file that is not UTF-8, does not parse, or that does not sit in
-    a directory d<n> with n >= 1, raises BlockError naming the file.
+    A tree file that is not UTF-8, does not parse, names a label outside
+    the catalog, or that does not sit in a directory d<n> with n >= 1,
+    raises BlockError naming the file (and the line, from `load_trees`).
     """
     for sub, f, text in _corpus_files(corpus, ".trees", BlockError):
         try:
@@ -604,16 +605,13 @@ def tree_reports(corpus=None, d=None, group=None):
     """Yield (relative path, CheckReport "tree") for every corpus tree
     selected by `d` and `group`; the evidence is the failure or the chain.
 
-    A tree file that cannot be parsed or checked (a group without a
-    catalog, a label not in it) raises BlockError naming the file.
+    Every tree file is read, selected or not (`corpus_trees` raises on a
+    bad one, naming the file and line).
     """
     for path, tree in corpus_trees(corpus):
         if not _selected(tree, d, group):
             continue
-        try:
-            rep = tree_check(tree)
-        except (LabelError, UnsupportedGroupError) as exc:
-            raise BlockError(f"{path}: {exc}") from exc
+        rep = tree_check(tree)
         chain = " -- ".join(lab or "O" for lab in tree.chain)
         yield path, CheckReport("tree", rep.status, [rep.evidence or chain])
 

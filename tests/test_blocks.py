@@ -76,6 +76,22 @@ def test_d3_example_tree():
     assert rep.status == "fail" and "divisible" in rep.evidence
 
 
+def test_a_tree_holds_its_characters_and_tree_check_looks_up_none(monkeypatch):
+    # every vertex is resolved once, when the tree is built, in any spelling
+    g = GroupDescriptor.parse("D3")
+    t = parse_tree_line(g, 3, "3.|ps -- .21|ps -- .111|A2 -- O")
+    assert t.chars == tuple(find_char(g, lab) for lab in (".3", ".21", ".1^3")) + (None,)
+    with pytest.raises(LabelError, match="bad partition 'zz'"):
+        BrauerTree(g, 3, ("zz", None))
+    with pytest.raises(UnsupportedGroupError, match="no E7 catalog"):
+        BrauerTree(GroupDescriptor.parse("E7"), 2, ("phi{1,0}", None))
+
+    def no_lookup(group, text):
+        raise AssertionError(f"tree_check looked up {text!r}")
+    monkeypatch.setattr(blocks, "find_char", no_lookup)
+    assert tree_check(t).status == "pass"
+
+
 def test_whole_tree_corpus_passes():
     total = 0
     for dd in sorted(DATA.glob("d*")):
@@ -108,10 +124,7 @@ def _dense_tree_check(tree):
     group, d, chain = tree.group, tree.d, tree.chain
     M = group_order_poly(group).root_multiplicity(d)
     phi = cyclotomic(d)
-    try:
-        cm = {lab: find_char(group, lab) for lab in tree.characters()}
-    except LabelError as exc:
-        return "fail", str(exc)
+    cm = {lab: find_char(group, lab) for lab in tree.characters()}
     for lab in tree.characters():
         if defect(cm[lab], d) != 1:
             return "fail", f"{lab} has Phi_{d}-defect {defect(cm[lab], d)}, not 1"

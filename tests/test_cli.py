@@ -117,28 +117,53 @@ def test_degrees_tsv_matches_golden_output():
         assert code == 0 and out == body, head
 
 
+# (directory, file, text, error, the line the error names or None for an
+# error in the file's name)
 _BAD_TREES = [
-    ("d3", "Q9.trees", "1^3. -- O", "cannot parse group descriptor 'Q9'"),
-    ("d3", "D4.trees", "21^2. -- O -- O", "exactly one exceptional vertex"),
-    ("d3", "E7.trees", "phi{1,0} -- O", "no E7 catalog"),
-    ("dx", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'dx' is not d<n> with n >= 1"),
-    ("d0", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'d0' is not d<n> with n >= 1"),
-    ("d3", "D4.trees", "zz -- O -- .4", "bad partition 'zz'"),
+    ("d3", "Q9.trees", "1^3. -- O", "cannot parse group descriptor 'Q9'", None),
+    ("d3", "D4.trees", "21^2. -- O -- O", "exactly one exceptional vertex", 1),
+    ("d3", "E7.trees", "phi{1,0} -- O", "no E7 catalog", 1),
+    ("dx", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'dx' is not d<n> with n >= 1", None),
+    ("d0", "D3.trees", ".3 -- .21 -- .1^3 -- O", "'d0' is not d<n> with n >= 1", None),
+    ("d3", "D4.trees", "zz -- O -- .4", "bad partition 'zz'", 1),
+    ("d3", "D4.trees", "# a comment\n\nzz -- O -- .4", "bad partition 'zz'", 3),
+    ("d3", "D4.trees", ".4 -- O\n5. -- O", "label '5.' not in catalog of D4", 2),
+    ("d3", "D4.trees", "310. -- O", "bad partition '310'", 1),
 ]
 
 
 # a d3 case's id leaves out the directory, so the older cases keep their names
-@pytest.mark.parametrize("sub, name, line, why", _BAD_TREES, ids=[
-    "-".join(case[1:] if case[0] == "d3" else case) for case in _BAD_TREES])
+@pytest.mark.parametrize("sub, name, text, why, line", _BAD_TREES, ids=[
+    "-".join(case[1:4] if case[0] == "d3" else case[:4]) for case in _BAD_TREES])
 @pytest.mark.parametrize("command", ["verify", "trees"])
-def test_malformed_tree_file_exits_2(tmp_path, capsys, sub, name, line, why, command):
+def test_malformed_tree_file_exits_2(tmp_path, capsys, sub, name, text, why, line, command):
     d = tmp_path / sub
     d.mkdir()
-    (d / name).write_text(line + "\n")
+    (d / name).write_text(text + "\n")
     code, out = run(["--corpus", str(tmp_path), command])
     assert code == 2 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {sub}/{name}: ") and why in err
+    where = f"error: {sub}/{name}: " + (f"line {line}: " if line else "")
+    assert err.startswith(where) and why in err and (line or "line" not in err)
+
+
+@pytest.mark.parametrize("selection", [["--only", "d=5"], ["--group", "B4"]])
+def test_bad_tree_label_outside_the_selection_exits_2(tmp_path, capsys, selection):
+    # every tree is resolved when its file is read, as every table is
+    d = tmp_path / "d3"
+    d.mkdir()
+    (d / "D4.trees").write_text(".4 -- O\nzz -- O\n")
+    code, out = run(["--corpus", str(tmp_path), "trees"] + selection)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: d3/D4.trees: line 2: bad partition 'zz'")
+
+
+def test_trees_tsv_matches_golden_output():
+    # tests/data/trees.tsv is `unipdec --format tsv trees` over the shipped
+    # corpus; a refactor must reproduce it byte for byte.
+    code, out = run(["--corpus", str(DATA), "--format", "tsv", "trees"])
+    assert code == 0
+    assert out == (pathlib.Path(__file__).parent / "data" / "trees.tsv").read_text()
 
 
 _TABLE = "[table]\ngroup = D4\nd = 2\n[chars]\n.4 | 1\n[cols]\nseries=ps : .4=1\n"
@@ -166,6 +191,9 @@ _COLS = ".4 | 1\n[cols]\nseries=ps : .4=1\n"  # replaced to give a second row an
     # a label of B5, not of D4, as a row and as an entry
     (".4 | 1", ".4 | 1\n5.", "line 6: label '5.' not in catalog of D4"),
     (".4=1", ".4=1 5.=1", "line 7: label '5.' not in catalog of D4"),
+    # a zero part is an error, not dropped (310. is not 31.)
+    (".4 | 1", ".4 | 1\n310.", "line 6: bad partition '310'"),
+    (".4=1", ".4=1 3.10=1", "line 7: bad partition '10'"),
     (".4=1", ".4=a*b", "line 7: cannot parse expression 'a*b' at '*b'"),
     (".4 | 1", ".4 | 1\n4.", "line 6: duplicate row label '.4' (first on line 5)"),
     (".4=1", ".4=1 31.=1", "line 7: column 1: unknown label '.31'"),

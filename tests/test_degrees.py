@@ -508,6 +508,12 @@ def test_find_char_of_texts_that_are_not_keys():
     b2 = GroupDescriptor.parse("B2")
     assert find_char(b2, "B2") is catalog_map(b2)["B2:."]
     assert find_char(D4, " 1.3 ") is find_char(D4, "1.3")
+    b4 = GroupDescriptor.parse("B4")
+    assert "1111." not in catalog_map(b4)  # repeated parts written out
+    assert find_char(b4, "1111.") is find_char(b4, "1^4.") is catalog_map(b4)["1^4."]
+    assert find_char(D4, "111.1") is find_char(D4, "1.1^3")  # respelled and swapped
+    with pytest.raises(LabelError, match=r"bad partition '310'"):
+        find_char(b4, "310.")
     with pytest.raises(LabelError, match=r"label '5.' not in catalog of D4"):
         find_char(D4, "5.")
     with pytest.raises(LabelError, match="empty label"):

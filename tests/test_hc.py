@@ -20,7 +20,7 @@ import pytest
 from unipdec import degrees, hc, tables, verify, weyl
 from unipdec.degrees import UnsupportedGroupError, catalog, find_char
 from unipdec.hc import HCError, hc_induce, hc_restrict, table_column_vector
-from unipdec.labels import Bipartition, GroupDescriptor, parse_label, partitions
+from unipdec.labels import Bipartition, GroupDescriptor, LabelError, parse_label, partitions
 from unipdec.tables import ParamExpr
 
 from test_tables import with_param_entries
@@ -426,6 +426,15 @@ def test_hc_induce_refuses_a_type_a_target(source, vector):
     with pytest.raises(UnsupportedGroupError, match="HC induction into A3 not implemented"):
         hc.induction_matrix(gs, a3)
     assert hc_induce(gs, vector, GroupDescriptor.parse("B3"))
+
+
+@pytest.mark.parametrize("text", ["310.", "3.1^10", "1^0."])
+def test_hc_induce_refuses_a_zero_part(text):
+    # a zero part was dropped, so 310. induced as 31. did
+    b3, b4 = GroupDescriptor.parse("B3"), GroupDescriptor.parse("B4")
+    with pytest.raises(LabelError, match="bad partition"):
+        hc_induce(b3, {text: 1}, b4)
+    assert hc_induce(b3, {"111.": 1}, b4) == hc_induce(b3, {"1^3.": 1}, b4)
 
 
 def test_hc_induce_raises_on_an_asymmetric_type_d_cover():

@@ -1,7 +1,9 @@
+import re
 from itertools import product
 
 import pytest
 
+from unipdec.degrees import catalog_map, find_char
 from unipdec.labels import (BetaSymbol, Bipartition, GroupDescriptor, LabelError,
                             bipartition_to_symbol, bipartitions, check_partition,
                             classical_label_list, d_canonical_bip, parse_label,
@@ -40,6 +42,48 @@ def test_partition_grammar():
     assert parse_partition("") == ()
     with pytest.raises(LabelError):
         parse_partition("12")  # increasing parts are not a partition
+
+
+@pytest.mark.parametrize("text", ["310", "1^0", "1^10", "0", "2^", "^2", "²"])
+def test_partition_refuses_a_zero_or_a_non_digit(text):
+    # a zero part or exponent is an error, not dropped: 310 is not 31
+    with pytest.raises(LabelError, match=re.escape(f"bad partition {text!r}")):
+        parse_partition(text)
+
+
+@pytest.mark.parametrize("text, part", [("310.", "310"), ("1^0", "1^0"),
+                                        ("3.1^10", "1^10"), ("B2:10.", "10"),
+                                        ("310+", "310")])
+def test_label_with_a_zero_part_is_refused(text, part):
+    with pytest.raises(LabelError, match=re.escape(f"bad partition {part!r}")):
+        parse_label(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1111.", "1^4."), (".2211", ".2^21^2"), ("111", "1^3"), ("11+", "1^2+"),
+    ("B2:11.", "B2:1^2."), ("D4:.", "D4"), ("B2", "B2:."), (" 3.1 ", "3.1")])
+def test_label_text_is_canonical(text, want):
+    assert str(parse_label(text)) == want
+    assert parse_label(text) == parse_label(want)
+
+
+def _spelled_out(text):
+    """`text` with every part a^k written as k copies of a."""
+    return re.sub(r"(\d)\^(\d)", lambda m: m.group(1) * int(m.group(2)), text)
+
+
+def test_parse_label_is_idempotent_on_respelled_catalog_labels():
+    respelled = 0
+    for s in ("A", "2A", "B", "C", "D", "2D"):
+        for n in range(2, 8):
+            g = GroupDescriptor(s, n)
+            for key, char in catalog_map(g).items():
+                text = _spelled_out(key)
+                once = str(parse_label(text, g))
+                assert str(parse_label(once, g)) == once == key, (str(g), text)
+                assert find_char(g, text) is char
+                respelled += text != key
+    assert respelled == 651
 
 
 def test_catalog_counts():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from unipdec import tables, verify
+from unipdec.degrees import find_char
 from unipdec.tables import ParamExpr, TableError, parse, parse_expr, emit
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
@@ -222,6 +223,28 @@ def test_rows_hold_their_catalog_characters():
         assert all(str(c.label) == lab for c, lab in zip(t.chars, t.rows)), f.name
 
 
+_B4_RESPELLED = """[table]
+group = B4
+d = 2
+[chars]
+4.
+1111.
+[cols]
+series=ps : 4.=1 1111.=2
+series=ps : 1^4.=1
+"""
+
+
+def test_a_respelled_row_is_stored_in_canonical_spelling():
+    t = parse(_B4_RESPELLED)
+    assert t.rows == ("4.", "1^4.") and t.chars[1] is find_char(t.group, "1^4.")
+    assert t.columns[0].entries == {0: 1, 1: 2}
+    # both spellings name one character, so one table cannot hold both
+    with pytest.raises(TableError) as exc:
+        parse(_B4_RESPELLED.replace("1111.\n", "1^4.\n1111.\n", 1))
+    assert str(exc.value) == "line 7: duplicate row label '1^4.' (first on line 6)"
+
+
 def test_constant_entry_texts_parse_to_ints():
     t = _synthetic("a", "", [(1, 0, "1+0a"), (2, 0, "a-a"), (3, 0, "2-a")])
     entries = t.columns[0].entries
@@ -246,6 +269,7 @@ series=ps : {row}=1
     ("q.", "1", "line 6: bad partition 'q'"),
     ("1^2.", "2*x", "line 8: cannot parse expression '2*x' at '*x'"),
     ("5.", "1", "line 6: label '5.' not in catalog of B2"),  # a B5 label
+    ("110.", "1", "line 6: bad partition '110'"),  # not 1^2.: a zero part is an error
 ])
 def test_parse_errors_repeat_after_memoised_parses(row, entry, message):
     text = _BAD_B2.format(row=row, entry=entry)
