@@ -1,14 +1,16 @@
 """Phi_d-block partitions and Brauer-tree consistency checks.
 
 Classical block partitions come from cores; two characters lie in the same
-block iff their cores agree.  A core is read from the bead counts per
-abacus runner, not by removing hooks one at a time: the d-core of the
-beta-symbol for B, C, D and 2D (d-hooks for odd d, (d/2)-cohooks for even
-d), the e-core of the partition for A and 2A.  Exceptional-group
-partitions are shipped as data.  Brauer trees are open lines of ordinary
+block iff their cores agree, so a character's core is its block key
+(`_core_key`).  A core is read from the bead counts per abacus runner, not
+by removing hooks one at a time: the d-core of the beta-symbol for B, C, D
+and 2D (d-hooks for odd d, (d/2)-cohooks for even d), the e-core of the
+partition for A and 2A; both are memoised.  Exceptional-group partitions
+are shipped as data.  Brauer trees are open lines of distinct ordinary
 characters around one exceptional vertex; `tree_check` verifies defects,
 adjacent-degree divisibility, the positivity of the alternating degree sum
-and single-block membership.
+and single-block membership, the last from the keys of the tree's own
+vertices for a classical group, without building its whole partition.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def _ordered_reduced(top, bottom):
     return (top, bottom) if (len(top), top) <= (len(bottom), bottom) else (bottom, top)
 
 
+@lru_cache(maxsize=None)
 def symbol_core(sym, d):
     """The d-core of a symbol, reduced and with its two rows ordered: what
     removing d-hooks (d odd) or (d/2)-cohooks (d even) leaves.
@@ -67,7 +70,7 @@ def symbol_core(sym, d):
     2k + (rho xor k mod 2) makes every cohook a step of 2 slots down, so the
     core keeps the bead count per (runner, slot parity) and packs each one
     into the lowest slots.  Both rows are read level by level, so each
-    comes out increasing.
+    comes out increasing.  Memoised per (symbol, d).
     """
     if d % 2:
         return _ordered_reduced(_runner_core(sym.top, d), _runner_core(sym.bottom, d))
@@ -85,9 +88,27 @@ def symbol_core(sym, d):
     return _ordered_reduced(tuple(rows[0]), tuple(rows[1]))
 
 
+@lru_cache(maxsize=None)
 def partition_core(beta, e):
-    """The e-core of the partition with beta-set `beta`, as a partition."""
+    """The e-core of the partition with beta-set `beta`, as a partition;
+    memoised per (beta, e)."""
     return beta_to_partition(_runner_core(beta, e))
+
+
+def _core_key(group, d):
+    """The block key of a classical catalog character at d, as a function of
+    the character, or None for an exceptional group: the e-core of the
+    partition for A (e = d) and 2A (e the order of -q at a primitive d-th
+    root of unity: 2d for odd d, d/2 for d = 2 mod 4, d for d = 0 mod 4),
+    the d-core of the symbol for B, C, D and 2D.  Two unipotent characters
+    share a Phi_d-block iff their keys agree (Fong-Srinivasan 1982,
+    Broue-Malle-Michel 1993)."""
+    if group.series in ("A", "2A"):
+        e = d if group.series == "A" else _ennola_index(d)
+        return lambda c: partition_core(c.symbol.top, e)
+    if group.series in ("B", "C", "D", "2D"):
+        return lambda c: symbol_core(c.symbol, d)
+    return None
 
 
 @dataclass(frozen=True)
@@ -143,21 +164,16 @@ def _exceptional_blocks(group):
 def block_partition(group, d):
     """Partition of the unipotent characters into Phi_d-blocks.
 
-    Two classical characters share a block iff their cores agree: the
-    d-core of the symbol for B, C, D and 2D, and the e-core of the
-    partition for A (e = d) and 2A (e the order of -q at a primitive d-th
-    root of unity: 2d for odd d, d/2 for d = 2 mod 4, d for d = 0 mod 4).
+    Classical characters are grouped by `_core_key`; the exceptional
+    groups' blocks are shipped as data, every character outside them in a
+    defect-0 singleton.  A block of non-constant defect raises BlockError.
     """
     chars = catalog(group)
-    if group.series in ("B", "C", "D", "2D", "A", "2A"):
-        if group.series in ("A", "2A"):
-            e = d if group.series == "A" else _ennola_index(d)
-            core = lambda c: partition_core(c.symbol.top, e)
-        else:
-            core = lambda c: symbol_core(c.symbol, d)
+    key = _core_key(group, d)
+    if key is not None:
         keyed = {}
         for c in chars:
-            keyed.setdefault(core(c), []).append(c)
+            keyed.setdefault(key(c), []).append(c)
         blocks = []
         for members in keyed.values():
             labels = frozenset(str(c.label) for c in members)
@@ -194,7 +210,8 @@ class BrauerTree:
 
     `chain` holds the label texts as written, None marking the exceptional
     vertex; `chars` their catalog characters (None at 'O'), resolved by
-    `find_char` when the tree is built, so that a bad label raises there;
+    `find_char` when the tree is built, so that a bad label, or a character
+    named twice (in any spelling), raises there;
     `edge_series` holds one modular HC-series tag per edge (may be empty).
     """
 
@@ -205,8 +222,15 @@ class BrauerTree:
     chars: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "chars", tuple(
-            None if lab is None else find_char(self.group, lab) for lab in self.chain))
+        chars = tuple(None if lab is None else find_char(self.group, lab)
+                      for lab in self.chain)
+        seen = set()
+        for lab, c in zip(self.chain, chars):
+            if c is not None:
+                if c.label.text in seen:
+                    raise BlockError(f"vertex {lab!r} appears twice")
+                seen.add(c.label.text)
+        object.__setattr__(self, "chars", chars)
 
     def characters(self):
         return [v for v in self.chain if v is not None]
@@ -303,11 +327,18 @@ def _monic_residue(q_exp, cyclo_mults, d):
 
 
 @lru_cache(maxsize=None)
+def _cyclotomic_at(e, x):
+    """Phi_e(x), as an int; memoised so that the degrees of one tree, all
+    evaluated at the same x, share each value."""
+    return cyclotomic(e)(x)
+
+
+@lru_cache(maxsize=None)
 def _monic_at(q_exp, cyclo_mults, x):
     """q^q_exp * prod Phi_e^m at q = x: the monic part of a degree, as an int."""
     v = x ** q_exp
     for e, m in cyclo_mults:
-        v *= cyclotomic(e)(x) ** m
+        v *= _cyclotomic_at(e, x) ** m
     return v
 
 
@@ -347,7 +378,11 @@ def tree_check(tree):
          is divisible by the full Phi_d-part Phi_d^M of the group order, and
          the alternating sum over the whole line is minus a positive multiple
          of a putative exceptional-character degree, divisible by Phi_d^(M-1);
-    (iii) all characters lie in one block of block_partition.
+    (iii) all characters lie in one Phi_d-block.  For a classical group
+          that is one core for all of them (`_core_key`; Fong-Srinivasan,
+          Invent. Math. 69, 1982; Broue-Malle-Michel, Asterisque 212, 1993),
+          so only the tree's own vertices are keyed; an exceptional tree is
+          looked up in the shipped `block_partition`.
 
     After (i) every degree on the tree is D = Phi_d^(M-1) * u with Phi_d
     not dividing u = s * q^k * prod over e != d of Phi_e^m, because Phi_d is
@@ -371,11 +406,12 @@ def tree_check(tree):
     group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
 
+    # (i) the defect is M less the multiplicity of Phi_d in the degree
     cm = dict(zip(tree.chain, tree.chars))
     for lab in tree.characters():
-        if defect(cm[lab], d) != 1:
-            return TreeReport(tree, "fail",
-                              f"{lab} has Phi_{d}-defect {defect(cm[lab], d)}, not 1")
+        dft = M - cm[lab].degree.root_multiplicity(d)
+        if dft != 1:
+            return TreeReport(tree, "fail", f"{lab} has Phi_{d}-defect {dft}, not 1")
 
     # (ii) neighbouring ordinary characters: sum divisible by Phi_d^M
     chain = tree.chain
@@ -405,14 +441,18 @@ def tree_check(tree):
                           "alternating sum is not a positive multiple of a degree")
 
     # (iii) one block
-    try:
-        part = block_partition(group, d)
-        canon = [str(c.label) for c in tree.chars if c is not None]
-        first, _ = part.block_of(canon[0])
-        if any(lab not in first for lab in canon):
-            return TreeReport(tree, "fail", "characters span several blocks")
-    except UnsupportedGroupError:
-        pass  # exceptional group without full block data at this d: defect check stands
+    chars = [c for c in tree.chars if c is not None]
+    key = _core_key(group, d)
+    if key is not None:
+        split = len({key(c) for c in chars}) > 1
+    else:
+        try:
+            first, _ = block_partition(group, d).block_of(chars[0].label.text)
+            split = any(c.label.text not in first for c in chars)
+        except UnsupportedGroupError:
+            split = False  # exceptional group without block data at this d: defect check stands
+    if split:
+        return TreeReport(tree, "fail", "characters span several blocks")
     if min(shifted) < 0:
         return TreeReport(tree, "warn", "alternating sum not proved positive for q >= 2")
     return TreeReport(tree, "pass")

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -12,7 +13,7 @@ from unipdec.cyclo import DensePoly, FactoredPoly, cyclotomic, euler_phi
 from unipdec.degrees import catalog, defect, find_char, group_order_poly
 from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, UnsupportedGroupError,
                             beta_to_partition)
-from unipdec.verify import ParamBox, corpus_tables, corpus_trees
+from unipdec.verify import ParamBox, corpus_tables, corpus_trees, tree_reports
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "unipdec" / "data"
 
@@ -273,13 +274,66 @@ def test_sum_positive_at_sampled_points_is_not_proved_positive(monkeypatch):
 
 
 def test_block_failure_outranks_unproved_positivity(monkeypatch):
+    # a classical tree is split through its block key: one key per vertex
     tree = _sample_tree_with_shifted_sum(monkeypatch, (15, -16, 4))
-    labels = [str(find_char(tree.group, lab).label) for lab in tree.characters()]
-    split = BlockPartition(tree.group, tree.d,
-                           tuple((frozenset([lab]), 1) for lab in labels))
+    assert blocks._core_key(tree.group, tree.d) is not None
+    monkeypatch.setattr(blocks, "_core_key", lambda group, d: lambda c: c.label.text)
+    rep = tree_check(tree)
+    assert (rep.status, rep.evidence) == ("fail", "characters span several blocks")
+
+
+def test_exceptional_block_failure_goes_through_block_partition(monkeypatch):
+    # an E6 tree has no core key; its block is read from the shipped data
+    tree = parse_tree_line(GroupDescriptor.parse("E6"), 2, "phi{64,4} -- O -- phi{64,13}")
+    assert blocks._core_key(tree.group, tree.d) is None and tree_check(tree).status == "pass"
+    split = BlockPartition(tree.group, tree.d, tuple(
+        (frozenset([c.label.text]), 1) for c in tree.chars if c is not None))
     monkeypatch.setattr(blocks, "block_partition", lambda group, d: split)
     rep = tree_check(tree)
     assert (rep.status, rep.evidence) == ("fail", "characters span several blocks")
+
+
+def test_block_check_matches_block_partition_on_two_vertex_trees():
+    # a -- O -- b has no edge between ordinary characters and the positive
+    # sum deg a + deg b, so with a and b of defect 1 only (iii) can fail.
+    # For every (group, d) of the corpus trees, plus two of GL_n with two
+    # defect-1 blocks, a and b are the first labels of two defect-1 blocks,
+    # or the first two of one block; a third tree takes b from the largest
+    # block of another defect, so that (i) fails.
+    pairs = sorted({(t.group, t.d) for _, t in corpus_trees()}, key=lambda p: (str(p[0]), p[1]))
+    assert len(pairs) == 53
+    pairs += [(GroupDescriptor("A", 4), 3), (GroupDescriptor("A", 6), 4)]
+    verdicts = Counter()
+    for g, d in pairs:
+        part = block_partition(g, d).blocks
+        ones = [sorted(b) for b, dft in part if dft == 1]
+        other = next(sorted(b) for b, dft in part if dft != 1)
+        chains = [(ones[0][0], None, ones[0][1]), (ones[0][0], None, other[0])]
+        if len(ones) > 1:
+            chains.append((ones[0][0], None, ones[1][0]))
+        for chain in chains:
+            tree = BrauerTree(g, d, chain)
+            rep = tree_check(tree)
+            assert (rep.status, rep.evidence) == _dense_tree_check(tree), (str(g), d, chain)
+            verdicts[rep.evidence.split("defect ")[-1]] += 1
+    assert verdicts == {"": 55, "characters span several blocks": 28,
+                        "0, not 1": 44, "2, not 1": 8, "3, not 1": 1, "4, not 1": 1,
+                        "5, not 1": 1}
+
+
+def test_verify_builds_block_partitions_only_for_exceptional_groups(monkeypatch):
+    # a classical tree keys its own vertices by their cores; only the
+    # exceptional trees read a whole-group partition, from the shipped data
+    calls = Counter()
+    whole = blocks.block_partition
+
+    def counted(group, d):
+        calls[group.series] += 1
+        return whole(group, d)
+    monkeypatch.setattr(blocks, "block_partition", counted)
+    statuses = Counter(rep.status for _, rep in tree_reports())
+    assert statuses == {"pass": 124}
+    assert calls == {"E6": 2}
 
 
 @pytest.mark.parametrize("shifted", [(-1, 3, 4), (15, -16, -4), (0, 1)])

@@ -129,6 +129,8 @@ _BAD_TREES = [
     ("d3", "D4.trees", "# a comment\n\nzz -- O -- .4", "bad partition 'zz'", 3),
     ("d3", "D4.trees", ".4 -- O\n5. -- O", "label '5.' not in catalog of D4", 2),
     ("d3", "D4.trees", "310. -- O", "bad partition '310'", 1),
+    ("d10", "B5.trees", "5. -- O -- 5.", "vertex '5.' appears twice", 1),
+    ("d3", "D4.trees", ".4 -- O -- 4.", "vertex '4.' appears twice", 1),
 ]
 
 
