@@ -197,13 +197,7 @@ def hc_restrict(target_group, vector, source_group):
 
 def table_column_vector(table, j):
     """Column j as row label -> ParamExpr, the one place that still hands
-    int entries out wrapped (callers read `.constant()`); the wrapper is
-    built bare, as `ParamExpr.const` checks outside input."""
-    out = {}
-    for i, e in table.columns[j].entries.items():
-        if type(e) is int:
-            wrapped = ParamExpr.__new__(ParamExpr)
-            wrapped.terms = {(): e} if e else {}
-            e = wrapped
-        out[table.rows[i]] = e
-    return out
+    int entries out wrapped (callers read `.constant()`), each as the shared
+    `ParamExpr.const`."""
+    return {table.rows[i]: ParamExpr.const(e) if type(e) is int else e
+            for i, e in table.columns[j].entries.items()}

@@ -23,9 +23,11 @@ File grammar, one table per file:
     series=ps tentative : 1.3=1
 
 Column i is led by row i (diagonal ones); only nonzero entries are listed.
-Every label is resolved once, by `_row_char`, to the character of the
-group's catalog that it names; `DecompTable.chars` holds the rows'
-characters (None for E7 and E8, which ship no catalog).
+Every label is resolved once per file, by `_row_char`, to the character of
+the group's catalog that it names; `DecompTable.chars` holds the rows'
+characters (None for E7 and E8, which ship no catalog).  A parsed table is
+an immutable value (frozen, with read-only entries and terms), so entries
+are shared and a changed table is a `dataclasses.replace` copy.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import inf
+from types import MappingProxyType
 
 from .cyclo import CycloError, parse_factored
 from .degrees import find_char
@@ -52,10 +55,12 @@ _TERM_RE = re.compile(r"([+-]?)(\d*)([a-z][a-z0-9]*)?")
 
 
 class ParamExpr:
-    """Integer polynomial in named parameters, held as {monomial: coeff}.
+    """Integer polynomial in named parameters, held as a read-only
+    {monomial: coeff} mapping, so one ParamExpr can be shared.
 
     Monomials are sorted tuples of names; the empty tuple is the constant
-    term.  Table files only ever contain affine expressions, but arithmetic
+    term.  Terms keep their first-seen order, which `free_and_defined`
+    reads.  Table files only ever contain affine expressions, but arithmetic
     on them is closed under multiplication for the verification engine.
 
     It mixes with `int` (`k + e` is `ParamExpr.const(k) + e`) and is false
@@ -66,11 +71,11 @@ class ParamExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self.terms[tuple(sorted(mono))] = c
+        out = {}
+        for mono, c in (terms or {}).items():
+            mono = tuple(sorted(mono))
+            out[mono] = out.get(mono, 0) + c
+        self.terms = MappingProxyType({m: c for m, c in out.items() if c})
 
     @classmethod
     def _of_sorted(cls, terms):
@@ -78,15 +83,13 @@ class ParamExpr:
         (as they are in every ParamExpr): zero coefficients are dropped and
         the order is kept, as the constructor would, without re-sorting."""
         out = cls.__new__(cls)
-        out.terms = {m: c for m, c in terms.items() if c}
+        out.terms = MappingProxyType({m: c for m, c in terms.items() if c})
         return out
 
     @classmethod
     def const(cls, c):
-        c = _integer(c)
-        out = cls.__new__(cls)
-        out.terms = {(): c} if c else {}
-        return out
+        """The constant `c`, one shared instance per int."""
+        return _const(c if type(c) is int else _integer(c))
 
     @classmethod
     def var(cls, name, coeff=1):
@@ -127,7 +130,7 @@ class ParamExpr:
             other = ParamExpr.const(other)
         elif not isinstance(other, ParamExpr):
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return ParamExpr._of_sorted(out)
@@ -155,7 +158,7 @@ class ParamExpr:
             for m2, c2 in other.terms.items():
                 m = tuple(sorted(m1 + m2))
                 out[m] = out.get(m, 0) + c1 * c2
-        return ParamExpr(out)
+        return ParamExpr._of_sorted(out)
 
     __rmul__ = __mul__
 
@@ -221,31 +224,21 @@ def _integer(value):
     raise TypeError(f"not an integer: {value!r}")
 
 
+@cache
+def _const(c):
+    # keyed on an exact int only: 2.0 and Fraction(4, 2) hash like 2
+    return ParamExpr._of_sorted({(): c})
+
+
+@cache
 def parse_expr(text):
     """Parse an integer-affine expression like '24-15c17-5c18+6c19' or '2-d'.
 
     The terms are summed into one dict, and a coefficient that cancels to 0
     leaves it, so the result has the terms, in the order, that adding one
-    ParamExpr per term would give.  The terms are memoised per text; each
-    call returns a fresh ParamExpr, since a ParamExpr holds a dict.
+    ParamExpr per term would give.  Memoised per text: every call with one
+    text returns the same (immutable) ParamExpr.
     """
-    out = ParamExpr.__new__(ParamExpr)
-    out.terms = dict(_expr_terms(text))  # it stores no zero coefficient
-    return out
-
-
-def parse_entry(text):
-    """A table entry: the int of a text that names no parameter (`1+0a` is
-    1, `a-a` is 0), else a fresh ParamExpr, as `parse_expr` gives."""
-    terms = _expr_terms(text)
-    if not terms or len(terms) == 1 and () in terms:
-        return terms.get((), 0)
-    return ParamExpr._of_sorted(terms)
-
-
-@cache
-def _expr_terms(text):
-    """The {monomial: coeff} of parse_expr(text); shared, so never handed out."""
     text = text.replace(" ", "")
     if not text:
         raise TableError("empty expression")
@@ -267,7 +260,16 @@ def _expr_terms(text):
         else:
             terms.pop(mono, None)
         pos = m.end()
-    return terms
+    return ParamExpr._of_sorted(terms)
+
+
+@cache
+def parse_entry(text):
+    """A table entry: the int of a text that names no parameter (`1+0a` is
+    1, `a-a` is 0), else the ParamExpr `parse_expr` gives.  Memoised per
+    text, like `parse_expr`, so equal entries share one object."""
+    e = parse_expr(text)
+    return e.constant() if e.terms.keys() <= {()} else e
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +304,14 @@ def parse_constraint(text):
 # ---------------------------------------------------------------------------
 # the table
 
-@dataclass
+@dataclass(frozen=True)
 class Column:
     series: str
     tentative: bool
-    entries: dict  # row index -> int, or ParamExpr if it names a parameter
+    entries: MappingProxyType  # row index -> int, or ParamExpr if it names a parameter
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompTable:
     group: GroupDescriptor
     d: int
@@ -337,8 +339,8 @@ class DecompTable:
     def system(self):
         """The parameter system, compiled on first use (see ParamSystem).
 
-        It is kept for the table's lifetime: tables are not modified after
-        parsing.
+        It is kept for the table's lifetime: a table is frozen, with
+        read-only entries, so it cannot go stale.
         """
         return ParamSystem.compile(self)
 
@@ -596,11 +598,10 @@ _E78_LABEL = re.compile(r"(?:(?:D4|E[67]\[[^\[\]:]+\]):)?phi\{\d+,\d+\}'{0,2}"
                         r"|E[78]\[[^\[\]:]+\]")
 
 
-@cache
 def _row_char(group, text):
-    """The catalog character of `group` labelled `text` (`find_char`),
-    memoised across files.  E7 and E8 ship no catalog: their labels are only
-    held to the syntax of `_E78_LABEL`, and give None.  A bad label raises
+    """The catalog character of `group` labelled `text` (`find_char`, which
+    memoises it).  E7 and E8 ship no catalog: their labels are only held to
+    the syntax of `_E78_LABEL`, and give None.  A bad label raises
     TableError."""
     try:
         return find_char(group, text)
@@ -629,10 +630,10 @@ def parse(text):
     E7 and E8, which ship no catalog, as it is written, once it matches
     `_E78_LABEL`); `chars` holds the rows' characters, or None without a
     catalog.  An entry is an int unless it names a parameter
-    (`parse_entry`); every ParamExpr entry is a fresh object.  An error in a
-    row, entry, column or constraint names its line: the row's, the
-    column's, the `constraints =` line, and for an undeclared parameter the
-    first line that uses it.
+    (`parse_entry`, one shared object per text); each column's entries are
+    stored read-only.  An error in a row, entry, column or constraint names
+    its line: the row's, the column's, the `constraints =` line, and for an
+    undeclared parameter the first line that uses it.
     """
     section = None
     meta = {}
@@ -758,7 +759,7 @@ def parse(text):
             if type(expr) is not int:
                 for name in expr.names():
                     used.setdefault(name, lineno)
-        columns.append(Column(series, tentative, by_index))
+        columns.append(Column(series, tentative, MappingProxyType(by_index)))
     if len(columns) != len(row_labels):
         raise TableError(f"{len(columns)} columns for {len(row_labels)} rows")
     for j, col in enumerate(columns):

@@ -593,3 +593,22 @@ def test_catalog_failure_is_cached():
     with pytest.raises(UnsupportedGroupError):
         degrees.catalog_map(e8)
     assert catalog.cache_info().misses == misses
+
+
+def test_table_column_vector_wraps_ints_as_shared_constants():
+    # callers (the benchmark's column reader among them) read `.constant()`;
+    # an entry that names a parameter is handed out as it is
+    wrapped = passed = 0
+    for t in (load("d2/D4.all.dmx"), load("d2/2E6.principal.dmx")):
+        for j, col in enumerate(t.columns):
+            vec = table_column_vector(t, j)
+            assert list(vec) == [t.rows[i] for i in col.entries]
+            for i, e in col.entries.items():
+                got = vec[t.rows[i]]
+                if type(e) is int:
+                    assert got is ParamExpr.const(e) and got.constant() == e
+                    wrapped += 1
+                else:
+                    assert got is e and got.names()
+                    passed += 1
+    assert wrapped > 50 and passed > 5, (wrapped, passed)

@@ -8,7 +8,8 @@ annotations`.  A top-level def, class or constant must be read in `src`,
 `tests` or `perfbench`: loaded as a name, taken as an attribute, imported by
 name, or named in a target string of `perfbench/tracer.py` (which wraps its
 targets by name).  A module that a file of `src/unipdec` imports at its top
-level is not imported again inside a function.
+level is not imported again inside a function.  Only `tables.py` stores to
+an attribute named `terms`, so `ParamExpr` internals stay in one module.
 """
 
 import ast
@@ -143,3 +144,25 @@ def test_dead_name_scan_sees_a_name_nothing_reads():
     assert read_names(source) == {"MAX"}
     assert read_names("from m import CAP\nK.f\n") == {"CAP", "K", "f"}
     assert {"verify", "ParamBox", "bounds", "hc_induce"} <= tracer_target_names()
+
+
+def terms_stores(source):
+    """The lines of `source` that store to (or delete) an attribute named
+    `terms`, in source order."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "terms"
+                  and isinstance(node.ctx, (ast.Store, ast.Del)))
+
+
+def test_only_tables_stores_param_expr_terms():
+    found = {path.name: terms_stores(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "tables.py"}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert terms_stores((SRC / "tables.py").read_text())
+
+
+def test_terms_scan_sees_a_store():
+    source = ("e = ParamExpr()\ne.terms = {}\nx = e.terms\ne.terms[()] = 1\n"
+              "w.terms, y = {}, 2\ndel e.terms\n")
+    assert terms_stores(source) == [2, 5, 6]

@@ -3,6 +3,7 @@ import hashlib
 import pathlib
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -85,10 +86,29 @@ def test_const_stores_an_int_and_nothing_for_zero():
     assert ParamExpr.const(-4).terms == {(): -4}
     two = ParamExpr.const(Fraction(4, 2))
     assert two.terms == {(): 2} and type(two.terms[()]) is int
+    # one shared, read-only instance per int; 2.0 hashes like the cached 2,
+    # so it must be refused before the memo is consulted
+    assert two is ParamExpr.const(2) and two == 2
+    assert all(ParamExpr.const(k) is ParamExpr.const(k) for k in (0, -7, 10**30))
+    with pytest.raises(TypeError):
+        two.terms[("a",)] = 1
     with pytest.raises(TypeError):
         ParamExpr.const(Fraction(1, 2))
     with pytest.raises(TypeError):
         ParamExpr.const(2.0)
+
+
+def test_constructor_sums_terms_that_sort_to_one_monomial():
+    assert ParamExpr({("b", "a"): 1, ("a", "b"): 2}) == ParamExpr({("a", "b"): 3})
+    assert str(ParamExpr({("b", "a"): 1, ("a", "b"): 2})) == "3*a*b"
+    assert ParamExpr({("a", "b"): 1, ("b", "a"): -1}) == 0
+    assert ParamExpr({("a", "b"): 1, ("b", "a"): -1}).terms == {}
+
+
+def test_parse_expr_and_parse_entry_share_their_results():
+    assert parse_expr("2a-3") is parse_expr("2a-3")
+    assert tables.parse_entry("x1+1") is tables.parse_entry("x1+1")
+    assert tables.parse_entry("1+0a") == 1 and type(tables.parse_entry("a-a")) is int
 
 
 def test_expr_times_a_float_is_a_type_error():
@@ -158,28 +178,28 @@ series=ps : 2=1
 
 
 
-def test_repeated_parse_gives_equal_tables_with_fresh_entries():
-    # parse memoises the text parsers.  A constant entry is an int, which
-    # cannot be changed, so sharing one is harmless; every ParamExpr it
-    # returns must still be a new object, since a ParamExpr holds a mutable
-    # dict
+def test_parsed_tables_are_immutable_values():
+    # parse shares one object per entry text, so a table must refuse change;
+    # a changed table is a dataclasses.replace copy, which leaves the
+    # original (and its compiled parameter system) as it was
     text = (DATA / "d2" / "2E6.principal.dmx").read_text()
     a, b = parse(text), parse(text)
     assert a == b and a.params
-    varying = []
-    for ca, cb in zip(a.columns, b.columns):
-        for i, e in ca.entries.items():
-            assert e == cb.entries[i]
-            if isinstance(e, ParamExpr):
-                assert e is not cb.entries[i] and e.names()
-                varying.append(e)
-            else:
-                assert type(e) is int
-    assert varying
-    for ca, cb in zip(a.constraints, b.constraints):
-        assert ca == cb and ca.expr is not cb.expr
-    varying[0].terms[("zz",)] = 1
-    assert parse(text) == b != a
+    j, i, e = next((j, i, e) for j, col in enumerate(a.columns)
+                   for i, e in col.entries.items() if isinstance(e, ParamExpr))
+    with pytest.raises(TypeError):
+        e.terms[("zz",)] = 1
+    with pytest.raises(TypeError):
+        a.columns[j].entries[i] = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.rows = ()
+    assert verify.check_satisfiable(a).status == "pass"
+    col = dataclasses.replace(a.columns[j], entries=MappingProxyType({**a.columns[j].entries,
+                                                                      i: -1}))
+    mutant = dataclasses.replace(a, columns=a.columns[:j] + (col,) + a.columns[j + 1:])
+    assert verify.check_satisfiable(mutant).status == "fail"
+    assert verify.check_satisfiable(a).status == "pass" and a.columns[j].entries[i] is e
+    assert parse(text) == a == b != mutant
 
 
 def test_every_shipped_entry_is_an_int_or_names_a_parameter():
