@@ -29,7 +29,8 @@ from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnipLabel,
 class UnipChar:
     """A catalog character.  `symbol` is the reduced beta-symbol of a
     classical character (what `label_symbol` gives for its label), computed
-    once with its degree; None for an exceptional character."""
+    once with its degree; None for an exceptional character.  Label text
+    reaches one only through `find_char`, in any spelling of its label."""
 
     group: GroupDescriptor
     label: UnipLabel
@@ -233,26 +234,12 @@ def _hook_degree(g, lam):
 
 
 def degree_poly(g, label):
-    """Exact factored degree of a classical-group unipotent character."""
-    if isinstance(label, str):
-        label = resolve_label(g, label)
-    s = g.series
-    if s in ("A", "2A"):
-        return _classical_degree(g, label, None)
-    if s in ("B", "C", "D", "2D"):
-        return _classical_degree(g, label, label_symbol(g, label))
-    raise UnsupportedGroupError(
-        f"degree_poly only computes classical degrees; use catalog() for {g}")
-
-
-def _classical_degree(g, label, sym):
-    """Degree of a classical character; `sym` is its reduced beta-symbol
-    (not read in type A, whose degrees come from the hook formula)."""
-    if g.series in ("A", "2A"):
-        return _hook_degree(g, label.bip.left)
-    if sym.rank() != g.rank:
-        raise LabelError(f"label {label} has rank {sym.rank()}, not {g.rank}")
-    return symbol_degree(g, sym, degenerate=(label.kind == "split"))
+    """Exact factored degree of a classical-group unipotent character: the
+    catalog degree of `find_char(g, str(label))`, for any spelling."""
+    if g.series not in ("A", "2A", "B", "C", "D", "2D"):
+        raise UnsupportedGroupError(
+            f"degree_poly only computes classical degrees; use catalog() for {g}")
+    return find_char(g, str(label)).degree
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +297,12 @@ def _build_catalog(g):
     elif g.series == "E7":
         raise UnsupportedGroupError("no E7 catalog is shipped")
     else:
+        hook = g.series in ("A", "2A")  # type A degrees come from the hook formula
         for lab in classical_label_list(g):
             sym = label_symbol(g, lab)
-            chars.append(UnipChar(g, lab, _classical_degree(g, lab, sym), _series_tag(lab),
-                                  sym))
+            deg = (_hook_degree(g, lab.bip.left) if hook
+                   else symbol_degree(g, sym, degenerate=(lab.kind == "split")))
+            chars.append(UnipChar(g, lab, deg, _series_tag(lab), sym))
     chars.sort(key=lambda c: (c.degree.a_value(), c.degree.A_value(), str(c.label)))
     return tuple(chars)
 

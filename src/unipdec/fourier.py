@@ -16,6 +16,9 @@ So <rho, R_w> is one sum of signed Weyl values and one Fraction, and
 `dl_vector` computes each principal-series Weyl value once per call for
 all characters.
 
+A character's label text is read by `degrees.find_char` once `families`
+has accepted the group: any spelling of a catalog label, else LabelError.
+
 Only untwisted classical groups are supported; twisted and exceptional
 multiplicities are deliberately not guessed at.
 """
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .degrees import catalog, catalog_map
+from .degrees import catalog, catalog_map, find_char
 from .labels import BetaSymbol, UnsupportedGroupError
 from .weyl import char_value_B, char_value_D
 
@@ -80,7 +83,7 @@ def families(group):
 def family_of(group, label_text):
     """All catalog labels in the family of the given character."""
     keyed, fams = families(group)
-    return tuple(sorted(fams[keyed[label_text].entries()]))
+    return tuple(sorted(fams[keyed[str(find_char(group, label_text).label)].entries()]))
 
 
 def _singles(entries):
@@ -128,8 +131,9 @@ def _signs(group, label_text):
     """(coordinates of the family of a character, its 2^m, and the sign
     (-1)^|M cap M'| of each member against it)."""
     keyed, _ = families(group)
-    coords, den = _family(group, keyed[label_text].entries())
-    me = coords[label_text]
+    key = str(find_char(group, label_text).label)
+    coords, den = _family(group, keyed[key].entries())
+    me = coords[key]
     return coords, den, tuple(-1 if len(me & c) % 2 else 1 for c in coords.values())
 
 

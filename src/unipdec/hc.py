@@ -5,6 +5,9 @@ induction (type D via the symmetrised B_n-cover), cuspidal-core parts (B2:,
 B6:, D4:) through their relative type-B Weyl groups.  This is what the
 (HCi)/(HCr) checks of the verification engine consume.
 
+Every label text is read by `degrees.find_char`: a source label must name
+a character of the source catalog, in any spelling, or LabelError is raised.
+
 What is memoised, each handed out read-only: per (group, label text), the
 HC series of a source label and its cover of W(B_n)-characters
 (`_label_cover`), and the catalog character of a target label
@@ -35,8 +38,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .degrees import catalog, find_char
-from .labels import (_CORE_RANK, UnsupportedGroupError, d_canonical_bip,
-                     format_partition, parse_label)
+from .labels import _CORE_RANK, UnsupportedGroupError, d_canonical_bip, format_partition
 from .tables import ParamExpr
 from .weyl import induce_char, sym_to_hyper
 
@@ -55,7 +57,7 @@ def _label_cover(group, text):
     symmetrised, {lam, mu} contributing both orientations and each half of
     a degenerate pair its bipartition once.
     """
-    label = parse_label(text, group)
+    label = find_char(group, text).label
     core = label.core or "ps"
     bip = label.bip
     if core != "ps":
@@ -130,9 +132,9 @@ def _half(c):
 def hc_induce(source_group, vector, target_group, extra_a_factors=()):
     """Unipotent part of R_L^G applied to a unipotent-part vector.
 
-    `vector` maps label strings of the source group to coefficients; the
-    source sits inside the target as a Levi of the same classical family,
-    optionally times GL-factors carrying the partitions in
+    `vector` maps source catalog labels, in any spelling, to coefficients;
+    the source sits inside the target as a Levi of the same classical
+    family, optionally times GL-factors carrying the partitions in
     `extra_a_factors`; leftover rank is torus.  A source of another series
     than the target's (type A aside) raises UnsupportedGroupError.
     """
@@ -196,8 +198,8 @@ def hc_restrict(target_group, vector, source_group):
 
 
 def table_column_vector(table, j):
-    """Column j as row label -> ParamExpr, the one place that still hands
-    int entries out wrapped (callers read `.constant()`), each as the shared
-    `ParamExpr.const`."""
+    """Column j as row label -> ParamExpr, int entries wrapped (callers read
+    `.constant()`) as the shared `ParamExpr.const`, as `verify._expr` wraps
+    the values of `decompose_in_columns` and `recompose`."""
     return {table.rows[i]: ParamExpr.const(e) if type(e) is int else e
             for i, e in table.columns[j].entries.items()}

@@ -175,8 +175,8 @@ class _Mu:
                 self.exp, self.negated = 0, True  # -1 itself, outside <q>
 
     def order(self):
-        if self.negated:
-            return 2 if self.exp == 0 else None
+        if self.negated:  # -1 itself, which __init__ only builds with exp 0
+            return 2
         return self.d // gcd(self.exp, self.d) if self.exp else 1
 
 
@@ -201,8 +201,6 @@ def specialize(spec, d):
         e = v.order()
         if e == 1:
             return SemisimpleMarker("partitions")
-        if e is None:
-            e = 2
         return FockCharge(e, (0,))
     if spec.coxeter_type != "B":
         raise HeckeError(f"specialize does not handle type {spec.coxeter_type}")
@@ -218,8 +216,6 @@ def specialize(spec, d):
             # eigenvalues of T_0 collide at -1: one partition per simple
             return SemisimpleMarker("partitions")
         return SemisimpleMarker("split", e=None)
-    if ev is None:
-        raise HeckeError("branch parameter specialises outside the q-subgroup")
     # -Q in <v>?  c*k = exp(-Q) (mod d) solvable in k
     c = v.exp if v.exp else d  # ord issues: exp 0 handled above
     if Q.negated:
@@ -282,8 +278,6 @@ def d_reference_count(spec, d):
     n = spec.rank
     v = _Mu(d, spec.branch)
     ev = v.order()
-    if ev is None:
-        ev = 2
     if n <= 1:
         return 1
     if n == 2:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 SERIES = ("A", "2A", "B", "C", "D", "2D", "E6", "2E6", "E7", "E8", "F4")
 
@@ -166,7 +166,9 @@ def beta_to_partition(beta):
 
 @dataclass(frozen=True)
 class BetaSymbol:
-    """Two strictly increasing rows; canonical form has no common 0-shift."""
+    """Two strictly increasing rows; canonical form has no common 0-shift.
+    Hashed as hash((top, bottom)), computed on first use and kept, so a
+    symbol that is never hashed pays nothing."""
 
     top: tuple
     bottom: tuple
@@ -177,6 +179,13 @@ class BetaSymbol:
         for row in (self.top, self.bottom):
             if row and (row[0] < 0 or list(row) != sorted(set(row))):
                 raise LabelError(f"bad symbol row {row}")
+
+    @cached_property
+    def _hash(self):
+        return hash((self.top, self.bottom))
+
+    def __hash__(self):
+        return self._hash
 
     def reduced(self):
         """Strip the common shift: the largest k with both rows starting 0, ..., k-1."""

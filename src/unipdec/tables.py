@@ -489,11 +489,13 @@ class ParamSystem:
     defined parameter to its expression over the free parameters, in the
     order `resolve` assigns them; it is None if the definitions are cyclic,
     and `reduce` then substitutes nothing.  `lows` and `highs` bound each
-    free parameter by its one-variable constraints alone, `highs` by
+    free parameter by the `>=` constraints that name it alone, `highs` by
     `math.inf` where none bounds it above (but never below `lows`), so the
-    box holds every admissible assignment.  `entries` holds the distinct
-    non-constant matrix entries, and `negative_constant` the first negative
-    constant entry as (row index, column index, value), or None.
+    box holds every admissible assignment.  `defined`, `order`, `lows` and
+    `highs` are read-only mappings, since the system is cached per table.
+    `entries` holds the distinct non-constant matrix entries, and
+    `negative_constant` the first negative constant entry as (row index,
+    column index, value), or None.
 
     `conditions` holds every admissibility condition (each defined
     parameter >= 0, each constraint, each distinct non-constant entry >= 0)
@@ -505,10 +507,10 @@ class ParamSystem:
     """
 
     free: tuple
-    defined: dict
-    order: dict | None
-    lows: dict
-    highs: dict
+    defined: MappingProxyType
+    order: MappingProxyType | None
+    lows: MappingProxyType
+    highs: MappingProxyType
     entries: tuple
     negative_constant: tuple | None
     conditions: tuple
@@ -550,43 +552,35 @@ class ParamSystem:
                     entries[expr] = None
                 elif negative_constant is None and expr < 0:
                     negative_constant = (i, j, expr)
-        conditions = ()
-        if order is not None:
-            conditions = _excess_conditions(
-                free, lows, [(False, expr) for expr in order.values()]
-                + [(c.rel == "=", c.expr.substitute(order)) for c in table.constraints]
-                + [(False, expr.substitute(order)) for expr in entries])
-        return cls(free, defined, order, lows, highs, tuple(entries), negative_constant,
-                   conditions)
+        # each condition as an affine form over the excesses of the free
+        # parameters over `lows`; one that is not affine is left to
+        # `is_admissible` alone
+        forms = [] if order is None else (
+            [(False, expr) for expr in order.values()]
+            + [(c.rel == "=", c.expr.substitute(order)) for c in table.constraints]
+            + [(False, expr.substitute(order)) for expr in entries])
+        conditions = {}
+        for is_equality, expr in forms:
+            if not expr.is_affine():
+                continue
+            coeffs = tuple(expr.terms.get((p,), 0) for p in free)
+            const = expr.constant() + sum(a * lows[p] for a, p in zip(coeffs, free))
+            if is_equality:
+                always = not const and not any(coeffs)
+            else:
+                always = const >= 0 and min(coeffs, default=0) >= 0
+            if not always:
+                conditions[(is_equality, const, coeffs)] = None
+        return cls(free, MappingProxyType(defined),
+                   None if order is None else MappingProxyType(order),
+                   MappingProxyType(lows), MappingProxyType(highs), tuple(entries),
+                   negative_constant, tuple(conditions))
 
     def reduce(self, expr):
         """`expr` with each defined parameter replaced by its expression over
         the free parameters (none replaced when the definitions are cyclic);
         an int passes through."""
         return expr if type(expr) is int else expr.substitute(self.order or {})
-
-
-def _excess_conditions(free, lows, conditions):
-    """The (is_equality, const, coeffs) forms of `ParamSystem.conditions`.
-
-    `conditions` are the (is_equality, expr) pairs over the free parameters
-    that must be >= 0 or = 0.  A form that is not affine is left to
-    `is_admissible` alone.
-    """
-    out = {}
-    for is_equality, expr in conditions:
-        if not expr.is_affine():
-            continue
-        coeffs = [expr.terms.get((p,), 0) for p in free]
-        # measure each free parameter from its lower bound
-        const = expr.constant() + sum(a * lows[p] for a, p in zip(coeffs, free))
-        if is_equality:
-            always = not const and not any(coeffs)
-        else:
-            always = const >= 0 and min(coeffs, default=0) >= 0
-        if not always:
-            out[(is_equality, const, tuple(coeffs))] = None
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

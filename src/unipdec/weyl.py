@@ -95,7 +95,6 @@ def sign_value(cls):
 def _remove_hooks(partition, length):
     """All ways to strip a rim hook of given length: (smaller partition, height sign)."""
     beta = [p + i for i, p in enumerate(sorted(partition))]
-    beta = [-1] if not beta else beta  # sentinel handled below
     if not partition:
         return []
     out = []

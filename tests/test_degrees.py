@@ -1,4 +1,5 @@
 import pathlib
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -12,9 +13,12 @@ from unipdec.degrees import (A_value, UnipChar, UnsupportedGroupError, _ennola_i
                              _series_tag, _shift_exponent, a_value, catalog, catalog_map,
                              defect, degree_poly, find_char, group_order_poly, perversity,
                              perversity_2_shortcut, symbol_degree)
+from unipdec.fourier import dl_multiplicity, family_fourier, family_of
+from unipdec.hc import hc_induce
 from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, classical_label_list,
                             label_symbol, parse_label, resolve_label)
 from unipdec.verify import corpus_trees
+from unipdec.weyl import w0_class
 
 D4 = GroupDescriptor.parse("D4")
 B4 = GroupDescriptor.parse("B4")
@@ -520,3 +524,28 @@ def test_find_char_of_texts_that_are_not_keys():
         find_char(GroupDescriptor.parse("E8"), " ")
     with pytest.raises(UnsupportedGroupError, match="no shipped catalog for E8"):
         find_char(GroupDescriptor.parse("E8"), "phi{1,0}")
+
+
+B3 = GroupDescriptor.parse("B3")
+
+#: every public function that takes a character's label text, on one text
+LABEL_ENTRY_POINTS = {
+    "degree_poly": degree_poly,
+    "hc_induce": lambda g, text: hc_induce(g, {text: 1}, GroupDescriptor(g.series, g.rank + 1)),
+    "dl_multiplicity": lambda g, text: dl_multiplicity(g, text, w0_class(g.rank)),
+    "family_of": family_of,
+    "family_fourier": family_fourier,
+}
+
+
+@pytest.mark.parametrize("name", LABEL_ENTRY_POINTS)
+def test_every_label_entry_point_reads_text_with_find_char(name):
+    fn = LABEL_ENTRY_POINTS[name]
+    for g, text, canonical in ((B4, "1111.", "1^4."), (D4, "3.1", "1.3"),
+                               (B4, " 21.1 ", "21.1"), (D4, " 1^2+", "1^2+")):
+        assert fn(g, text) == fn(g, canonical), (str(g), text)
+    # text naming no character of the group raises, also as an HC source
+    # label ("4." and "2.2" are valid label syntax, so parsing alone passes)
+    for g, text in ((B3, "zz"), (B3, "4."), (B3, "21.1"), (D4, "2.2")):
+        with pytest.raises(LabelError, match=re.escape(repr(text))):
+            fn(g, text)

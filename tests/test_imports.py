@@ -10,6 +10,8 @@ name, or named in a target string of `perfbench/tracer.py` (which wraps its
 targets by name).  A module that a file of `src/unipdec` imports at its top
 level is not imported again inside a function.  Only `tables.py` stores to
 an attribute named `terms`, so `ParamExpr` internals stay in one module.
+Only `degrees.find_char` calls `resolve_label`, and only `resolve_label`
+calls `parse_label`, so label text reaches a character one way.
 """
 
 import ast
@@ -166,3 +168,43 @@ def test_terms_scan_sees_a_store():
     source = ("e = ParamExpr()\ne.terms = {}\nx = e.terms\ne.terms[()] = 1\n"
               "w.terms, y = {}, 2\ndel e.terms\n")
     assert terms_stores(source) == [2, 5, 6]
+
+
+LABEL_READERS = ("parse_label", "resolve_label")
+
+
+def label_reader_calls(source):
+    """Each call of `parse_label` or `resolve_label` in `source`, by name or
+    as an attribute, as (callee, innermost enclosing def or None, line) in
+    source order."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in LABEL_READERS:
+                    out.append((name, owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(out, key=lambda call: call[2])
+
+
+def test_only_find_char_resolves_label_text():
+    found = {(path.name, owner, callee) for path in sorted(SRC.glob("*.py"))
+             for callee, owner, _ in label_reader_calls(path.read_text())}
+    assert found == {("labels.py", "resolve_label", "parse_label"),
+                     ("degrees.py", "find_char", "resolve_label")}
+
+
+def test_label_reader_scan_sees_a_call():
+    source = ("def f(t):\n    return parse_label(t)\n"
+              "class K:\n    def g(self, t):\n        return labels.resolve_label(G, t)\n"
+              "x = parse_label('1.')\nparse_label\nlabels.parse_label\n")
+    assert label_reader_calls(source) == [
+        ("parse_label", "f", 2), ("resolve_label", "g", 5), ("parse_label", None, 6)]

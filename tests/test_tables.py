@@ -559,6 +559,21 @@ def test_synthetic_cases_exercise_their_conditions():
     assert min(sum(w.values()) for w in s["long pruned prefix"].sample_admissible(bound=8)) == 15
 
 
+def test_param_system_hands_out_read_only_mappings():
+    # the system is cached per table, so a write through it would change
+    # every later witness search of the table
+    table = parse((DATA / "d2" / "B4.symbolic.dmx").read_text())
+    system = table.system
+    assert system.order is not None
+    for field in (system.defined, system.order, system.lows, system.highs):
+        assert isinstance(field, MappingProxyType)
+    assert "x1" in system.lows
+    with pytest.raises(TypeError):
+        system.lows["x1"] = 9
+    assert len(table.sample_admissible(bound=8)) == 8
+    assert SYNTHETIC["cyclic"].system.order is None
+
+
 def _random_form(rng, names, const_range=(0, 9)):
     """Random affine text over some of `names`, like '4-2a+c'."""
     text = str(rng.randint(*const_range))
