@@ -5,6 +5,9 @@ of GL_n and GU_n are all products of factors q^k - 1 and q^k + 1.  Each is
 counted into integer histograms by k, starting from the factors of |G|_{p'}
 (`_order_factors`), and one kernel (`_from_counts`) turns the counts into
 Phi_e multiplicities, so no polynomial ever gets expanded.
+A classical character's degree is computed on its first read
+(`UnipChar.degree`) and kept; a catalog is sorted by a and A in closed form
+(`_symbol_a_A`, `_partition_a_A`), so building one computes no degree.
 Exceptional-group degrees are static catalog data validated by the test
 suite against printed leading terms and, for E6 and 2E6, against the degree
 identities of their cyclic Phi_d-blocks.
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 
 from .cyclo import CycloError, FactoredPoly, parse_factored
@@ -25,18 +29,37 @@ from .labels import (BetaSymbol, GroupDescriptor, LabelError, UnipLabel,
                      resolve_label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnipChar:
     """A catalog character.  `symbol` is the reduced beta-symbol of a
-    classical character (what `label_symbol` gives for its label), computed
-    once with its degree; None for an exceptional character.  Label text
-    reaches one only through `find_char`, in any spelling of its label."""
+    classical character (what `label_symbol` gives for its label); None for
+    an exceptional character.  Label text reaches one only through
+    `find_char`, in any spelling of its label.
+
+    `degree` is computed on its first read and kept on the character, which
+    the memoised catalog shares with every caller: by `symbol_degree` from
+    the symbol for B, C, D and 2D, by the hook formula for A and 2A.  An
+    exceptional character's degree is its catalog row, given as `_degree`.
+    Characters compare by group, label and HC series, never by degree."""
 
     group: GroupDescriptor
     label: UnipLabel
-    degree: FactoredPoly
     hc_series: str
     symbol: BetaSymbol | None = field(default=None, compare=False)
+    _degree: FactoredPoly | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def degree(self):
+        """The factored degree, computed on the first read and then kept."""
+        deg = self._degree
+        if deg is None:
+            g, label = self.group, self.label
+            if g.series in ("A", "2A"):
+                deg = _hook_degree(g, label.bip.left)
+            else:
+                deg = symbol_degree(g, self.symbol, degenerate=(label.kind == "split"))
+            object.__setattr__(self, "_degree", deg)
+        return deg
 
     def __str__(self):
         return f"{self.group}:{self.label}"
@@ -83,6 +106,7 @@ def _from_counts(scalar, q_exp, minus, plus):
     return FactoredPoly(scalar, q_exp, tuple(factors))
 
 
+@lru_cache(maxsize=None)
 def _shift_exponent(ab):
     """q-power in the symbol degree denominator: sum of C(ab - 2i, 2)."""
     total = 0
@@ -233,6 +257,35 @@ def _hook_degree(g, lam):
     return _from_counts(1, sum(i * p for i, p in enumerate(lam)), minus, plus)
 
 
+def _symbol_a_A(sym, order_deg):
+    """(a, A) of `symbol_degree` of `sym`, in closed form, where `order_deg`
+    is the degree of |G|_{p'} (the sum of k over `_order_factors`).
+
+    With the L entries of both rows sorted, e_0 <= ... <= e_{L-1}, and
+    shift = `_shift_exponent(L)`: a = sum_i e_i (L-1-i) - shift, Lusztig's
+    a-function of a symbol, and A = sum_i e_i i - shift + order_deg -
+    sum_i e_i (e_i + 1).  Each pair of entries puts q^min into the numerator
+    times a factor of degree max - min, and each entry s puts
+    prod_{h<=s} (q^(2h) - 1), of degree s (s + 1), into the denominator
+    (G. Lusztig, Characters of reductive groups over a finite field, 1984,
+    ch. 4).
+    """
+    entries = sorted(sym.top + sym.bottom)
+    last = len(entries) - 1
+    total = sum(entries)
+    mins = sum(map(mul, entries, range(last, -1, -1)))  # sum_i e_i (L-1-i)
+    maxes = last * total - mins  # sum_i e_i i
+    shift = _shift_exponent(last + 1)
+    return mins - shift, maxes - shift + order_deg - sum(map(mul, entries, entries)) - total
+
+
+def _partition_a_A(lam):
+    """(a, A) of `_hook_degree` of `lam`, in closed form: a = n(lam) and
+    A = n(lam) + N(N + 1)/2 - sum of the hook lengths, N = |lam|."""
+    n_lam, size = sum(i * p for i, p in enumerate(lam)), sum(lam)
+    return n_lam, n_lam + size * (size + 1) // 2 - sum(_hooks(lam))
+
+
 def degree_poly(g, label):
     """Exact factored degree of a classical-group unipotent character: the
     catalog degree of `find_char(g, str(label))`, for any spelling."""
@@ -290,21 +343,27 @@ catalog.cache_info = _catalog.cache_info
 
 
 def _build_catalog(g):
-    chars = []
+    """The characters of g, sorted by (a, A, label).  A classical character's
+    a and A come in closed form, so no classical degree is computed here."""
     if g.series in ("E6", "2E6", "F4", "E8"):
-        for text, tag, deg in _load_exceptional(str(g)):
-            chars.append(UnipChar(g, UnipLabel("named", text), deg, tag))
+        keyed = [(deg.a_value(), deg.A_value(), text,
+                  UnipChar(g, UnipLabel("named", text), tag, _degree=deg))
+                 for text, tag, deg in _load_exceptional(str(g))]
     elif g.series == "E7":
         raise UnsupportedGroupError("no E7 catalog is shipped")
+    elif g.series in ("A", "2A"):
+        keyed = [(*_partition_a_A(lab.bip.left), str(lab),
+                  UnipChar(g, lab, _series_tag(lab), label_symbol(g, lab)))
+                 for lab in classical_label_list(g)]
     else:
-        hook = g.series in ("A", "2A")  # type A degrees come from the hook formula
+        order_deg = sum(k for k, _ in _order_factors(g))
+        keyed = []
         for lab in classical_label_list(g):
             sym = label_symbol(g, lab)
-            deg = (_hook_degree(g, lab.bip.left) if hook
-                   else symbol_degree(g, sym, degenerate=(lab.kind == "split")))
-            chars.append(UnipChar(g, lab, deg, _series_tag(lab), sym))
-    chars.sort(key=lambda c: (c.degree.a_value(), c.degree.A_value(), str(c.label)))
-    return tuple(chars)
+            keyed.append((*_symbol_a_A(sym, order_deg), str(lab),
+                          UnipChar(g, lab, _series_tag(lab), sym)))
+    keyed.sort(key=lambda row: row[:3])
+    return tuple(row[3] for row in keyed)
 
 
 @lru_cache(maxsize=None)

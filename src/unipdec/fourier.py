@@ -187,11 +187,10 @@ def dl_multiplicity(group, label_text, cls):
 
 def dl_vector(group, cls):
     """<rho, R_w> for every catalog character, as a dict label -> Fraction."""
-    chars = catalog(group)
     _check_class(group, cls)
     values = {}
     out = {}
-    for c in chars:
+    for c in catalog(group):
         lab = str(c.label)
         den, terms = _signed_row(group, lab)
         total = 0

@@ -1,5 +1,9 @@
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -9,10 +13,11 @@ import pytest
 
 from unipdec.cyclo import CycloError, FactoredPoly, parse_factored
 from unipdec.degrees import (A_value, UnipChar, UnsupportedGroupError, _ennola_index,
-                             _hooks, _minus_divisors, _order_factors, _plus_divisors,
-                             _series_tag, _shift_exponent, a_value, catalog, catalog_map,
-                             defect, degree_poly, find_char, group_order_poly, perversity,
-                             perversity_2_shortcut, symbol_degree)
+                             _hooks, _minus_divisors, _order_factors, _partition_a_A,
+                             _plus_divisors, _series_tag, _shift_exponent, _symbol_a_A,
+                             a_value, catalog, catalog_map, defect, degree_poly, find_char,
+                             group_order_poly, perversity, perversity_2_shortcut,
+                             symbol_degree)
 from unipdec.fourier import dl_multiplicity, family_fourier, family_of
 from unipdec.hc import hc_induce
 from unipdec.labels import (BetaSymbol, GroupDescriptor, LabelError, classical_label_list,
@@ -283,21 +288,27 @@ def _counter_symbol_degree(g, sym, degenerate=False):
 
 
 def _counter_catalog(g):
-    """`degrees._build_catalog` of a classical group, on the reference degrees."""
-    chars = []
+    """`degrees._build_catalog` of a classical group, on the reference
+    degrees: (label, degree, HC series) sorted by the degree's (a, A, label)."""
+    rows = []
     for lab in classical_label_list(g):
         sym = label_symbol(g, lab)
-        chars.append(UnipChar(g, lab, _counter_symbol_degree(
-            g, sym, degenerate=(lab.kind == "split")), _series_tag(lab), sym))
-    chars.sort(key=lambda c: (c.degree.a_value(), c.degree.A_value(), str(c.label)))
-    return tuple(chars)
+        rows.append((lab, _counter_symbol_degree(g, sym, degenerate=(lab.kind == "split")),
+                     _series_tag(lab)))
+    rows.sort(key=lambda row: (row[1].a_value(), row[1].A_value(), str(row[0])))
+    return rows
+
+
+def _catalog_rows(g):
+    """(label, degree, HC series) of each character of `catalog(g)`, in order."""
+    return [(c.label, c.degree, c.hc_series) for c in catalog(g)]
 
 
 @pytest.mark.parametrize("series", ["B", "C", "D", "2D"])
 def test_catalog_matches_counter_reference(series):
     for n in range(2, 11):
         g = GroupDescriptor(series, n)
-        assert catalog(g) == _counter_catalog(g), str(g)
+        assert _catalog_rows(g) == _counter_catalog(g), str(g)
 
 
 def test_symbol_degree_raises_as_the_counter_reference():
@@ -413,15 +424,16 @@ def _ref_gl_degree(lam):
 
 
 def _ref_type_a_catalog(g):
-    """`degrees._build_catalog` of a type-A or 2A group, on the reference degrees."""
-    chars = []
+    """`degrees._build_catalog` of a type-A or 2A group, on the reference
+    degrees: (label, degree, HC series) sorted by the degree's (a, A, label)."""
+    rows = []
     for lab in classical_label_list(g):
         deg = _ref_gl_degree(lab.bip.left)
         if g.series == "2A":
             deg = _ref_ennola(deg)
-        chars.append(UnipChar(g, lab, deg, _series_tag(lab), label_symbol(g, lab)))
-    chars.sort(key=lambda c: (c.degree.a_value(), c.degree.A_value(), str(c.label)))
-    return tuple(chars)
+        rows.append((lab, deg, _series_tag(lab)))
+    rows.sort(key=lambda row: (row[1].a_value(), row[1].A_value(), str(row[0])))
+    return rows
 
 
 def _exact_parts(p):
@@ -440,6 +452,87 @@ def test_group_order_matches_per_factor_reference(g):
     assert _exact_parts(group_order_poly(g)) == _exact_parts(_ref_group_order_poly(g))
 
 
+_CLASSICAL_GROUPS = ([GroupDescriptor("A", n) for n in range(1, 11)]
+                     + [GroupDescriptor("2A", n) for n in range(2, 11)]
+                     + [GroupDescriptor(s, n) for s in ("B", "C", "D", "2D")
+                        for n in range(2, 11)])
+
+
+@pytest.mark.parametrize("g", _CLASSICAL_GROUPS, ids=str)
+def test_closed_form_sort_key_is_the_degrees_a_and_A(g):
+    # a classical catalog is sorted by closed forms for a and A, so that its
+    # build computes no degree; they are the degree's own a- and A-values
+    order_deg = sum(k for k, _ in _order_factors(g))
+    for c in catalog(g):
+        key = (_partition_a_A(c.label.bip.left) if g.series in ("A", "2A")
+               else _symbol_a_A(c.symbol, order_deg))
+        assert key == (c.degree.a_value(), c.degree.A_value()), (str(g), str(c.label))
+
+
+_LAZY_SCRIPT = """
+import json
+from unipdec import degrees, fourier, hc
+from unipdec.labels import GroupDescriptor
+from unipdec.weyl import w0_class
+
+computed = []
+
+
+def counted(fn):
+    def wrapper(*args, **kwargs):
+        computed.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+degrees.symbol_degree = counted(degrees.symbol_degree)
+degrees._hook_degree = counted(degrees._hook_degree)
+G = GroupDescriptor.parse
+
+
+def read_every_degree_twice(g):
+    for _ in range(2):
+        for c in degrees.catalog(g):
+            c.degree
+
+
+steps = {
+    "dl_vector B8 w0": lambda: fourier.dl_vector(G("B8"), w0_class(8)),
+    "family_of B5": lambda: fourier.family_of(G("B5"), "21.1^2"),
+    "induction_matrix B3 B4": lambda: hc.induction_matrix(G("B3"), G("B4")),
+    "B6 degrees twice": lambda: read_every_degree_twice(G("B6")),
+    "A5 degrees twice": lambda: read_every_degree_twice(G("A5")),
+}
+counts = {}
+for name, step in steps.items():
+    before = len(computed)
+    step()
+    counts[name] = len(computed) - before
+print(json.dumps(counts))
+"""
+
+
+def test_degrees_are_computed_on_first_read_only():
+    # a fresh interpreter, so that no other test has read these degrees yet
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCRIPT], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "dl_vector B8 w0": 0, "family_of B5": 0, "induction_matrix B3 B4": 0,
+        "B6 degrees twice": len(catalog(B6)), "A5 degrees twice": 11}
+    assert len(catalog(B6)) == 86
+
+
+def test_characters_compare_without_their_degree():
+    c = find_char(B4, "21.1")
+    assert c.degree is c.degree  # computed once, then kept
+    other = UnipChar(c.group, c.label, c.hc_series, c.symbol, group_order_poly(B4))
+    assert other.degree == group_order_poly(B4) != c.degree
+    assert other == c and hash(other) == hash(c)
+
+
 def test_order_factors_twist_one_factor_of_2d():
     # for even n the 2D_n order has two factors with k = n; only one is q^n + 1
     assert _order_factors(GroupDescriptor("2D", 4)) == [
@@ -452,9 +545,9 @@ def test_order_factors_twist_one_factor_of_2d():
 @pytest.mark.parametrize("g", [GroupDescriptor("A", n) for n in range(1, 11)]
                          + [GroupDescriptor("2A", n) for n in range(2, 11)], ids=str)
 def test_type_a_catalog_matches_per_factor_reference(g):
-    got, want = catalog(g), _ref_type_a_catalog(g)
+    got, want = _catalog_rows(g), _ref_type_a_catalog(g)
     assert got == want
-    assert [_exact_parts(c.degree) for c in got] == [_exact_parts(c.degree) for c in want]
+    assert [_exact_parts(deg) for _, deg, _ in got] == [_exact_parts(deg) for _, deg, _ in want]
 
 
 # ---------------------------------------------------------------------------

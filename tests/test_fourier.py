@@ -330,6 +330,21 @@ def test_errors_match_reference_off_the_classical_series():
     assert _outcome(_ref_dl_multiplicity, b3, "no such label", w0_class(3))[0] is KeyError
     with pytest.raises(LabelError, match="no such label"):
         dl_multiplicity(b3, "no such label", w0_class(3))
-    for name in ("2D4", "E6", "E8"):
+    for name in ("2D4", "E6"):
         g = GroupDescriptor.parse(name)
         assert _outcome(dl_vector, g, w0_class(4)) == _outcome(_ref_dl_vector, g, w0_class(4))
+
+
+@pytest.mark.parametrize("name, label", [("E7", "phi{1,0}"), ("E8", "phi{1,0}"),
+                                         ("2D5", "5."), ("A3", "4")])
+def test_dl_vector_refuses_a_series_before_reading_its_catalog(name, label):
+    # both functions refuse the series first, with one message, so a group
+    # without a catalog (E7, E8) is refused like one with a catalog, and
+    # dl_vector never asks for the catalog
+    g = GroupDescriptor.parse(name)
+    cls = w0_class(g.rank)
+    before = catalog.cache_info()
+    want = f"Deligne-Lusztig multiplicities are not computed for {name}"
+    assert _outcome(dl_vector, g, cls) == (UnsupportedGroupError, want)
+    assert catalog.cache_info() == before
+    assert _outcome(dl_multiplicity, g, label, cls) == (UnsupportedGroupError, want)

@@ -11,7 +11,9 @@ targets by name).  A module that a file of `src/unipdec` imports at its top
 level is not imported again inside a function.  Only `tables.py` stores to
 an attribute named `terms`, so `ParamExpr` internals stay in one module.
 Only `degrees.find_char` calls `resolve_label`, and only `resolve_label`
-calls `parse_label`, so label text reaches a character one way.
+calls `parse_label`, so label text reaches a character one way.  Only
+`UnipChar.degree` calls `symbol_degree` or `_hook_degree`, so a classical
+degree is computed one way, on its first read.
 """
 
 import ast
@@ -171,12 +173,13 @@ def test_terms_scan_sees_a_store():
 
 
 LABEL_READERS = ("parse_label", "resolve_label")
+DEGREE_MAKERS = ("symbol_degree", "_hook_degree")
 
 
-def label_reader_calls(source):
-    """Each call of `parse_label` or `resolve_label` in `source`, by name or
-    as an attribute, as (callee, innermost enclosing def or None, line) in
-    source order."""
+def calls_of(names, source):
+    """Each call of a function in `names` in `source`, by name or as an
+    attribute, as (callee, innermost enclosing def or None, line) in source
+    order."""
     out = []
 
     def visit(node, owner):
@@ -187,7 +190,7 @@ def label_reader_calls(source):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in LABEL_READERS:
+                if name in names:
                     out.append((name, owner, child.lineno))
             visit(child, owner)
 
@@ -197,7 +200,7 @@ def label_reader_calls(source):
 
 def test_only_find_char_resolves_label_text():
     found = {(path.name, owner, callee) for path in sorted(SRC.glob("*.py"))
-             for callee, owner, _ in label_reader_calls(path.read_text())}
+             for callee, owner, _ in calls_of(LABEL_READERS, path.read_text())}
     assert found == {("labels.py", "resolve_label", "parse_label"),
                      ("degrees.py", "find_char", "resolve_label")}
 
@@ -206,5 +209,20 @@ def test_label_reader_scan_sees_a_call():
     source = ("def f(t):\n    return parse_label(t)\n"
               "class K:\n    def g(self, t):\n        return labels.resolve_label(G, t)\n"
               "x = parse_label('1.')\nparse_label\nlabels.parse_label\n")
-    assert label_reader_calls(source) == [
+    assert calls_of(LABEL_READERS, source) == [
         ("parse_label", "f", 2), ("resolve_label", "g", 5), ("parse_label", None, 6)]
+
+
+def test_only_unip_char_degree_computes_a_degree():
+    found = {(path.name, owner, callee) for path in sorted(SRC.glob("*.py"))
+             for callee, owner, _ in calls_of(DEGREE_MAKERS, path.read_text())}
+    assert found == {("degrees.py", "degree", "symbol_degree"),
+                     ("degrees.py", "degree", "_hook_degree")}
+
+
+def test_degree_maker_scan_sees_a_call():
+    source = ("class UnipChar:\n    @property\n    def degree(self):\n"
+              "        return symbol_degree(self.group, self.symbol)\n"
+              "deg = degrees._hook_degree(g, (2, 1))\nsymbol_degree\n")
+    assert calls_of(DEGREE_MAKERS, source) == [
+        ("symbol_degree", "degree", 4), ("_hook_degree", None, 5)]
