@@ -256,9 +256,16 @@ def parse_tree_line(group, d, line):
     return BrauerTree(group, d, tuple(chain), tuple(series))
 
 
+@lru_cache(maxsize=256)
 def load_trees(path_text, group, d):
-    """The trees of a `.trees` file, one a line; a line that does not parse
-    or names a label outside the catalog raises BlockError naming it."""
+    """The trees of a `.trees` file, one a line, as a tuple; a line that
+    does not parse or names a label outside the catalog raises BlockError
+    naming it.
+
+    Memoised on (exact text, group, d), for up to 256 files (the corpus
+    has 53): a `BrauerTree` is frozen, so every call with one key returns
+    the same trees, and an edited file is a new key.  `tree_check` is not
+    cached, and an error is raised again on every call."""
     out = []
     for lineno, line in enumerate(path_text.splitlines(), 1):
         line = line.strip()
@@ -268,7 +275,7 @@ def load_trees(path_text, group, d):
             out.append(parse_tree_line(group, d, line))
         except (BlockError, LabelError, UnsupportedGroupError) as exc:
             raise BlockError(f"line {lineno}: {exc}") from exc
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -401,15 +408,15 @@ def tree_check(tree):
     q, and passes when every coefficient is >= 0, since S(q) > 0 for all
     q >= 2 then.  Otherwise positivity is unproved and the tree gives `warn`
     unless (iii) fails.  The degrees are read from `tree.chars`, resolved
-    when the tree was built, so no label is looked up here.
+    when the tree was built, once per vertex, so no label is looked up here.
     """
     group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
 
     # (i) the defect is M less the multiplicity of Phi_d in the degree
-    cm = dict(zip(tree.chain, tree.chars))
-    for lab in tree.characters():
-        dft = M - cm[lab].degree.root_multiplicity(d)
+    deg = {lab: c.degree for lab, c in zip(tree.chain, tree.chars) if c is not None}
+    for lab, du in deg.items():
+        dft = M - du.root_multiplicity(d)
         if dft != 1:
             return TreeReport(tree, "fail", f"{lab} has Phi_{d}-defect {dft}, not 1")
 
@@ -418,7 +425,7 @@ def tree_check(tree):
     for u, v in zip(chain, chain[1:]):
         if u is None or v is None:
             continue
-        du, dv = cm[u].degree, cm[v].degree
+        du, dv = deg[u], deg[v]
         ru = _monic_residue(du.q_exp % d, du.cyclo_mults, d)
         rv = _monic_residue(dv.q_exp % d, dv.cyclo_mults, d)
         # su * ru + sv * rv = 0, times the denominators of su and sv
@@ -431,9 +438,8 @@ def tree_check(tree):
     # alternating sum reconstructs (a positive multiple of) the exceptional degree
     j = chain.index(None)
     sign = 1 if j % 2 == 1 else -1  # exc = sign * sum over i of (-1)^i deg(chain[i])
-    degrees = [cm[lab].degree for lab in tree.characters()]
     signs = [sign if i % 2 == 0 else -sign for i, lab in enumerate(chain) if lab is not None]
-    shifted = _shifted_sum(degrees, signs)
+    shifted = _shifted_sum(list(deg.values()), signs)
     if not shifted:
         return TreeReport(tree, "fail", "alternating degree sum vanishes")
     if shifted[-1] < 0 or shifted[0] <= 0:

@@ -198,8 +198,10 @@ def hc_restrict(target_group, vector, source_group):
 
 
 def table_column_vector(table, j):
-    """Column j as row label -> ParamExpr, int entries wrapped (callers read
-    `.constant()`) as the shared `ParamExpr.const`, as `verify._expr` wraps
-    the values of `decompose_in_columns` and `recompose`."""
-    return {table.rows[i]: ParamExpr.const(e) if type(e) is int else e
-            for i, e in table.columns[j].entries.items()}
+    """Column j as a read-only mapping row label -> ParamExpr, int entries
+    wrapped (callers read `.constant()`) as the shared `ParamExpr.const`, as
+    `verify._expr` wraps the values of `decompose_in_columns` and
+    `recompose`.  The mappings are built once per table
+    (`DecompTable.column_vectors`), so one `tables.parse` text gives one
+    mapping per column; copy it to change it."""
+    return table.column_vectors[j]

@@ -27,7 +27,8 @@ Every label is resolved once per file, by `_row_char`, to the character of
 the group's catalog that it names; `DecompTable.chars` holds the rows'
 characters (None for E7 and E8, which ship no catalog).  A parsed table is
 an immutable value (frozen, with read-only entries and terms), so entries
-are shared and a changed table is a `dataclasses.replace` copy.
+are shared, `parse` hands out one table per text, and a changed table is a
+`dataclasses.replace` copy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import inf
 from types import MappingProxyType
 
@@ -356,6 +357,16 @@ class DecompTable:
                     rows[i].append((k, e))
         return tuple(map(tuple, rows))
 
+    @cached_property
+    def column_vectors(self):
+        """Each column as a read-only mapping from row label to entry, an
+        int wrapped as the shared `ParamExpr.const`; built on first use,
+        like `system`, for `hc.table_column_vector`."""
+        rows = self.rows
+        return tuple(MappingProxyType({rows[i]: ParamExpr.const(e) if type(e) is int else e
+                                       for i, e in col.entries.items()})
+                     for col in self.columns)
+
     def free_and_defined(self):
         """Split params into free ones and ones defined by an equality."""
         defined = {}
@@ -614,8 +625,16 @@ _parse_degree = cache(parse_factored)
 _TABLE_KEYS = ("group", "d", "block", "degrees", "params", "constraints")
 
 
+@lru_cache(maxsize=256)
 def parse(text):
     """Parse one table file (grammar in the module docstring).
+
+    Memoised on the exact text, for up to 256 texts (one process decodes
+    about 50): every call with one text returns the same immutable table,
+    so what the table caches (`system`, `below_diagonal`,
+    `column_vectors`) is built once per text.  No check result is cached.
+    An edited text is a new key, and a malformed one raises its TableError
+    on every call, since exceptions are not cached.
 
     Each distinct label text is resolved once per file by `_row_char`: the
     rows' texts first, then an entry's text on its first sight, into a dict

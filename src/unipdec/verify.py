@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .blocks import BlockError, load_trees, tree_check
-from .degrees import UnsupportedGroupError, find_char, perversity
+from .degrees import UnsupportedGroupError, find_char, group_order_poly, perversity
 from .fourier import dl_vector
 from .labels import GroupDescriptor
 from .tables import ParamExpr, TableError, parse
@@ -111,15 +111,16 @@ def check_unitriangular(table):
         return CheckReport("unitriangular", "warn",
                            ["no catalog degrees: a/A-monotonicity not checked"])
     box = ParamBox(table)
+    aA = [(deg.a_value(), deg.A_value()) for deg in (c.degree for c in chars)]
     bad = []
     tentative_bad = []
     for j, col in enumerate(table.columns):
-        rj = chars[j].degree
+        aj, Aj = aA[j]
         for i, expr in col.entries.items():
             if i == j or box.provably_zero(expr):
                 continue
-            ri = chars[i].degree
-            if not (ri.a_value() > rj.a_value() and ri.A_value() > rj.A_value()):
+            ai, Ai = aA[i]
+            if not (ai > aj and Ai > Aj):
                 (tentative_bad if col.tentative else bad).append(
                     f"a/A-monotonicity fails at ({table.rows[i]}, col {table.rows[j]})")
     status = "fail" if bad else ("warn" if tentative_bad else "pass")
@@ -337,10 +338,9 @@ def _steinberg_cases(group):
     s, n = group.series, group.rank
     cases = []
     if s == "D" and n % 2 == 0 and n >= 4:
-        cases.append((f"1.1^{n - 1}" if n > 2 else "1.1", n))
+        cases.append((f"1.1^{n - 1}", n))
     elif s == "2D" and n % 2 == 1 and n >= 5:
-        tail = f".21^{n - 3}" if n > 4 else ".21"
-        cases.append((tail, n))
+        cases.append((f".21^{n - 3}", n))
     elif s in ("B", "C") and n >= 2:
         delta = 1 if n % 2 == 0 else 0
         cases.append((f"1^{n}.", n - delta))
@@ -365,8 +365,12 @@ def check_steinberg_mults(table):
     chars = table.chars
     if chars is None:
         return CheckReport("steinberg", "warn", ["degrees unavailable"])
-    # the Steinberg character is the one of largest a-value
-    st = max(range(len(chars)), key=lambda i: chars[i].degree.a_value())
+    # the Steinberg character, of degree q^N, is the one row of a-value N;
+    # a table without it has no Steinberg entry to compare
+    N = group_order_poly(table.group).q_exp
+    st = next((i for i, c in enumerate(chars) if c.degree.a_value() == N), None)
+    if st is None:
+        cases = []
     row_of = {lab: i for i, lab in enumerate(table.rows)}
     bad = []
     hits = []

@@ -93,6 +93,22 @@ def test_a_tree_holds_its_characters_and_tree_check_looks_up_none(monkeypatch):
     assert tree_check(t).status == "pass"
 
 
+def test_load_trees_is_memoised_on_text_group_and_d():
+    # the same frozen trees on every call with one key; another d is
+    # another key, and a bad line raises again on every call
+    text = (DATA / "d3" / "D4.trees").read_text()
+    g = GroupDescriptor.parse("D4")
+    trees = load_trees(text, g, 3)
+    assert type(trees) is tuple and trees
+    again = load_trees(text, g, 3)
+    assert again is trees and all(a is b for a, b in zip(again, trees))
+    assert load_trees(text, g, 6) is not trees
+    bad = text + "zz -- O -- .4\n"
+    for _ in range(2):
+        with pytest.raises(blocks.BlockError, match="bad partition 'zz'"):
+            load_trees(bad, g, 3)
+
+
 def test_whole_tree_corpus_passes():
     total = 0
     for dd in sorted(DATA.glob("d*")):

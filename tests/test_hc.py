@@ -612,3 +612,17 @@ def test_table_column_vector_wraps_ints_as_shared_constants():
                     assert got is e and got.names()
                     passed += 1
     assert wrapped > 50 and passed > 5, (wrapped, passed)
+
+
+def test_table_column_vector_is_built_once_and_read_only():
+    # the mappings are kept on the (memoised, shared) table, so a caller
+    # that writes into one must get an error, not change every later reader
+    t = load("d2/D4.all.dmx")
+    vec = table_column_vector(t, 0)
+    assert table_column_vector(t, 0) is vec
+    assert table_column_vector(load("d2/D4.all.dmx"), 0) is vec
+    with pytest.raises(TypeError):
+        vec[t.rows[0]] = ParamExpr.const(2)
+    with pytest.raises(TypeError):
+        del vec[t.rows[0]]
+    assert vec[t.rows[0]] == 1

@@ -13,7 +13,10 @@ an attribute named `terms`, so `ParamExpr` internals stay in one module.
 Only `degrees.find_char` calls `resolve_label`, and only `resolve_label`
 calls `parse_label`, so label text reaches a character one way.  Only
 `UnipChar.degree` calls `symbol_degree` or `_hook_degree`, so a classical
-degree is computed one way, on its first read.
+degree is computed one way, on its first read.  `object.__setattr__` is
+called only in a `__post_init__` and in `UnipChar.degree`: parsed tables,
+trees and catalog characters are memoised and shared by every caller, so
+none may be changed in place after it is built.
 """
 
 import ast
@@ -226,3 +229,38 @@ def test_degree_maker_scan_sees_a_call():
               "deg = degrees._hook_degree(g, (2, 1))\nsymbol_degree\n")
     assert calls_of(DEGREE_MAKERS, source) == [
         ("symbol_degree", "degree", 4), ("_hook_degree", None, 5)]
+
+
+def frozen_stores(source):
+    """Each call of `object.__setattr__` in `source`, as (innermost
+    enclosing def or None, line) in source order."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "__setattr__" and getattr(func.value, "id", None) == "object"):
+                out.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(out, key=lambda call: call[1])
+
+
+def test_frozen_values_are_set_only_while_built():
+    found = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+             for owner, _ in frozen_stores(path.read_text())}
+    assert found - {(name, "__post_init__") for name, _ in found} == {("degrees.py", "degree")}
+    assert {name for name, owner in found if owner == "__post_init__"} >= {"blocks.py", "cyclo.py"}
+
+
+def test_frozen_store_scan_sees_a_call():
+    source = ("class K:\n    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'a', 1)\n"
+              "def f(t):\n    object.__setattr__(t, 'rows', ())\n"
+              "object.__setattr__(x, 'y', 2)\nobject.__setattr__\nself.__setattr__('z', 3)\n")
+    assert frozen_stores(source) == [("__post_init__", 3), ("f", 5), (None, 6)]

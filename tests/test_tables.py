@@ -202,6 +202,26 @@ def test_parsed_tables_are_immutable_values():
     assert parse(text) == a == b != mutant
 
 
+def test_parse_is_memoised_on_the_exact_text():
+    # one table per text, shared by every caller; an edited text is a new
+    # key, and a malformed one raises again, with its line, on every call
+    text = (DATA / "d2" / "D4.all.dmx").read_text()
+    table = parse(text)
+    assert parse(text) is table
+    edited = text.replace("series=c : 1.1^3=1 .1^4=4", "series=c : 1.1^3=1 .1^4=5")
+    assert edited != text and parse(edited) != table
+    i, j = table.rows.index(".1^4"), table.rows.index("1.1^3")
+    assert (table.entry(i, j), parse(edited).entry(i, j)) == (4, 5)
+    line = next(n for n, ln in enumerate(text.splitlines(), 1) if ".1^4=4" in ln)
+    bad = text.replace(".1^4=4", ".1^4=4*")
+    misses = parse.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(TableError) as exc:
+            parse(bad)
+        assert str(exc.value) == f"line {line}: cannot parse expression '4*' at '*'"
+    assert parse.cache_info().misses == misses + 2
+
+
 def test_every_shipped_entry_is_an_int_or_names_a_parameter():
     ints = varying = 0
     for f in all_dmx():

@@ -304,6 +304,7 @@ def corpus_expressions(monkeypatch):
 
     monkeypatch.setattr(tables, "parse_expr", recording(tables.parse_expr))
     monkeypatch.setattr(tables, "parse_entry", recording(tables.parse_entry))
+    tables.parse.cache_clear()  # parse is memoised per text: decode each one here
     n = sum(1 for _ in verify.corpus_tables())
     for f in sorted((DATA / "levi").glob("*.dmx")):
         tables.parse(f.read_text())

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from unipdec import tables, verify
-from unipdec.degrees import find_char
+from unipdec import blocks, tables, verify
+from unipdec.degrees import find_char, group_order_poly
 from unipdec.hc import table_column_vector
 from unipdec.labels import GroupDescriptor
 from unipdec.roots import coxeter_number, regular_height_bound
@@ -185,6 +185,45 @@ def test_steinberg_detects_wrong_entry():
     assert broken_text != text
     broken = tables.parse(broken_text)
     assert verify.check_steinberg_mults(broken).status == "fail"
+
+
+def test_steinberg_row_is_the_row_of_degree_q_to_the_n():
+    # 1^4. and 1.1^3 both have a-value 9, and neither is the Steinberg
+    # character of B4 (degree q^16): taking the largest a-value picked 1^4.
+    # and failed with "Steinberg entry 1 != 3" on its diagonal; without a
+    # Steinberg row there is no entry to compare
+    text = ("[table]\ngroup = B4\nd = 2\n[chars]\n1^4.\n1.1^3\n[cols]\n"
+            "series=ps : 1^4.=1 1.1^3=3\nseries=ps : 1.1^3=1\n")
+    t = tables.parse(text)
+    assert [c.degree.a_value() for c in t.chars] == [9, 9]
+    rep = verify.check_steinberg_mults(t)
+    assert (rep.status, rep.evidence) == ("warn", ["no applicable column in this table"])
+    # with the Steinberg row .1^4 present, its entry is the one compared
+    text = ("[table]\ngroup = B4\nd = 2\n[chars]\n1^4.\n1.1^3\n.1^4\n[cols]\n"
+            "series=ps : 1^4.=1 1.1^3=2 .1^4=3\nseries=ps : 1.1^3=1\n"
+            "series=ps : .1^4=1\n")
+    rep = verify.check_steinberg_mults(tables.parse(text))
+    assert (rep.status, rep.evidence) == ("pass", ["1^4. -> 3"])
+    # the corpus tables without a Steinberg row only warn
+    for rel in ("d2/B4.phi2sq.dmx", "d2/D6.phi2sq.dmx"):
+        t = load(rel)
+        n = group_order_poly(t.group).q_exp
+        assert all(c.degree.a_value() != n for c in t.chars), rel
+        assert verify.check_steinberg_mults(t).status == "warn", rel
+
+
+def test_second_corpus_pass_decodes_nothing_and_reruns_every_check():
+    # tables and trees are memoised per text, check results are not: a
+    # second pass reads every file from the memos and builds new reports
+    first = list(verify.corpus_reports())
+    parses, trees = tables.parse.cache_info(), blocks.load_trees.cache_info()
+    second = list(verify.corpus_reports())
+    assert tables.parse.cache_info().misses == parses.misses
+    assert blocks.load_trees.cache_info().misses == trees.misses
+    assert tables.parse.cache_info().hits == parses.hits + 26
+    assert blocks.load_trees.cache_info().hits > trees.hits
+    assert second == first and len(first) > 200
+    assert not any(a is b for (_, a), (_, b) in zip(first, second))
 
 
 def test_dl_constraints_B4_coxeter():
