@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import cyclotomic
+from .cyclo import DensePoly, cyclotomic, euler_phi
 from .degrees import (_ennola_index, catalog, catalog_map, defect, find_char,
                       group_order_poly)
 from .labels import GroupDescriptor, LabelError, UnsupportedGroupError, beta_to_partition
@@ -285,52 +285,12 @@ class TreeReport:
     evidence: str = ""
 
 
-def _reduce(coeffs, phi):
-    """coeffs mod the monic integer polynomial phi, as an integer tuple of
-    length deg(phi); both are coefficient tuples, lowest first."""
-    n = len(phi) - 1
-    out = list(coeffs) + [0] * (n - len(coeffs))
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(n):
-                out[i - n + j] -= c * phi[j]
-    return tuple(out[:n])
-
-
-def _mulmod(a, b, phi):
-    """a * b mod phi, for residues a and b as `_reduce` returns them."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, i):
-                out[k] += x * y
-    return _reduce(out, phi)
-
-
 @lru_cache(maxsize=None)
-def _power_residue(e, m, d):
-    """Phi_e^m mod Phi_d, or q^m mod Phi_d for e = 0, as `_reduce` gives it."""
-    phi = cyclotomic(d).coeffs
-    if m == 0:
-        return _reduce((1,), phi)
-    base = _reduce((0, 1) if e == 0 else cyclotomic(e).coeffs, phi)
-    return _mulmod(_power_residue(e, m - 1, d), base, phi)
-
-
-@lru_cache(maxsize=None)
-def _monic_residue(q_exp, cyclo_mults, d):
-    """q^q_exp * prod over e != d of Phi_e^m, reduced mod Phi_d: the value of
-    the monic part of a degree, Phi_d removed, at a primitive d-th root of
-    unity, as an integer tuple of length phi(d).  q^d = 1 there, so only
-    q_exp mod d matters, and `tree_check` passes q_exp mod d to share the
-    memo."""
-    phi = cyclotomic(d).coeffs
-    out = _power_residue(0, q_exp, d)
-    for e, m in cyclo_mults:
-        if e != d:
-            out = _mulmod(out, _power_residue(e, m, d), phi)
-    return out
+def _power_bound(d):
+    """c_d, the largest |coefficient| of q^k mod Phi_d over 0 <= k < d;
+    memoised per d."""
+    phi = cyclotomic(d)
+    return max(abs(c) for k in range(d) for c in DensePoly.monomial(k).divmod(phi)[1].coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -349,25 +309,33 @@ def _monic_at(q_exp, cyclo_mults, x):
     return v
 
 
-def _shifted_sum(degrees, signs):
-    """The integer coefficients T, lowest first, of L * S(q + 2) for
-    S = sum(sign * degree), with L > 0 the lcm of the scalars'
-    denominators; () when S = 0.
+def _packed(degrees, d):
+    """(B, values): each degree s * F, F its monic part, packed as the int
+    w * F(x) at x = 2^B + 2, where w = L * s and L > 0 is the lcm of the
+    scalars' denominators.
 
     Every Phi_e(q + 2) has nonnegative coefficients (a pair of conjugate
-    roots zeta gives q^2 + 2(2 - Re zeta)q + |2 - zeta|^2), so each monic
-    part M(q + 2) does too, and each of them is at most M(3).  With weights
-    w = L * sign * scalar, every |T_k| is below 2^(B-1) for
-    B = bit_length(sum |w| * M(3)) + 1, so T is the balanced base-2^B digit
-    expansion of sum w * M(2^B + 2): nothing is expanded.
+    roots zeta gives q^2 + 2(2 - Re zeta)q + |2 - zeta|^2), so each F(q + 2)
+    does too, and each of them is at most F(3).  With
+    B = bit_length(max(c_d * sum |w| * F(3), phi(d))) + 1, a signed sum of
+    the values is the balanced base-2^B digit expansion of the coefficients
+    of L * S(q + 2), S the signed sum of the degrees, each below 2^(B-1):
+    nothing is expanded.  c_d (`_power_bound`) and phi(d) are in B so that
+    x >= max(2H + 2, 2 phi(d)) for the edge test of `tree_check`, where
+    every edge has H <= c_d * sum |w| * F(3).
     """
     scale = lcm(*(deg.scalar.denominator for deg in degrees))
-    weights = [s * deg.scalar.numerator * (scale // deg.scalar.denominator)
-               for deg, s in zip(degrees, signs)]
-    bits = sum(abs(w) * _monic_at(deg.q_exp, deg.cyclo_mults, 3)
-               for deg, w in zip(degrees, weights)).bit_length() + 1
-    value = sum(w * _monic_at(deg.q_exp, deg.cyclo_mults, (1 << bits) + 2)
-                for deg, w in zip(degrees, weights))
+    weights = [deg.scalar.numerator * (scale // deg.scalar.denominator) for deg in degrees]
+    bound = _power_bound(d) * sum(abs(w) * _monic_at(deg.q_exp, deg.cyclo_mults, 3)
+                                  for deg, w in zip(degrees, weights))
+    bits = max(bound, euler_phi(d)).bit_length() + 1
+    x = (1 << bits) + 2
+    return bits, [w * _monic_at(deg.q_exp, deg.cyclo_mults, x)
+                  for deg, w in zip(degrees, weights)]
+
+
+def _balanced_digits(value, bits):
+    """The balanced base-2^bits digits of value, lowest first; () for 0."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     out = []
     while value:
@@ -375,6 +343,23 @@ def _shifted_sum(degrees, signs):
         out.append(digit)
         value = (value - digit) >> bits
     return tuple(out)
+
+
+def _sum_digits(value, bits):
+    """None when every balanced base-2^bits digit of value is >= 0 and the
+    lowest is > 0; otherwise `_balanced_digits(value, bits)`.
+
+    The digits all lie in [0, 2^(bits-1)) iff value >= 0 and no bits-bit
+    chunk of it has its top bit set, for then each chunk is its digit: one
+    mask test decides the first case, and only the other one is decoded.
+    """
+    low = (1 << bits) - 1
+    if value > 0 and value & low:
+        chunks = -(-value.bit_length() // bits)
+        tops = ((1 << bits * chunks) - 1) // low << (bits - 1)
+        if not value & tops:
+            return None
+    return _balanced_digits(value, bits)
 
 
 def tree_check(tree):
@@ -391,24 +376,35 @@ def tree_check(tree):
           so only the tree's own vertices are keyed; an exceptional tree is
           looked up in the shipped `block_partition`.
 
-    After (i) every degree on the tree is D = Phi_d^(M-1) * u with Phi_d
-    not dividing u = s * q^k * prod over e != d of Phi_e^m, because Phi_d is
-    irreducible and prime to q and to every other Phi_e.  So (ii) is decided
-    at a primitive d-th root of unity zeta, in Z[q]/(Phi_d), with nothing
-    expanded: Phi_d^M divides D_u + D_v iff u(zeta) + v(zeta) = 0, and
-    u(zeta) is s times the integer residue of the monic part mod Phi_d.
-    zeta^d = 1, so the residues are memoised per (k mod d, factors, d).
-    The alternating sum is Phi_d^(M-1) times a sum of such u, so it is
-    divisible by Phi_d^(M-1) once it is nonzero.
+    After (i) every degree on the tree is D = Phi_d^(M-1) * s * u with Phi_d
+    not dividing the integer polynomial u = q^k * prod over e != d of
+    Phi_e^m, because Phi_d is irreducible and prime to q and to every other
+    Phi_e.  `_packed` gives each vertex as w * F(x), F = Phi_d^(M-1) * u its
+    monic part and w = L * s an int, at one x = 2^B + 2 per tree, and (ii)
+    is decided on these ints: Phi_d^M divides D_u + D_v iff Phi_d(x)^M
+    divides w_u * F_u(x) + w_v * F_v(x).  The proof: w_u * u + w_v * v is
+    Q * Phi_d + R with Q and R integer polynomials (Phi_d is monic),
+    deg R < phi(d), and Phi_d^M divides the edge sum iff R = 0.  Each
+    coefficient of R is at most H = c_d * (|w_u| * F_u(3) + |w_v| * F_v(3)),
+    since q^d = 1 mod Phi_d, c_d bounds every q^k mod Phi_d (`_power_bound`),
+    and the coefficients of u sum in absolute value to at most
+    u(3) <= F(3), because ||Phi_e||_1 <= 2^phi(e) <= Phi_e(3).  `_packed`
+    takes x >= max(2H + 2, 2 phi(d)), so any R != 0 has
+    0 < |R(x)| < (x - 1)^phi(d) <= Phi_d(x), and Phi_d(x) does not divide
+    R(x), nor then w_u * u(x) + w_v * v(x).  The alternating sum is
+    Phi_d^(M-1) times a sum of such s * u, so it is divisible by
+    Phi_d^(M-1) once it is nonzero.
 
     Positivity for every prime power q is read off the coefficients T of
-    L * S(q + 2), L > 0, that `_shifted_sum` gives (Descartes' rule of signs
-    at q = 2): the tree fails when the leading coefficient of T or
-    T(0) = L * S(2) is <= 0, since S is then <= 0 at q = 2 or at every large
-    q, and passes when every coefficient is >= 0, since S(q) > 0 for all
-    q >= 2 then.  Otherwise positivity is unproved and the tree gives `warn`
-    unless (iii) fails.  The degrees are read from `tree.chars`, resolved
-    when the tree was built, once per vertex, so no label is looked up here.
+    L * S(q + 2), L > 0, the balanced base-2^B digits of the alternating
+    sum of the packed values (Descartes' rule of signs at q = 2): the tree
+    fails when the leading coefficient of T or T(0) = L * S(2) is <= 0,
+    since S is then <= 0 at q = 2 or at every large q, and passes when
+    every coefficient is >= 0, since S(q) > 0 for all q >= 2 then.  One
+    mask test (`_sum_digits`) shows the last case without decoding a digit.
+    Otherwise positivity is unproved and the tree gives `warn` unless (iii)
+    fails.  The degrees are read from `tree.chars`, resolved when the tree
+    was built, once per vertex, so no label is looked up here.
     """
     group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
@@ -422,27 +418,25 @@ def tree_check(tree):
 
     # (ii) neighbouring ordinary characters: sum divisible by Phi_d^M
     chain = tree.chain
+    bits, values = _packed(list(deg.values()), d)
+    packed = dict(zip(deg, values))
+    modulus = _cyclotomic_at(d, (1 << bits) + 2) ** M
     for u, v in zip(chain, chain[1:]):
         if u is None or v is None:
             continue
-        du, dv = deg[u], deg[v]
-        ru = _monic_residue(du.q_exp % d, du.cyclo_mults, d)
-        rv = _monic_residue(dv.q_exp % d, dv.cyclo_mults, d)
-        # su * ru + sv * rv = 0, times the denominators of su and sv
-        a, b = du.scalar.numerator, du.scalar.denominator
-        c, e = dv.scalar.numerator, dv.scalar.denominator
-        if any(a * e * x + c * b * y for x, y in zip(ru, rv)):
+        if (packed[u] + packed[v]) % modulus:
             return TreeReport(tree, "fail",
                               f"edge {u} -- {v}: degree sum not divisible by P{d}^{M}")
 
     # alternating sum reconstructs (a positive multiple of) the exceptional degree
     j = chain.index(None)
     sign = 1 if j % 2 == 1 else -1  # exc = sign * sum over i of (-1)^i deg(chain[i])
-    signs = [sign if i % 2 == 0 else -sign for i, lab in enumerate(chain) if lab is not None]
-    shifted = _shifted_sum(list(deg.values()), signs)
-    if not shifted:
+    total = sum(packed[lab] if i % 2 == 0 else -packed[lab]
+                for i, lab in enumerate(chain) if lab is not None)
+    shifted = _sum_digits(sign * total, bits)  # None: positive, nothing decoded
+    if shifted == ():
         return TreeReport(tree, "fail", "alternating degree sum vanishes")
-    if shifted[-1] < 0 or shifted[0] <= 0:
+    if shifted and (shifted[-1] < 0 or shifted[0] <= 0):
         return TreeReport(tree, "fail",
                           "alternating sum is not a positive multiple of a degree")
 
@@ -459,6 +453,6 @@ def tree_check(tree):
             split = False  # exceptional group without block data at this d: defect check stands
     if split:
         return TreeReport(tree, "fail", "characters span several blocks")
-    if min(shifted) < 0:
+    if shifted and min(shifted) < 0:
         return TreeReport(tree, "warn", "alternating sum not proved positive for q >= 2")
     return TreeReport(tree, "pass")

@@ -422,18 +422,22 @@ def _small_arg_count(e, d):
     return sum(1 for k in range(1, e) if gcd(k, e) == 1 and k * d < e)
 
 
-def perversity(c, d):
-    """Craven's pi_d: (A+a)/d + m(1,R)/2 + small-argument root count.
+def perversity_numerator(deg, d):
+    """2d * pi_d for a character of degree `deg`, as an int.
 
-    Every term is a multiple of 1/(2d), so the integer numerator
-    2(A+a) + d*m(1,R) + 2d*count is summed and one Fraction built over 2d.
+    Every term of pi_d is a multiple of 1/(2d), so this is the integer
+    2(A+a) + d*m(1,R) + 2d*count; `perversity` divides it by 2d.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    deg = c.degree
     count = sum(m * _small_arg_count(e, d) for e, m in deg.cyclo_mults if e > 1)
-    num = 2 * (deg.A_value() + deg.a_value()) + d * deg.root_multiplicity(1) + 2 * d * count
-    return Fraction(num, 2 * d)
+    return 2 * (deg.A_value() + deg.a_value()) + d * deg.root_multiplicity(1) + 2 * d * count
+
+
+def perversity(c, d):
+    """Craven's pi_d: (A+a)/d + m(1,R)/2 + small-argument root count, as
+    the Fraction `perversity_numerator(c.degree, d)` / 2d."""
+    return Fraction(perversity_numerator(c.degree, d), 2 * d)
 
 
 def perversity_2_shortcut(c):

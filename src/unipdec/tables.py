@@ -41,7 +41,7 @@ from math import inf
 from types import MappingProxyType
 
 from .cyclo import CycloError, parse_factored
-from .degrees import find_char
+from .degrees import find_char, perversity_numerator
 from .labels import GroupDescriptor, LabelError, UnsupportedGroupError
 
 
@@ -366,6 +366,16 @@ class DecompTable:
         return tuple(MappingProxyType({rows[i]: ParamExpr.const(e) if type(e) is int else e
                                        for i, e in col.entries.items()})
                      for col in self.columns)
+
+    @cached_property
+    def row_invariants(self):
+        """Each row's (a, A, 2d * pi_d) as ints, from one read of its
+        catalog degree, or None without a catalog; built on first use, like
+        `system`, for the a/A and perversity comparisons of `verify`."""
+        if self.chars is None:
+            return None
+        return tuple((deg.a_value(), deg.A_value(), perversity_numerator(deg, self.d))
+                     for deg in (c.degree for c in self.chars))
 
     def free_and_defined(self):
         """Split params into free ones and ones defined by an equality."""

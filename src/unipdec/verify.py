@@ -7,18 +7,20 @@ substituted first (`ParamSystem.reduce`), and each free parameter ranges over
 [`lows`, `highs`] from its one-variable constraints alone (`math.inf` where
 none bounds it above), so a verdict on the box holds for every admissible
 assignment.  The per-row checks read each row's catalog character from
-`table.chars`, as `tables.parse` resolved it.  `corpus_reports` walks the
-corpus and yields a (path, CheckReport) record for every table check and
-every Brauer tree.
+`table.chars`, as `tables.parse` resolved it, and its (a, A, 2d * pi_d)
+from `table.row_invariants`, computed once per table.  `corpus_reports`
+walks the corpus and yields a (path, CheckReport) record for every table
+check and every Brauer tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import inf
 
 from .blocks import BlockError, load_trees, tree_check
-from .degrees import UnsupportedGroupError, find_char, group_order_poly, perversity
+from .degrees import UnsupportedGroupError, find_char, group_order_poly
 from .fourier import dl_vector
 from .labels import GroupDescriptor
 from .tables import ParamExpr, TableError, parse
@@ -86,16 +88,17 @@ def check_degrees(table):
         return CheckReport("degrees", "warn", ["no degree column shipped"])
     if table.chars is None:
         return CheckReport("degrees", "warn", ["no catalog: degrees not checked"])
+    full = table.degrees_kind == "full"
     bad = []
     for lab, deg, c in zip(table.rows, table.row_degrees, table.chars):
         if deg is None:
             continue
-        if table.degrees_kind == "full":
-            if deg != c.degree:
-                bad.append(f"{lab}: {deg} != {c.degree}")
-        else:
-            if (deg.scalar, deg.q_exp) != (c.degree.scalar, c.degree.q_exp):
-                bad.append(f"{lab}: leading {deg} != {c.degree}")
+        known = c.degree
+        if full:
+            if deg != known:
+                bad.append(f"{lab}: {deg} != {known}")
+        elif (deg.scalar, deg.q_exp) != (known.scalar, known.q_exp):
+            bad.append(f"{lab}: leading {deg} != {known}")
     return CheckReport("degrees", "fail" if bad else "pass", bad)
 
 
@@ -106,20 +109,19 @@ def check_unitriangular(table):
     """Every entry below the diagonal that is not provably zero has strictly
     larger a- and A-values than its column's leader.  (`tables.parse` has
     already put a 1 on the diagonal and nothing above it.)"""
-    chars = table.chars
-    if chars is None:
+    inv = table.row_invariants
+    if inv is None:
         return CheckReport("unitriangular", "warn",
                            ["no catalog degrees: a/A-monotonicity not checked"])
     box = ParamBox(table)
-    aA = [(deg.a_value(), deg.A_value()) for deg in (c.degree for c in chars)]
     bad = []
     tentative_bad = []
     for j, col in enumerate(table.columns):
-        aj, Aj = aA[j]
+        aj, Aj, _ = inv[j]
         for i, expr in col.entries.items():
             if i == j or box.provably_zero(expr):
                 continue
-            ai, Ai = aA[i]
+            ai, Ai, _ = inv[i]
             if not (ai > aj and Ai > Aj):
                 (tentative_bad if col.tentative else bad).append(
                     f"a/A-monotonicity fails at ({table.rows[i]}, col {table.rows[j]})")
@@ -136,14 +138,14 @@ def check_craven(table):
 
     An entry that cannot vanish at a position with pi_d(row) <= pi_d(column
     leader) is a conjecture violation; a parameter entry there is forced
-    to zero.
+    to zero.  pi_d is compared as the int 2d * pi_d of `table.row_invariants`.
     """
     d = table.d
-    chars = table.chars
-    if chars is None:
+    inv = table.row_invariants
+    if inv is None:
         return CheckReport("craven", "warn", ["degrees unavailable; check skipped"])
     box = ParamBox(table)
-    pi = [perversity(c, d) for c in chars]
+    pi = [n for _, _, n in inv]
     violations = []
     forced = set()
     relations = []
@@ -156,7 +158,8 @@ def check_craven(table):
                 continue  # vanishes on the whole box
             if lo > 0:
                 msg = (f"entry ({table.rows[i]}, col {table.rows[j]}) = {expr} "
-                       f"nonzero but pi_{d}(row) = {pi[i]} <= {pi[j]}")
+                       f"nonzero but pi_{d}(row) = {Fraction(pi[i], 2 * d)} "
+                       f"<= {Fraction(pi[j], 2 * d)}")
                 if col.tentative:
                     relations.append("tentative column: " + msg)
                 else:
@@ -362,13 +365,13 @@ def check_steinberg_mults(table):
     if not cases:
         return CheckReport("steinberg", "warn",
                            [f"no Steinberg-multiplicity statement for {table.group}"])
-    chars = table.chars
-    if chars is None:
+    inv = table.row_invariants
+    if inv is None:
         return CheckReport("steinberg", "warn", ["degrees unavailable"])
     # the Steinberg character, of degree q^N, is the one row of a-value N;
     # a table without it has no Steinberg entry to compare
     N = group_order_poly(table.group).q_exp
-    st = next((i for i, c in enumerate(chars) if c.degree.a_value() == N), None)
+    st = next((i for i, (a, _, _) in enumerate(inv) if a == N), None)
     if st is None:
         cases = []
     row_of = {lab: i for i, lab in enumerate(table.rows)}

@@ -246,10 +246,17 @@ def _dense_signed_sum(degrees, signs):
     return total
 
 
-def assert_shifted_sum_matches_dense(degrees, signs):
+def _shifted_sum(degrees, signs, d=1):
+    """The balanced digits of the signed sum of the degrees as `blocks._packed`
+    gives them at d: the coefficients of L * S(q + 2), S = sum(sign * degree)."""
+    bits, values = blocks._packed(degrees, d)
+    return blocks._balanced_digits(sum(s * v for s, v in zip(signs, values)), bits)
+
+
+def assert_shifted_sum_matches_dense(degrees, signs, d=1):
     scale = lcm(*(deg.scalar.denominator for deg in degrees))
     shifted = _dense_shift(_dense_signed_sum(degrees, signs))
-    assert blocks._shifted_sum(degrees, signs) == tuple(scale * c for c in shifted.coeffs)
+    assert _shifted_sum(degrees, signs, d) == tuple(scale * c for c in shifted.coeffs)
 
 
 def test_positivity_reads_the_leading_coefficient_of_top_degree_only():
@@ -260,16 +267,17 @@ def test_positivity_reads_the_leading_coefficient_of_top_degree_only():
     signs = [-1, 1, 1]
     dense = _dense_signed_sum(degrees, signs)
     assert [dense(q0) for q0 in (2, 3, 5, 7)] == [32000, 240813, 2890625, 12689285]
-    shifted = blocks._shifted_sum(degrees, signs)
+    shifted = _shifted_sum(degrees, signs)
     assert shifted[-1] == dense.coeffs[-1] == -1 and shifted[0] == dense(2) > 0
     assert_shifted_sum_matches_dense(degrees, signs)
 
 
 def _sample_tree_with_shifted_sum(monkeypatch, shifted):
-    """The first corpus tree, with `_shifted_sum` giving `shifted`."""
+    """The first corpus tree, with `_sum_digits` giving `shifted` as the
+    digits of its alternating sum."""
     _, tree = next(corpus_trees())
     assert tree_check(tree).status == "pass"
-    monkeypatch.setattr(blocks, "_shifted_sum", lambda degrees, signs: shifted)
+    monkeypatch.setattr(blocks, "_sum_digits", lambda value, bits: shifted)
     return tree
 
 
@@ -281,7 +289,7 @@ def test_sum_positive_at_sampled_points_is_not_proved_positive(monkeypatch):
     signs = [1, -1, 1]
     dense = _dense_signed_sum(degrees, signs)
     assert [dense(q0) for q0 in (2, 3, 4, 5, 7)] == [15, 3, -1, 3, 35]
-    shifted = blocks._shifted_sum(degrees, signs)
+    shifted = _shifted_sum(degrees, signs)
     assert shifted == (15, -16, 4)
     tree = _sample_tree_with_shifted_sum(monkeypatch, shifted)
     rep = tree_check(tree)
@@ -375,25 +383,112 @@ def test_shifted_sum_matches_dense_shift_on_random_degrees():
             signs = [1] + [rng.choice((-1, 1)) for _ in degrees[1:-1]] + [-1]
         else:
             signs = [rng.choice((-1, 1)) for _ in degrees]
-        assert_shifted_sum_matches_dense(degrees, signs)
+        # any d only widens the digits
+        assert_shifted_sum_matches_dense(degrees, signs, d=1 + len(signs) * 7 % 30)
 
 
-@pytest.mark.parametrize("d", range(2, 15))
+def _random_degree(rng, d, M):
+    """A degree with Phi_d-multiplicity M - 1, a fractional scalar, a
+    q-power up to 3d and up to three other factors Phi_e, e <= 40."""
+    mults = {e: rng.randint(1, 2) for e in rng.sample(range(1, 41), rng.randint(0, 3))}
+    return FactoredPoly.from_parts(Fraction(rng.choice((-5, -3, -1, 1, 2, 7)),
+                                            rng.choice((1, 2, 3, 4, 6))),
+                                   rng.randint(0, 3 * d), {**mults, d: M - 1})
+
+
+@pytest.mark.parametrize("d", [*range(2, 31), 105])
 def test_monic_residue_is_remainder_mod_cyclotomic(d):
-    # the residue of the monic part, Phi_d removed, times the scalar is the
-    # remainder of the expanded degree, Phi_d removed, on division by Phi_d
+    # tree_check's edge test on packed ints: Phi_d(x)^M divides the sum of
+    # the packed degrees iff dense division of the degree sum by Phi_d^M
+    # leaves no remainder.  The sums are random; or the two monic parts
+    # agree mod Phi_d (q-powers d apart) and the scalars cancel, or miss
+    # cancelling by 1/6, so the remainder mod Phi_d is zero or has small
+    # coefficients.  Each time the remainder R of the monic parts, weighted
+    # as in `_packed`, keeps within the bound H of the proof, and x >= 2H + 2.
+    # d = 105 is the first d with c_d > 1 (`_power_bound`).
     rng = random.Random(d)
     phi = cyclotomic(d)
-    for _ in range(25):
-        mults = {e: rng.randint(1, 3) for e in rng.sample(range(1, 17), rng.randint(0, 4))}
-        poly = FactoredPoly.from_parts(Fraction(rng.choice((-3, 1, 2)), rng.choice((1, 2, 6))),
-                                       rng.randint(0, 30), mults)
-        mults.pop(d, None)
-        rest = FactoredPoly.from_parts(poly.scalar, poly.q_exp, mults)
-        _, rem = rest.expand().divmod(phi)
-        residue = blocks._monic_residue(poly.q_exp, poly.cyclo_mults, d)
-        assert len(residue) == euler_phi(d)
-        assert DensePoly([poly.scalar * c for c in residue]) == rem, poly
+    verdicts = Counter()
+    for n in range(24 if d <= 30 else 9):
+        M = rng.randint(1, 3)
+        du = _random_degree(rng, d, M)
+        if n % 3 == 0:
+            dv = _random_degree(rng, d, M)
+        else:
+            scalar = -du.scalar + Fraction(n % 3 - 1, 6)
+            if not scalar:
+                continue
+            rest = {e: m for e, m in du.cyclo_mults if e != d}
+            dv = FactoredPoly.from_parts(scalar, (du.q_exp + d * rng.randint(0, 2)) % (4 * d),
+                                         {**rest, d: M - 1})
+        total = du.expand() + dv.expand()
+        phi_m = DensePoly([1])
+        for _ in range(M):
+            phi_m = phi_m * phi
+        expect = total.divmod(phi_m)[1].is_zero()
+        bits, (pu, pv) = blocks._packed([du, dv], d)
+        x = (1 << bits) + 2
+        assert ((pu + pv) % phi(x) ** M == 0) == expect, (du, dv)
+        verdicts[expect] += 1
+        # the bound of tree_check's proof
+        scale = lcm(du.scalar.denominator, dv.scalar.denominator)
+        monic, rem = (total * scale).divmod(phi_m // phi)
+        assert rem.is_zero()
+        R = monic.divmod(phi)[1]
+        H = blocks._power_bound(d) * scale * (abs(du.evaluate(3)) + abs(dv.evaluate(3)))
+        assert all(abs(c) <= H for c in R.coeffs) and x >= 2 * H + 2 and x >= 2 * euler_phi(d)
+        assert R.is_zero() == expect
+    assert verdicts[True] and verdicts[False]
+
+
+def test_power_bound_is_largest_coefficient_of_reduced_q_powers():
+    # c_d by shifting q^k mod Phi_d one step at a time; it is 1 below d = 105
+    for d in [*range(1, 31), 105]:
+        phi = cyclotomic(d).coeffs
+        r, best = [1] + [0] * (len(phi) - 2), 1
+        for _ in range(d - 1):
+            top, r = r[-1], [0] + r[:-1]
+            r = [a - top * c for a, c in zip(r, phi)]
+            best = max(best, *map(abs, r))
+        assert blocks._power_bound(d) == best == (2 if d == 105 else 1), d
+
+
+@pytest.mark.parametrize("bits", (2, 3, 5, 8, 64))
+def test_mask_test_agrees_with_balanced_digit_decoding(bits):
+    # `_sum_digits` skips decoding exactly when the balanced digits are all
+    # >= 0 and the lowest is > 0, and otherwise decodes them all
+    rng = random.Random(bits)
+    half = 1 << (bits - 1)
+    cases = [(), (0,), (1,), (half - 1,), (0, 1), (1, 0, 0, 1), (1, -1), (-1, 1),
+             (half - 1, 0, half - 1), (1, 0, -1, half - 1), (1, 0, 0, 0, half - 1)]
+    for _ in range(200):
+        digits = [rng.randint(0, half - 1) for _ in range(rng.randint(1, 9))]
+        kind = rng.randrange(5)
+        if kind == 0:
+            digits[0] = 0  # lowest digit 0
+        elif kind == 1:
+            digits[1:-1] = [0] * len(digits[1:-1])  # zero middle digits
+        elif kind == 2:
+            digits[rng.randrange(len(digits))] = half - 1
+        elif kind == 3:
+            digits[rng.randrange(len(digits))] = -rng.randint(1, half - 1)  # one negative
+        else:
+            digits = [rng.randint(-half + 1, half - 1) for _ in digits]
+        cases.append(tuple(digits))
+    proved = Counter()
+    for digits in cases:
+        while digits and not digits[-1]:
+            digits = digits[:-1]
+        value = sum(t << (bits * k) for k, t in enumerate(digits))
+        full = blocks._balanced_digits(value, bits)
+        assert full == digits
+        fast = blocks._sum_digits(value, bits)
+        positive = bool(full) and min(full) >= 0 and full[0] > 0
+        assert (fast is None) == positive, digits
+        if fast is not None:
+            assert fast == full
+        proved[positive] += 1
+    assert proved[True] > 20 and proved[False] > 20
 
 
 # ---------------------------------------------------------------------------

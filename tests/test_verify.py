@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
-from unipdec import blocks, tables, verify
-from unipdec.degrees import find_char, group_order_poly
+from unipdec import blocks, degrees, tables, verify
+from unipdec.degrees import (A_value, a_value, find_char, group_order_poly, perversity,
+                             perversity_numerator)
 from unipdec.hc import table_column_vector
 from unipdec.labels import GroupDescriptor
 from unipdec.roots import coxeter_number, regular_height_bound
@@ -224,6 +227,39 @@ def test_second_corpus_pass_decodes_nothing_and_reruns_every_check():
     assert blocks.load_trees.cache_info().hits > trees.hits
     assert second == first and len(first) > 200
     assert not any(a is b for (_, a), (_, b) in zip(first, second))
+
+
+def test_row_invariants_are_computed_once_per_table(monkeypatch):
+    # (a, A, 2d * pi_d) of every row, as the public functions give them
+    corpus = list(verify.corpus_tables())
+    assert len(corpus) == 26
+    for rel, t in corpus:
+        if t.chars is None:  # E7 and E8 ship no catalog
+            assert t.row_invariants is None, rel
+            continue
+        assert t.row_invariants == tuple(
+            (a_value(c), A_value(c), 2 * t.d * perversity(c, t.d)) for c in t.chars), rel
+    # a second pass reuses every table's invariants, so pi_d is not recomputed
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    list(verify.corpus_reports())
+    monkeypatch.setattr(degrees, "perversity", counted("pi", degrees.perversity))
+    monkeypatch.setattr(tables, "perversity_numerator",
+                        counted("numerator", tables.perversity_numerator))
+    list(verify.corpus_reports())
+    assert calls == {}
+    # a copy is a new table, with invariants of its own
+    _, t = corpus[0]
+    copy = dataclasses.replace(t, d=t.d + 1)
+    assert copy.row_invariants is not t.row_invariants
+    assert calls["numerator"] == len(t.rows)
+    assert [n for _, _, n in copy.row_invariants] == [
+        perversity_numerator(c.degree, t.d + 1) for c in t.chars]
 
 
 def test_dl_constraints_B4_coxeter():
