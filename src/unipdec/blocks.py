@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .cyclo import DensePoly, cyclotomic, euler_phi
@@ -213,6 +213,8 @@ class BrauerTree:
     `find_char` when the tree is built, so that a bad label, or a character
     named twice (in any spelling), raises there;
     `edge_series` holds one modular HC-series tag per edge (may be empty).
+    `encoding` holds the integers that `tree_check` decides edges and the
+    alternating sum on, compiled on first use.
     """
 
     group: GroupDescriptor
@@ -234,6 +236,23 @@ class BrauerTree:
 
     def characters(self):
         return [v for v in self.chain if v is not None]
+
+    @cached_property
+    def encoding(self):
+        """(bits, values, modulus): the integer encoding of `tree_check`.
+
+        `values` holds `_packed`'s value of each vertex of `chain` (None at
+        'O'), at x = 2^bits + 2, and modulus is Phi_d(x)^M, M the
+        multiplicity of Phi_d in the group order.  They are pure functions
+        of the frozen tree, compiled once and kept for its lifetime
+        (`load_trees` shares one tree per line); a `dataclasses.replace`
+        copy compiles its own."""
+        d = self.d
+        M = group_order_poly(self.group).root_multiplicity(d)
+        bits, packed = _packed([c.degree for c in self.chars if c is not None], d)
+        packed = iter(packed)
+        values = tuple(None if c is None else next(packed) for c in self.chars)
+        return bits, values, _cyclotomic_at(d, (1 << bits) + 2) ** M
 
 
 def parse_tree_line(group, d, line):
@@ -300,9 +319,10 @@ def _cyclotomic_at(e, x):
     return cyclotomic(e)(x)
 
 
-@lru_cache(maxsize=None)
 def _monic_at(q_exp, cyclo_mults, x):
-    """q^q_exp * prod Phi_e^m at q = x: the monic part of a degree, as an int."""
+    """q^q_exp * prod Phi_e^m at q = x: the monic part of a degree, as an int.
+    Not memoised: each tree keeps its packed values (`BrauerTree.encoding`),
+    so a second pass does not come here."""
     v = x ** q_exp
     for e, m in cyclo_mults:
         v *= _cyclotomic_at(e, x) ** m
@@ -381,8 +401,9 @@ def tree_check(tree):
     Phi_e^m, because Phi_d is irreducible and prime to q and to every other
     Phi_e.  `_packed` gives each vertex as w * F(x), F = Phi_d^(M-1) * u its
     monic part and w = L * s an int, at one x = 2^B + 2 per tree, and (ii)
-    is decided on these ints: Phi_d^M divides D_u + D_v iff Phi_d(x)^M
-    divides w_u * F_u(x) + w_v * F_v(x).  The proof: w_u * u + w_v * v is
+    is decided on these ints, which each tree compiles once, with
+    Phi_d(x)^M, as `BrauerTree.encoding`: Phi_d^M divides D_u + D_v iff
+    Phi_d(x)^M divides w_u * F_u(x) + w_v * F_v(x).  The proof: w_u * u + w_v * v is
     Q * Phi_d + R with Q and R integer polynomials (Phi_d is monic),
     deg R < phi(d), and Phi_d^M divides the edge sum iff R = 0.  Each
     coefficient of R is at most H = c_d * (|w_u| * F_u(3) + |w_v| * F_v(3)),
@@ -404,35 +425,33 @@ def tree_check(tree):
     mask test (`_sum_digits`) shows the last case without decoding a digit.
     Otherwise positivity is unproved and the tree gives `warn` unless (iii)
     fails.  The degrees are read from `tree.chars`, resolved when the tree
-    was built, once per vertex, so no label is looked up here.
+    was built, once per vertex, so no label is looked up here.  Every test
+    runs on every call; only the encoding is kept, and no verdict.
     """
     group, d = tree.group, tree.d
     M = group_order_poly(group).root_multiplicity(d)
+    chain = tree.chain
 
     # (i) the defect is M less the multiplicity of Phi_d in the degree
-    deg = {lab: c.degree for lab, c in zip(tree.chain, tree.chars) if c is not None}
-    for lab, du in deg.items():
-        dft = M - du.root_multiplicity(d)
-        if dft != 1:
-            return TreeReport(tree, "fail", f"{lab} has Phi_{d}-defect {dft}, not 1")
+    for lab, c in zip(chain, tree.chars):
+        if c is not None:
+            dft = M - c.degree.root_multiplicity(d)
+            if dft != 1:
+                return TreeReport(tree, "fail", f"{lab} has Phi_{d}-defect {dft}, not 1")
 
     # (ii) neighbouring ordinary characters: sum divisible by Phi_d^M
-    chain = tree.chain
-    bits, values = _packed(list(deg.values()), d)
-    packed = dict(zip(deg, values))
-    modulus = _cyclotomic_at(d, (1 << bits) + 2) ** M
-    for u, v in zip(chain, chain[1:]):
-        if u is None or v is None:
+    bits, values, modulus = tree.encoding
+    for u, v, pu, pv in zip(chain, chain[1:], values, values[1:]):
+        if pu is None or pv is None:
             continue
-        if (packed[u] + packed[v]) % modulus:
+        if (pu + pv) % modulus:
             return TreeReport(tree, "fail",
                               f"edge {u} -- {v}: degree sum not divisible by P{d}^{M}")
 
     # alternating sum reconstructs (a positive multiple of) the exceptional degree
     j = chain.index(None)
     sign = 1 if j % 2 == 1 else -1  # exc = sign * sum over i of (-1)^i deg(chain[i])
-    total = sum(packed[lab] if i % 2 == 0 else -packed[lab]
-                for i, lab in enumerate(chain) if lab is not None)
+    total = sum(v if i % 2 == 0 else -v for i, v in enumerate(values) if v is not None)
     shifted = _sum_digits(sign * total, bits)  # None: positive, nothing decoded
     if shifted == ():
         return TreeReport(tree, "fail", "alternating degree sum vanishes")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import sys
@@ -135,12 +136,14 @@ def cmd_trees(args):
     return 1 if any(status == "fail" for _, status, _ in lines) else 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process.  It holds no state of
+    the environment: `main` reads UNIPDEC_CORPUS on every call."""
     parser = argparse.ArgumentParser(
         prog="unipdec",
         description="Unipotent character degrees, decomposition-matrix data and checks")
-    parser.add_argument("--corpus", default=os.environ.get("UNIPDEC_CORPUS"),
-                        help="override the data corpus directory")
+    parser.add_argument("--corpus", help="override the data corpus directory")
     parser.add_argument("--format", choices=("text", "tsv"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -180,7 +183,13 @@ def main(argv=None):
     p.add_argument("--group", help="restrict to one group, e.g. B6")
     p.set_defaults(func=cmd_trees)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    if args.corpus is None:
+        args.corpus = os.environ.get("UNIPDEC_CORPUS")
     try:
         return args.func(args)
     except UnsupportedGroupError as exc:

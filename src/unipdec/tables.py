@@ -428,7 +428,10 @@ class DecompTable:
         v + r * max(coefficients i..) < 0 fails at every candidate below, and
         so does an equality with v + r * min(coefficients i..) > 0: the
         subtree is skipped.  Every other candidate still goes through
-        `resolve` and `is_admissible`.
+        `resolve` and `is_admissible`.  The walk's tables (caps, room,
+        coefficients, and the count of candidates below a node) come from
+        `system.search_plan(bound)`, built once per table and bound; the walk
+        itself, and every verdict, is redone on every call.
 
         The search stops at 8 witnesses; it examines no candidate past the
         `limit`-th once it has a witness, and none past the (50 * `limit`)-th.
@@ -442,30 +445,13 @@ class DecompTable:
         system = self.system
         if system.order is None or system.negative_constant:
             return []
-        free, lows = system.free, system.lows
-        caps = [bound - lows[p] for p in free]
-        if min(caps, default=0) < 0:
+        plan = system.search_plan(bound)
+        if plan is None:
             return []
-        k = len(free)
-        room = [0] * (k + 1)  # room[i]: the most excess parameters i.. hold together
-        for i in reversed(range(k)):
-            room[i] = room[i + 1] + caps[i]
-        conditions = system.conditions
-        equalities = [eq for eq, _, _ in conditions]
-        steps = [[coeffs[i] for _, _, coeffs in conditions] for i in range(k)]
-        highest = [[max(coeffs[i:], default=0) for _, _, coeffs in conditions]
-                   for i in range(k + 1)]
-        lowest = [[min(coeffs[i:], default=0) for _, _, coeffs in conditions]
-                  for i in range(k + 1)]
-
-        @cache
-        def count(i, r):
-            """Candidates below node (i, r): excesses of parameters i.. that
-            sum to r within the caps (0 <= r <= room[i])."""
-            if i == k:
-                return 1
-            return sum(count(i + 1, r - x)
-                       for x in range(max(0, r - room[i + 1]), min(r, caps[i]) + 1))
+        free, lows = system.free, system.lows
+        k, caps, room, count = len(free), plan.caps, plan.room, plan.count
+        steps, highest, lowest = plan.steps, plan.highest, plan.lowest
+        equalities = plan.equalities
 
         found = []
         tried = 0
@@ -495,9 +481,8 @@ class DecompTable:
                     return True
             return False
 
-        start = [const for _, const, _ in conditions]
         for r in range(room[0] + 1):
-            if walk(0, r, start):
+            if walk(0, r, plan.start):
                 break
         return found
 
@@ -516,7 +501,10 @@ class ParamSystem:
     `highs` are read-only mappings, since the system is cached per table.
     `entries` holds the distinct non-constant matrix entries, and
     `negative_constant` the first negative constant entry as (row index,
-    column index, value), or None.
+    column index, value), or None.  `bounds` is the one box arithmetic:
+    `entry_box` holds each entry's reduced form and bounds, and
+    `search_plan(bound)` the tables of the witness search, each compiled
+    once per system (and bound), since they depend on nothing else.
 
     `conditions` holds every admissibility condition (each defined
     parameter >= 0, each constraint, each distinct non-constant entry >= 0)
@@ -603,6 +591,107 @@ class ParamSystem:
         an int passes through."""
         return expr if type(expr) is int else expr.substitute(self.order or {})
 
+    def bounds(self, expr):
+        """(lower, upper) of `expr` over the box, ignoring joint constraints
+        (sound); `verify.ParamBox.bounds` reads it.
+
+        Either end may be infinite; a defined parameter left by `reduce`
+        (cyclic definitions) ranges over [0, inf).  A monomial with a factor
+        bounded above by 0 is bounded above by 0.  An int c, or a ParamExpr
+        that names no parameter, gives (c, c)."""
+        if type(expr) is not int and expr.terms.keys() <= {()}:
+            expr = expr.constant()
+        if type(expr) is int:
+            return expr, expr
+        return self._reduced_bounds(self.reduce(expr))
+
+    def _reduced_bounds(self, expr):
+        """`bounds` of a ParamExpr that `reduce` has already reduced."""
+        lows, highs = self.lows, self.highs
+        lo = hi = expr.constant()
+        for mono, c in expr.terms.items():
+            if not mono:
+                continue
+            lo_m = 1
+            hi_m = 1
+            for name in mono:
+                lo_m *= lows.get(name, 0)
+                high = highs.get(name, inf)
+                hi_m = hi_m * high if hi_m and high else 0  # never 0 * inf
+            if c > 0:
+                lo += c * lo_m
+                hi += c * hi_m
+            else:
+                lo += c * hi_m
+                hi += c * lo_m
+        return lo, hi
+
+    @cached_property
+    def entry_box(self):
+        """Each distinct non-constant entry (`entries`) mapped to (its
+        reduced form, lower, upper): `reduce` and `bounds`, computed once
+        per system, read-only, for the entry tests of `verify`."""
+        out = {}
+        for expr in self.entries:
+            red = self.reduce(expr)
+            out[expr] = (red, *self._reduced_bounds(red))
+        return MappingProxyType(out)
+
+    @cached_property
+    def _plans(self):
+        return {}  # bound -> _SearchPlan, or None: filled by `search_plan`
+
+    def search_plan(self, bound):
+        """The tables `DecompTable.sample_admissible` walks at `bound`, or
+        None when a lower bound exceeds `bound` (no candidate); built once
+        per (system, bound), since they depend on nothing else.  Needs
+        acyclic definitions."""
+        plans = self._plans
+        if bound not in plans:
+            caps = tuple(bound - self.lows[p] for p in self.free)
+            plans[bound] = None if min(caps, default=0) < 0 else _SearchPlan(self, caps)
+        return plans[bound]
+
+
+class _SearchPlan:
+    """What `sample_admissible` reads of a system at one bound, for k free
+    parameters and the forms of `conditions`: `caps[i]`, the most excess of
+    parameter i; `room[i]`, the most excess parameters i.. hold together
+    (room[k] = 0); `steps[i]`, each form's coefficient of parameter i;
+    `highest[i]` and `lowest[i]`, each form's largest and smallest
+    coefficient over parameters i.. (0 at i = k); `equalities`, which forms
+    are equalities; `start`, each form's constant; and `count(i, r)`, the
+    number of candidates below node (i, r), memoised."""
+
+    __slots__ = ("caps", "room", "steps", "highest", "lowest", "equalities", "start",
+                 "count")
+
+    def __init__(self, system, caps):
+        k = len(caps)
+        room = [0] * (k + 1)
+        for i in reversed(range(k)):
+            room[i] = room[i + 1] + caps[i]
+        conditions = system.conditions
+        self.caps, self.room = caps, tuple(room)
+        self.equalities = tuple(eq for eq, _, _ in conditions)
+        self.start = tuple(const for _, const, _ in conditions)
+        self.steps = tuple(tuple(coeffs[i] for _, _, coeffs in conditions)
+                           for i in range(k))
+        self.highest = tuple(tuple(max(coeffs[i:], default=0) for _, _, coeffs in conditions)
+                             for i in range(k + 1))
+        self.lowest = tuple(tuple(min(coeffs[i:], default=0) for _, _, coeffs in conditions)
+                            for i in range(k + 1))
+
+        @cache
+        def count(i, r):
+            """Candidates below node (i, r): excesses of parameters i.. that
+            sum to r within the caps (0 <= r <= room[i])."""
+            if i == k:
+                return 1
+            return sum(count(i + 1, r - x)
+                       for x in range(max(0, r - room[i + 1]), min(r, caps[i]) + 1))
+        self.count = count
+
 
 # ---------------------------------------------------------------------------
 # parse / emit
@@ -641,8 +730,9 @@ def parse(text):
 
     Memoised on the exact text, for up to 256 texts (one process decodes
     about 50): every call with one text returns the same immutable table,
-    so what the table caches (`system`, `below_diagonal`,
-    `column_vectors`) is built once per text.  No check result is cached.
+    so what the table caches (`system`, with its entry bounds and search
+    plans, `below_diagonal`, `column_vectors`, `row_invariants`) is built
+    once per text.  No check result is cached.
     An edited text is a new key, and a malformed one raises its TableError
     on every call, since exceptions are not cached.
 

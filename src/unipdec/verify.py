@@ -6,18 +6,23 @@ reasoning over the box of the table's `ParamSystem`: defined parameters are
 substituted first (`ParamSystem.reduce`), and each free parameter ranges over
 [`lows`, `highs`] from its one-variable constraints alone (`math.inf` where
 none bounds it above), so a verdict on the box holds for every admissible
-assignment.  The per-row checks read each row's catalog character from
+assignment; each distinct entry's reduced form and bounds are computed once
+per table (`ParamSystem.entry_box`).  The per-row checks read each row's catalog character from
 `table.chars`, as `tables.parse` resolved it, and its (a, A, 2d * pi_d)
 from `table.row_invariants`, computed once per table.  `corpus_reports`
 walks the corpus and yields a (path, CheckReport) record for every table
-check and every Brauer tree.
+check and every Brauer tree.  No check result is cached: every verdict is
+recomputed on every pass.
 """
 
 from __future__ import annotations
 
+import importlib.resources
+import os
+import pathlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from functools import cache
 
 from .blocks import BlockError, load_trees, tree_check
 from .degrees import UnsupportedGroupError, find_char, group_order_poly
@@ -39,41 +44,18 @@ class CheckReport:
 # parameter box reasoning
 
 class ParamBox:
-    """Sound bounds for expressions over the box of `table.system`."""
+    """Sound bounds for expressions over the box of `table.system`, by the
+    system's one box arithmetic (`ParamSystem.bounds`).  The per-table
+    checks read each entry's bounds from `ParamSystem.entry_box` instead,
+    computed once per table."""
 
     def __init__(self, table):
         self.system = table.system
 
     def bounds(self, expr):
-        """(lower, upper) over the box, ignoring joint constraints (sound).
-
-        Either end may be infinite; a defined parameter left by
-        `ParamSystem.reduce` (cyclic definitions) ranges over [0, inf).  A
-        monomial with a factor bounded above by 0 is bounded above by 0.  An
-        int c, or a ParamExpr that names no parameter, gives (c, c)."""
-        if type(expr) is not int and expr.terms.keys() <= {()}:
-            expr = expr.constant()
-        if type(expr) is int:
-            return expr, expr
-        system = self.system
-        expr = system.reduce(expr)
-        lo = hi = expr.constant()
-        for mono, c in expr.terms.items():
-            if not mono:
-                continue
-            lo_m = 1
-            hi_m = 1
-            for name in mono:
-                lo_m *= system.lows.get(name, 0)
-                high = system.highs.get(name, inf)
-                hi_m = hi_m * high if hi_m and high else 0  # never 0 * inf
-            if c > 0:
-                lo += c * lo_m
-                hi += c * hi_m
-            else:
-                lo += c * hi_m
-                hi += c * lo_m
-        return lo, hi
+        """(lower, upper) of `expr` over the box, ignoring joint constraints
+        (sound): `ParamSystem.bounds`."""
+        return self.system.bounds(expr)
 
     def provably_zero(self, expr):
         return self.bounds(expr) == (0, 0)
@@ -108,23 +90,27 @@ def check_degrees(table):
 def check_unitriangular(table):
     """Every entry below the diagonal that is not provably zero has strictly
     larger a- and A-values than its column's leader.  (`tables.parse` has
-    already put a 1 on the diagonal and nothing above it.)"""
+    already put a 1 on the diagonal and nothing above it.)  Only an entry
+    whose position breaks the order is asked about: an int is provably zero
+    iff it is 0, a ParamExpr iff its `ParamSystem.entry_box` bounds are
+    (0, 0)."""
     inv = table.row_invariants
     if inv is None:
         return CheckReport("unitriangular", "warn",
                            ["no catalog degrees: a/A-monotonicity not checked"])
-    box = ParamBox(table)
+    box = table.system.entry_box
     bad = []
     tentative_bad = []
     for j, col in enumerate(table.columns):
         aj, Aj, _ = inv[j]
         for i, expr in col.entries.items():
-            if i == j or box.provably_zero(expr):
-                continue
             ai, Ai, _ = inv[i]
-            if not (ai > aj and Ai > Aj):
-                (tentative_bad if col.tentative else bad).append(
-                    f"a/A-monotonicity fails at ({table.rows[i]}, col {table.rows[j]})")
+            if ai > aj and Ai > Aj or i == j:
+                continue
+            if expr == 0 if type(expr) is int else box[expr][1:] == (0, 0):
+                continue  # provably zero: an int only if it is 0
+            (tentative_bad if col.tentative else bad).append(
+                f"a/A-monotonicity fails at ({table.rows[i]}, col {table.rows[j]})")
     status = "fail" if bad else ("warn" if tentative_bad else "pass")
     return CheckReport("unitriangular", status,
                        bad or [f"tentative column: {e}" for e in tentative_bad])
@@ -138,13 +124,15 @@ def check_craven(table):
 
     An entry that cannot vanish at a position with pi_d(row) <= pi_d(column
     leader) is a conjecture violation; a parameter entry there is forced
-    to zero.  pi_d is compared as the int 2d * pi_d of `table.row_invariants`.
+    to zero.  pi_d is compared as the int 2d * pi_d of `table.row_invariants`,
+    and a ParamExpr entry's reduced form and bounds are read from
+    `ParamSystem.entry_box`; an int entry is its own bounds.
     """
     d = table.d
     inv = table.row_invariants
     if inv is None:
         return CheckReport("craven", "warn", ["degrees unavailable; check skipped"])
-    box = ParamBox(table)
+    box = table.system.entry_box
     pi = [n for _, _, n in inv]
     violations = []
     forced = set()
@@ -153,7 +141,10 @@ def check_craven(table):
         for i, expr in col.entries.items():
             if i == j or pi[i] > pi[j]:
                 continue
-            lo, hi = box.bounds(expr)
+            if type(expr) is int:
+                red = lo = hi = expr
+            else:
+                red, lo, hi = box[expr]
             if lo == hi == 0:
                 continue  # vanishes on the whole box
             if lo > 0:
@@ -165,7 +156,6 @@ def check_craven(table):
                 else:
                     violations.append(msg)
                 continue
-            red = table.system.reduce(expr)
             if (type(red) is not int and not red.constant() and red.is_affine()
                     and all(v > 0 for m, v in red.terms.items() if m)):
                 forced |= red.names()
@@ -516,24 +506,31 @@ def hcr_candidates(target_group, target_table, combo, levis):
 # ---------------------------------------------------------------------------
 # corpus access and the full per-table suite
 
+@cache
+def _data_root():
+    """The shipped corpus directory, resolved once per process."""
+    return os.fspath(importlib.resources.files("unipdec").joinpath("data"))
+
+
 def _corpus_files(corpus, suffix, error):
     """Yield (subdirectory name, file name, text) for every corpus file
     ending in `suffix`: the `d*` subdirectories of `corpus` (the shipped
-    data when None) in name order, and their files in name order.  A file
-    that is not UTF-8 raises `error` naming it."""
-    import importlib.resources
-    import pathlib
-    if corpus is None:
-        root = importlib.resources.files("unipdec").joinpath("data")
-    else:
-        root = pathlib.Path(corpus)
-    for sub in sorted(p.name for p in root.iterdir() if p.name.startswith("d")):
-        d_dir = root.joinpath(sub)
-        if not d_dir.is_dir():
-            continue
-        for f in sorted(p.name for p in d_dir.iterdir() if p.name.endswith(suffix)):
+    data when None, `_data_root`) in name order, and their files in name
+    order.  A `d*` entry that is not a directory is skipped.  The walk is
+    one `os.scandir` per directory and each file is read by `open`, as
+    UTF-8 with universal newlines; a file that is not UTF-8 raises `error`
+    naming it."""
+    root = _data_root() if corpus is None else os.fspath(pathlib.Path(corpus))
+    with os.scandir(root) as entries:
+        subs = sorted((e.name, e.path) for e in entries
+                      if e.name.startswith("d") and e.is_dir())
+    for sub, d_dir in subs:
+        with os.scandir(d_dir) as entries:
+            files = sorted((e.name, e.path) for e in entries if e.name.endswith(suffix))
+        for f, path in files:
             try:
-                text = d_dir.joinpath(f).read_text(encoding="utf-8")
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
             except UnicodeDecodeError as exc:
                 raise error(f"{sub}/{f}: {exc}") from exc
             yield sub, f, text

@@ -77,6 +77,38 @@ def test_verify_corrupted_corpus(tmp_path):
     assert code == 2
 
 
+def test_parser_is_shared_but_the_corpus_variable_is_read_per_call(tmp_path, monkeypatch):
+    # one parser per process, so nothing it holds may come from the
+    # environment: each call reads UNIPDEC_CORPUS afresh, --corpus wins
+    corpora = {}
+    for name, rel in (("one", "d2/D4.all.dmx"), ("two", "d3/B6.principal.dmx")):
+        (tmp_path / name / rel).parent.mkdir(parents=True)
+        shutil.copy(DATA / rel, tmp_path / name / rel)
+        corpora[name] = (str(tmp_path / name), rel)
+
+    def tables_listed(argv):
+        code, out = run(argv)
+        assert code == 0, out
+        return {line.split("\t")[0] for line in out.splitlines()[1:]}
+
+    for name in ("one", "two", "one"):
+        root, rel = corpora[name]
+        monkeypatch.setenv("UNIPDEC_CORPUS", root)
+        assert tables_listed(["--format", "tsv", "verify"]) == {rel}
+    other, rel = corpora["two"]
+    assert tables_listed(["--corpus", other, "--format", "tsv", "verify"]) == {rel}
+    monkeypatch.delenv("UNIPDEC_CORPUS")
+    assert len(tables_listed(["--format", "tsv", "verify", "--only", "d=3"])) > 5
+    for _ in range(2):  # a bad argument exits 2 on every call, not only the first
+        with pytest.raises(SystemExit) as exc:
+            run(["degrees", "--group", "D4", "--d", "0"])
+        assert exc.value.code == 2
+    monkeypatch.setenv("UNIPDEC_CORPUS", str(tmp_path / "missing"))
+    assert run(["--format", "tsv", "verify"])[0] == 2
+    assert tables_listed(["--corpus", corpora["one"][0], "--format", "tsv", "verify"]) == {
+        corpora["one"][1]}
+
+
 def test_induce():
     code, out = run(["induce", "--char", "4.", "--rank", "5"])
     assert code == 0

@@ -262,6 +262,128 @@ def test_row_invariants_are_computed_once_per_table(monkeypatch):
         perversity_numerator(c.degree, t.d + 1) for c in t.chars]
 
 
+def _fresh_table(rel):
+    """A table parsed anew from its file, past the memo of `tables.parse`,
+    so that nothing it compiles is shared with the corpus tables."""
+    return tables.parse.__wrapped__((DATA / rel).read_text())
+
+
+def test_compiled_check_inputs_belong_to_their_object(monkeypatch):
+    # trees keep their encoding and systems their entry bounds and search
+    # plans: a second pass compiles none of them, and reruns every check
+    first = list(verify.corpus_reports())
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    bounded = []
+    box_bounds = verify.ParamBox.bounds
+    monkeypatch.setattr(blocks, "_packed", counted("packed", blocks._packed))
+    monkeypatch.setattr(verify.ParamBox, "bounds",
+                        lambda box, expr: bounded.append(expr) or box_bounds(box, expr))
+    monkeypatch.setattr(tables.ParamSystem, "_reduced_bounds", counted(
+        "reduced_bounds", tables.ParamSystem._reduced_bounds))
+    monkeypatch.setattr(tables, "_SearchPlan", counted("plan", tables._SearchPlan))
+    monkeypatch.setattr(blocks, "tree_check", counted("tree_check", blocks.tree_check))
+    monkeypatch.setattr(verify, "tree_check", blocks.tree_check)
+    second = list(verify.corpus_reports())
+    assert second == first
+    entries = {e for _, t in verify.corpus_tables() for e in t.system.entries}
+    assert len(entries) > 80 and not [e for e in bounded if e in entries]
+    assert calls == {"tree_check": 124}
+    # a dataclasses.replace copy compiles its own, and reports as a fresh parse
+    trees = [t for _, t in verify.corpus_trees()]
+    for tree in trees[::10]:
+        copy = dataclasses.replace(tree)
+        assert copy.encoding == tree.encoding and copy.encoding is not tree.encoding
+        mutant = dataclasses.replace(tree, chain=tree.chain[1::-1] + tree.chain[2:])
+        fresh = blocks.BrauerTree(tree.group, tree.d, mutant.chain, tree.edge_series)
+        for t in (copy, mutant):
+            got, want = blocks.tree_check(t), blocks.tree_check(fresh if t is mutant else tree)
+            assert (got.status, got.evidence) == (want.status, want.evidence), t.chain
+    assert calls["packed"] == 3 * len(trees[::10])
+    for rel in ("d2/B4.symbolic.dmx", "d3/B6.principal.dmx", "d6/E6.principal.dmx"):
+        table = load(rel)
+        copy = dataclasses.replace(table)
+        assert copy.system is not table.system
+        assert copy.system.entry_box == table.system.entry_box
+        assert copy.system.entry_box is not table.system.entry_box or not table.params
+        assert copy.system.search_plan(8) is not table.system.search_plan(8)
+        assert verify.run_table_checks(copy) == verify.run_table_checks(_fresh_table(rel))
+    # a copy with other constraints has other bounds, and its own witnesses
+    table = load("d2/B4.symbolic.dmx")
+    edited = (DATA / "d2" / "B4.symbolic.dmx").read_text().replace(
+        "constraints = x4=4x1+3x2+x3-6", "constraints = x4=4x1+3x2+x3-6; x1>=2")
+    fresh = tables.parse.__wrapped__(edited)
+    copy = dataclasses.replace(table, constraints=fresh.constraints)
+    assert copy.system.entry_box != table.system.entry_box
+    assert copy.system.entry_box == fresh.system.entry_box
+    assert verify.run_table_checks(copy) == verify.run_table_checks(fresh)
+    assert copy.sample_admissible(bound=8) != table.sample_admissible(bound=8)
+
+
+def test_entry_box_and_search_plans_match_a_fresh_computation():
+    # the per-system data against the box arithmetic and a fresh system
+    for rel, table in verify.corpus_tables():
+        system, box = table.system, verify.ParamBox(table)
+        assert set(system.entry_box) == set(system.entries), rel
+        for expr, (red, lo, hi) in system.entry_box.items():
+            assert (lo, hi) == box.bounds(expr), (rel, expr)
+            assert red == system.reduce(expr), (rel, expr)
+        for order in ((0, 3, 8, 30, 8), (30, 8, 3, 0, 30)):
+            for bound in order:
+                got = table.sample_admissible(bound=bound)
+                want = _fresh_table(rel).sample_admissible(bound=bound)
+                assert [list(w.items()) for w in got] == [
+                    list(w.items()) for w in want], (rel, bound)
+        # a plan's count memo serves every limit
+        assert table.sample_admissible(bound=30, limit=5) == _fresh_table(
+            rel).sample_admissible(bound=30, limit=5), rel
+
+
+def _pathlib_walk(root, suffix):
+    """The (subdirectory, file, text) records of a corpus walk by sorted
+    `pathlib` listings: the `d*` directories, then their `suffix` files."""
+    return [(sub, f, (root / sub / f).read_text(encoding="utf-8"))
+            for sub in sorted(p.name for p in root.iterdir() if p.name.startswith("d"))
+            if (root / sub).is_dir()
+            for f in sorted(p.name for p in (root / sub).iterdir() if p.name.endswith(suffix))]
+
+
+def test_corpus_walk_matches_a_sorted_pathlib_listing(tmp_path):
+    for suffix in (".dmx", ".trees"):
+        walked = list(verify._corpus_files(None, suffix, tables.TableError))
+        assert walked == _pathlib_walk(DATA, suffix)
+        assert walked == list(verify._corpus_files(str(DATA), suffix, tables.TableError))
+    assert len(list(verify._corpus_files(None, ".dmx", tables.TableError))) == 26
+    # a d7 regular file is skipped, and so is a file of d2 without the suffix
+    for rel in ("d2/D4.all.dmx", "d2/E6.trees", "d3/B6.principal.dmx", "d10/B5.trees"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text((DATA / rel).read_text())
+    (tmp_path / "d7").write_text("not a directory\n")
+    (tmp_path / "d2" / "notes.txt").write_text("no suffix\n")
+    (tmp_path / "d2" / "A.dmx.bak").write_text("no suffix either\n")
+    (tmp_path / "extra").mkdir()
+    (tmp_path / "extra" / "X.dmx").write_text("outside every d* directory\n")
+    for suffix in (".dmx", ".trees"):
+        walked = list(verify._corpus_files(tmp_path, suffix, tables.TableError))
+        assert walked == _pathlib_walk(tmp_path, suffix)
+    assert [(sub, f) for sub, f, _ in verify._corpus_files(
+        str(tmp_path), ".dmx", tables.TableError)] == [
+        ("d2", "D4.all.dmx"), ("d3", "B6.principal.dmx")]
+    assert [(sub, f) for sub, f, _ in verify._corpus_files(
+        tmp_path, ".trees", tables.TableError)] == [("d10", "B5.trees"), ("d2", "E6.trees")]
+    # a file that is not UTF-8 is named in the error
+    (tmp_path / "d3" / "bad.dmx").write_bytes(b"[table]\n\xff\n")
+    with pytest.raises(tables.TableError, match=r"^d3/bad\.dmx: 'utf-8' codec"):
+        list(verify._corpus_files(tmp_path, ".dmx", tables.TableError))
+    with pytest.raises(FileNotFoundError, match="missing"):
+        list(verify._corpus_files(tmp_path / "missing", ".dmx", tables.TableError))
+
+
 def test_dl_constraints_B4_coxeter():
     t = load("d2/B4.symbolic.dmx")
     rep = verify.check_dl_constraints(t, coxeter_class(4), [17, 18, 19])
