@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 SERIES = ("A", "2A", "B", "C", "D", "2D", "E6", "2E6", "E7", "E8", "F4")
+#: the series of fixed rank, each with its rank; a descriptor is named by it alone
+FIXED_RANK = {"E6": 6, "2E6": 6, "E7": 7, "E8": 8, "F4": 4}
 
 
 class LabelError(ValueError):
@@ -42,26 +44,24 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.series not in SERIES:
             raise UnsupportedGroupError(f"unknown series {self.series!r}")
-        fixed = {"E6": 6, "2E6": 6, "E7": 7, "E8": 8, "F4": 4}
-        if self.series in fixed:
-            if self.rank != fixed[self.series]:
-                raise UnsupportedGroupError(f"{self.series} has rank {fixed[self.series]}")
+        if self.series in FIXED_RANK:
+            if self.rank != FIXED_RANK[self.series]:
+                raise UnsupportedGroupError(f"{self.series} has rank {FIXED_RANK[self.series]}")
         else:
             minrank = {"A": 1, "2A": 2, "B": 2, "C": 2, "D": 2, "2D": 2}[self.series]
             if self.rank < minrank:
                 raise UnsupportedGroupError(f"{self.series}_{self.rank} not admissible")
 
     def __str__(self):
-        if self.series in ("E6", "2E6", "E7", "E8", "F4"):
+        if self.series in FIXED_RANK:
             return self.series
         return f"{self.series}{self.rank}"
 
     @classmethod
     def parse(cls, text):
         text = text.strip()
-        fixed = {"E6": 6, "2E6": 6, "E7": 7, "E8": 8, "F4": 4}
-        if text in fixed:
-            return cls(text, fixed[text])
+        if text in FIXED_RANK:
+            return cls(text, FIXED_RANK[text])
         m = re.match(r"^(2?[ABCD])(\d+)$", text)
         if not m:
             raise UnsupportedGroupError(f"cannot parse group descriptor {text!r}")
@@ -205,11 +205,6 @@ class BetaSymbol:
     def defect(self):
         return abs(len(self.top) - len(self.bottom))
 
-    def rank(self):
-        s = sum(self.top) + sum(self.bottom)
-        ab = len(self.top) + len(self.bottom)
-        return s - ((ab - 1) ** 2) // 4 if ab else 0
-
     def entries(self):
         return tuple(sorted(self.top + self.bottom))
 
@@ -282,7 +277,7 @@ def parse_label(text, group=None):
     text = text.strip()
     if not text:
         raise LabelError("empty label")
-    if group is not None and group.series in ("E6", "2E6", "E7", "E8", "F4"):
+    if group is not None and group.series in FIXED_RANK:
         return UnipLabel("named", text)
     m = re.match(r"^(B2|B6|D4|2D9):(.*)$", text)
     if m:

@@ -69,7 +69,7 @@ class ParamExpr:
     enters; a float or Fraction operand of + or - is a TypeError.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         out = {}
@@ -120,11 +120,17 @@ class ParamExpr:
         return isinstance(other, ParamExpr) and self.terms == other.terms
 
     def __hash__(self):
-        # a constant equals its int, so it hashes as one
-        terms = self.terms
-        if not terms or len(terms) == 1 and () in terms:
-            return hash(terms.get((), 0))
-        return hash(frozenset(terms.items()))
+        # computed on the first call and kept: the terms are read-only.  A
+        # constant equals its int, so it hashes as one
+        try:
+            return self._hash
+        except AttributeError:
+            terms = self.terms
+            if not terms or len(terms) == 1 and () in terms:
+                self._hash = hash(terms.get((), 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
+            return self._hash
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -428,10 +434,12 @@ class DecompTable:
         v + r * max(coefficients i..) < 0 fails at every candidate below, and
         so does an equality with v + r * min(coefficients i..) > 0: the
         subtree is skipped.  Every other candidate still goes through
-        `resolve` and `is_admissible`.  The walk's tables (caps, room,
-        coefficients, and the count of candidates below a node) come from
-        `system.search_plan(bound)`, built once per table and bound; the walk
-        itself, and every verdict, is redone on every call.
+        `resolve` and `is_admissible`.  The forms' constants and coefficients
+        come from `system.search`, built by `ParamSystem.compile`; the room
+        left below each parameter and the count of candidates below a node
+        come from `_counter(caps)`, memoised on the caps (`bound` less each
+        lower bound) alone.  The walk itself, and every verdict, is redone on
+        every call.
 
         The search stops at 8 witnesses; it examines no candidate past the
         `limit`-th once it has a witness, and none past the (50 * `limit`)-th.
@@ -445,13 +453,13 @@ class DecompTable:
         system = self.system
         if system.order is None or system.negative_constant:
             return []
-        plan = system.search_plan(bound)
-        if plan is None:
-            return []
         free, lows = system.free, system.lows
-        k, caps, room, count = len(free), plan.caps, plan.room, plan.count
-        steps, highest, lowest = plan.steps, plan.highest, plan.lowest
-        equalities = plan.equalities
+        caps = tuple([bound - lows[p] for p in free])
+        if min(caps, default=0) < 0:
+            return []
+        k = len(free)
+        room, count = _counter(caps)
+        equalities, start, steps, highest, lowest = system.search
 
         found = []
         tried = 0
@@ -482,14 +490,15 @@ class DecompTable:
             return False
 
         for r in range(room[0] + 1):
-            if walk(0, r, plan.start):
+            if walk(0, r, start):
                 break
         return found
 
 
 @dataclass(frozen=True)
 class ParamSystem:
-    """A table's parameters and conditions, derived once per table.
+    """A table's parameters and conditions, derived once per table by
+    `compile`, and a frozen value: nothing is added to it later.
 
     `free` and `defined` are `free_and_defined()`.  `order` maps each
     defined parameter to its expression over the free parameters, in the
@@ -497,14 +506,16 @@ class ParamSystem:
     and `reduce` then substitutes nothing.  `lows` and `highs` bound each
     free parameter by the `>=` constraints that name it alone, `highs` by
     `math.inf` where none bounds it above (but never below `lows`), so the
-    box holds every admissible assignment.  `defined`, `order`, `lows` and
-    `highs` are read-only mappings, since the system is cached per table.
-    `entries` holds the distinct non-constant matrix entries, and
-    `negative_constant` the first negative constant entry as (row index,
-    column index, value), or None.  `bounds` is the one box arithmetic:
-    `entry_box` holds each entry's reduced form and bounds, and
-    `search_plan(bound)` the tables of the witness search, each compiled
-    once per system (and bound), since they depend on nothing else.
+    box holds every admissible assignment.  `entries` holds the distinct
+    non-constant matrix entries, and `negative_constant` the first negative
+    constant entry as (row index, column index, value), or None.
+    `defined`, `order`, `lows`, `highs` and `entry_box` are read-only
+    mappings, since the system is kept per table.
+
+    `compile` reduces each entry once, and that reduced form feeds both
+    `entry_box`, which maps each entry to (its reduced form, lower, upper)
+    for the entry tests of `verify`, and `conditions`.  `_box` is the one
+    box arithmetic, behind `bounds` and `entry_box` alike.
 
     `conditions` holds every admissibility condition (each defined
     parameter >= 0, each constraint, each distinct non-constant entry >= 0)
@@ -512,7 +523,14 @@ class ParamSystem:
     (is_equality, const, coeffs), with coeffs in the order of `free`.  The
     definitions are substituted and the lower bounds folded into const;
     forms that hold at every excess are dropped and duplicates merged.  It
-    is () when the definitions are cyclic.
+    is () when the definitions are cyclic.  `search` holds what the witness
+    search of `DecompTable.sample_admissible` reads of them, for k free
+    parameters: (equalities, start, steps, highest, lowest), which forms are
+    equalities, each form's constant, `steps[i]` each form's coefficient of
+    parameter i, and `highest[i]` and `lowest[i]` each form's largest and
+    smallest coefficient over parameters i.. (0 at i = k).  The search's
+    only state that depends on `bound` is `_counter(caps)`, memoised on the
+    caps alone.
     """
 
     free: tuple
@@ -523,6 +541,8 @@ class ParamSystem:
     entries: tuple
     negative_constant: tuple | None
     conditions: tuple
+    entry_box: MappingProxyType
+    search: tuple
 
     @classmethod
     def compile(cls, table):
@@ -553,21 +573,23 @@ class ParamSystem:
                     elif coeff < 0:
                         hi = min(hi, const // -coeff)
             lows[p], highs[p] = lo, max(hi, lo)
-        entries = {}
+        reduced = {}  # each distinct non-constant entry -> its reduced form
         negative_constant = None
         for j, col in enumerate(table.columns):
             for i, expr in col.entries.items():
                 if type(expr) is not int:
-                    entries[expr] = None
+                    if expr not in reduced:
+                        reduced[expr] = expr if order is None else expr.substitute(order)
                 elif negative_constant is None and expr < 0:
                     negative_constant = (i, j, expr)
+        entry_box = {expr: (red, *_box(red, lows, highs)) for expr, red in reduced.items()}
         # each condition as an affine form over the excesses of the free
         # parameters over `lows`; one that is not affine is left to
         # `is_admissible` alone
         forms = [] if order is None else (
             [(False, expr) for expr in order.values()]
             + [(c.rel == "=", c.expr.substitute(order)) for c in table.constraints]
-            + [(False, expr.substitute(order)) for expr in entries])
+            + [(False, red) for red in reduced.values()])
         conditions = {}
         for is_equality, expr in forms:
             if not expr.is_affine():
@@ -580,10 +602,19 @@ class ParamSystem:
                 always = const >= 0 and min(coeffs, default=0) >= 0
             if not always:
                 conditions[(is_equality, const, coeffs)] = None
+        conditions = tuple(conditions)
+        k = len(free)
+        search = (tuple(eq for eq, _, _ in conditions),
+                  tuple(const for _, const, _ in conditions),
+                  tuple(tuple(coeffs[i] for _, _, coeffs in conditions) for i in range(k)),
+                  tuple(tuple(max(coeffs[i:], default=0) for _, _, coeffs in conditions)
+                        for i in range(k + 1)),
+                  tuple(tuple(min(coeffs[i:], default=0) for _, _, coeffs in conditions)
+                        for i in range(k + 1)))
         return cls(free, MappingProxyType(defined),
                    None if order is None else MappingProxyType(order),
-                   MappingProxyType(lows), MappingProxyType(highs), tuple(entries),
-                   negative_constant, tuple(conditions))
+                   MappingProxyType(lows), MappingProxyType(highs), tuple(reduced),
+                   negative_constant, conditions, MappingProxyType(entry_box), search)
 
     def reduce(self, expr):
         """`expr` with each defined parameter replaced by its expression over
@@ -603,94 +634,53 @@ class ParamSystem:
             expr = expr.constant()
         if type(expr) is int:
             return expr, expr
-        return self._reduced_bounds(self.reduce(expr))
-
-    def _reduced_bounds(self, expr):
-        """`bounds` of a ParamExpr that `reduce` has already reduced."""
-        lows, highs = self.lows, self.highs
-        lo = hi = expr.constant()
-        for mono, c in expr.terms.items():
-            if not mono:
-                continue
-            lo_m = 1
-            hi_m = 1
-            for name in mono:
-                lo_m *= lows.get(name, 0)
-                high = highs.get(name, inf)
-                hi_m = hi_m * high if hi_m and high else 0  # never 0 * inf
-            if c > 0:
-                lo += c * lo_m
-                hi += c * hi_m
-            else:
-                lo += c * hi_m
-                hi += c * lo_m
-        return lo, hi
-
-    @cached_property
-    def entry_box(self):
-        """Each distinct non-constant entry (`entries`) mapped to (its
-        reduced form, lower, upper): `reduce` and `bounds`, computed once
-        per system, read-only, for the entry tests of `verify`."""
-        out = {}
-        for expr in self.entries:
-            red = self.reduce(expr)
-            out[expr] = (red, *self._reduced_bounds(red))
-        return MappingProxyType(out)
-
-    @cached_property
-    def _plans(self):
-        return {}  # bound -> _SearchPlan, or None: filled by `search_plan`
-
-    def search_plan(self, bound):
-        """The tables `DecompTable.sample_admissible` walks at `bound`, or
-        None when a lower bound exceeds `bound` (no candidate); built once
-        per (system, bound), since they depend on nothing else.  Needs
-        acyclic definitions."""
-        plans = self._plans
-        if bound not in plans:
-            caps = tuple(bound - self.lows[p] for p in self.free)
-            plans[bound] = None if min(caps, default=0) < 0 else _SearchPlan(self, caps)
-        return plans[bound]
+        return _box(self.reduce(expr), self.lows, self.highs)
 
 
-class _SearchPlan:
-    """What `sample_admissible` reads of a system at one bound, for k free
-    parameters and the forms of `conditions`: `caps[i]`, the most excess of
-    parameter i; `room[i]`, the most excess parameters i.. hold together
-    (room[k] = 0); `steps[i]`, each form's coefficient of parameter i;
-    `highest[i]` and `lowest[i]`, each form's largest and smallest
-    coefficient over parameters i.. (0 at i = k); `equalities`, which forms
-    are equalities; `start`, each form's constant; and `count(i, r)`, the
-    number of candidates below node (i, r), memoised."""
+def _box(expr, lows, highs):
+    """(lower, upper) of a ParamExpr that `reduce` has already reduced, each
+    parameter in [lows, highs] (a name in neither: [0, inf)); `bounds` and
+    `ParamSystem.compile` both call it."""
+    lo = hi = expr.constant()
+    for mono, c in expr.terms.items():
+        if not mono:
+            continue
+        lo_m = 1
+        hi_m = 1
+        for name in mono:
+            lo_m *= lows.get(name, 0)
+            high = highs.get(name, inf)
+            hi_m = hi_m * high if hi_m and high else 0  # never 0 * inf
+        if c > 0:
+            lo += c * lo_m
+            hi += c * hi_m
+        else:
+            lo += c * hi_m
+            hi += c * lo_m
+    return lo, hi
 
-    __slots__ = ("caps", "room", "steps", "highest", "lowest", "equalities", "start",
-                 "count")
 
-    def __init__(self, system, caps):
-        k = len(caps)
-        room = [0] * (k + 1)
-        for i in reversed(range(k)):
-            room[i] = room[i + 1] + caps[i]
-        conditions = system.conditions
-        self.caps, self.room = caps, tuple(room)
-        self.equalities = tuple(eq for eq, _, _ in conditions)
-        self.start = tuple(const for _, const, _ in conditions)
-        self.steps = tuple(tuple(coeffs[i] for _, _, coeffs in conditions)
-                           for i in range(k))
-        self.highest = tuple(tuple(max(coeffs[i:], default=0) for _, _, coeffs in conditions)
-                             for i in range(k + 1))
-        self.lowest = tuple(tuple(min(coeffs[i:], default=0) for _, _, coeffs in conditions)
-                            for i in range(k + 1))
+@lru_cache(maxsize=256)
+def _counter(caps):
+    """(room, count) for free parameters whose excesses are capped by
+    `caps`: `room[i]`, the most excess parameters i.. hold together
+    (room[k] = 0), and `count(i, r)`, the number of candidates below node
+    (i, r) of the witness search, memoised.  A pure function of `caps`, so
+    tables and bounds with equal caps share it."""
+    k = len(caps)
+    room = [0] * (k + 1)
+    for i in reversed(range(k)):
+        room[i] = room[i + 1] + caps[i]
 
-        @cache
-        def count(i, r):
-            """Candidates below node (i, r): excesses of parameters i.. that
-            sum to r within the caps (0 <= r <= room[i])."""
-            if i == k:
-                return 1
-            return sum(count(i + 1, r - x)
-                       for x in range(max(0, r - room[i + 1]), min(r, caps[i]) + 1))
-        self.count = count
+    @cache
+    def count(i, r):
+        """Candidates below node (i, r): excesses of parameters i.. that
+        sum to r within the caps (0 <= r <= room[i])."""
+        if i == k:
+            return 1
+        return sum(count(i + 1, r - x)
+                   for x in range(max(0, r - room[i + 1]), min(r, caps[i]) + 1))
+    return tuple(room), count
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +721,7 @@ def parse(text):
     Memoised on the exact text, for up to 256 texts (one process decodes
     about 50): every call with one text returns the same immutable table,
     so what the table caches (`system`, with its entry bounds and search
-    plans, `below_diagonal`, `column_vectors`, `row_invariants`) is built
+    tables, `below_diagonal`, `column_vectors`, `row_invariants`) is built
     once per text.  No check result is cached.
     An edited text is a new key, and a malformed one raises its TableError
     on every call, since exceptions are not cached.

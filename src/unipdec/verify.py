@@ -6,13 +6,16 @@ reasoning over the box of the table's `ParamSystem`: defined parameters are
 substituted first (`ParamSystem.reduce`), and each free parameter ranges over
 [`lows`, `highs`] from its one-variable constraints alone (`math.inf` where
 none bounds it above), so a verdict on the box holds for every admissible
-assignment; each distinct entry's reduced form and bounds are computed once
-per table (`ParamSystem.entry_box`).  The per-row checks read each row's catalog character from
-`table.chars`, as `tables.parse` resolved it, and its (a, A, 2d * pi_d)
-from `table.row_invariants`, computed once per table.  `corpus_reports`
-walks the corpus and yields a (path, CheckReport) record for every table
-check and every Brauer tree.  No check result is cached: every verdict is
-recomputed on every pass.
+assignment.  `ParamSystem.compile` builds, once per table, each distinct
+entry's reduced form and bounds (`entry_box`) and the witness search's
+bound-free tables (`search`); the search's only bound-dependent state, the
+room and candidate counts of each caps tuple, is a memo shared by every
+table and bound with those caps.  The per-row checks read each row's
+catalog character from `table.chars`, as `tables.parse` resolved it, and
+its (a, A, 2d * pi_d) from `table.row_invariants`, computed once per
+table.  `corpus_reports` walks the corpus and yields a (path, CheckReport)
+record for every table check and every Brauer tree.  No check result is
+cached: every verdict is recomputed on every pass.
 """
 
 from __future__ import annotations
@@ -46,8 +49,11 @@ class CheckReport:
 class ParamBox:
     """Sound bounds for expressions over the box of `table.system`, by the
     system's one box arithmetic (`ParamSystem.bounds`).  The per-table
-    checks read each entry's bounds from `ParamSystem.entry_box` instead,
-    computed once per table."""
+    checks read each entry's bounds from `ParamSystem.entry_box` instead:
+    `ParamSystem.compile` fills it by the same arithmetic, reducing each
+    entry once, and builds the witness search's bound-free tables (`search`)
+    with it; only the search's room and candidate counts depend on the
+    bound, memoised per caps tuple."""
 
     def __init__(self, table):
         self.system = table.system

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -511,6 +513,11 @@ def test_resolve_and_is_admissible_match_reference_on_corpus():
 
 def _synthetic(params="", constraints="", entries=()):
     """A B2 table whose column j has the given entries below the diagonal."""
+    return parse(_synthetic_text(params, constraints, entries))
+
+
+def _synthetic_text(params="", constraints="", entries=()):
+    """The text of `_synthetic(params, constraints, entries)`."""
     rows = ["2.", "1^2.", "1.1", ".2", ".1^2"]
     lines = ["[table]", "group = B2", "d = 2", "block = synthetic", "degrees = none"]
     if params:
@@ -523,32 +530,33 @@ def _synthetic(params="", constraints="", entries=()):
         below.setdefault(j, []).append(f"{rows[i]}={expr}")
     for j, lab in enumerate(rows):
         lines.append(f"series=ps : {lab}=1 " + " ".join(below.get(j, [])))
-    return parse("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-SYNTHETIC = {
+SYNTHETIC_TEXT = {
     # a and b define each other; c stays free
-    "cyclic": _synthetic("a b c", "a=b+c; b=a-1", [(1, 0, "a"), (2, 0, "b")]),
+    "cyclic": _synthetic_text("a b c", "a=b+c; b=a-1", [(1, 0, "a"), (2, 0, "b")]),
     # a waits for b, which waits for c: witnesses are ordered c, b, a
-    "chain": _synthetic("a b c", "a=b+1; b=c-2", [(1, 0, "a"), (2, 1, "3-b")]),
+    "chain": _synthetic_text("a b c", "a=b+1; b=c-2", [(1, 0, "a"), (2, 1, "3-b")]),
     # 2a=2b has no coefficient +-1, so it defines nothing and only filters
-    "equality without definition": _synthetic("a b", "2a=2b; a>=1",
-                                              [(1, 0, "a"), (3, 2, "5-b")]),
-    "negative constant": _synthetic("a", "", [(1, 0, "a"), (4, 3, "-1")]),
-    "no parameters": _synthetic("", "", [(1, 0, "2"), (4, 0, "1"), (3, 1, "3")]),
+    "equality without definition": _synthetic_text("a b", "2a=2b; a>=1",
+                                                   [(1, 0, "a"), (3, 2, "5-b")]),
+    "negative constant": _synthetic_text("a", "", [(1, 0, "a"), (4, 3, "-1")]),
+    "no parameters": _synthetic_text("", "", [(1, 0, "2"), (4, 0, "1"), (3, 1, "3")]),
     # witnesses a = b at every even excess: `limit` ends the search early
-    "stops at limit": _synthetic("a b", "a<=b; b<=a", [(1, 0, "a"), (2, 1, "b")]),
+    "stops at limit": _synthetic_text("a b", "a<=b; b<=a", [(1, 0, "a"), (2, 1, "b")]),
     # nothing is admissible: the search runs to 50 * limit
-    "unsatisfiable": _synthetic("a b", "a+b>=100", [(1, 0, "a"), (2, 1, "b")]),
+    "unsatisfiable": _synthetic_text("a b", "a+b>=100", [(1, 0, "a"), (2, 1, "b")]),
     # entries and inequalities with coefficients and a lower bound
-    "mixed": _synthetic("a b c d", "d=2a-b; b>=2; c<=3; 3a+c>=4",
-                        [(1, 0, "a"), (2, 0, "d"), (3, 1, "6-a-c"), (4, 2, "2c-b+1")]),
+    "mixed": _synthetic_text("a b c d", "d=2a-b; b>=2; c<=3; 3a+c>=4",
+                             [(1, 0, "a"), (2, 0, "d"), (3, 1, "6-a-c"), (4, 2, "2c-b+1")]),
     # at bound 8 the lower bound leaves b a negative cap: no candidate at all
-    "lower bound above bound": _synthetic("a b", "b>=12", [(1, 0, "a"), (2, 1, "b")]),
+    "lower bound above bound": _synthetic_text("a b", "b>=12", [(1, 0, "a"), (2, 1, "b")]),
     # every candidate of excess < 15 is skipped before the first witness
-    "long pruned prefix": _synthetic("a b c", "a+b+c>=15; 2a=3c",
-                                     [(1, 0, "a"), (2, 1, "9-b"), (3, 2, "c")]),
+    "long pruned prefix": _synthetic_text("a b c", "a+b+c>=15; 2a=3c",
+                                          [(1, 0, "a"), (2, 1, "9-b"), (3, 2, "c")]),
 }
+SYNTHETIC = {name: parse(text) for name, text in SYNTHETIC_TEXT.items()}
 
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))
@@ -592,6 +600,54 @@ def test_param_system_hands_out_read_only_mappings():
         system.lows["x1"] = 9
     assert len(table.sample_admissible(bound=8)) == 8
     assert SYNTHETIC["cyclic"].system.order is None
+
+
+@pytest.mark.parametrize("name", ["cyclic", "negative constant", "lower bound above bound",
+                                  "long pruned prefix", "mixed"])
+def test_compiled_system_matches_a_fresh_computation_on_synthetic(name):
+    # no corpus table has cyclic definitions, a negative constant or a
+    # lower bound above a searched bound: these carry the compiled data
+    # through each of them
+    table = SYNTHETIC[name]
+    system = table.system
+    assert list(system.entry_box) == list(system.entries)
+    for expr, got in system.entry_box.items():
+        assert got == (system.reduce(expr), *system.bounds(expr)), expr
+    order = [(bound, limit) for limit in (5, 4000) for bound in (0, 3, 8, 12, 30)]
+    got = [_items(table.sample_admissible(bound=b, limit=n)) for b, n in order + order[::-1]]
+    tables._counter.cache_clear()
+    fresh = tables.parse.__wrapped__(SYNTHETIC_TEXT[name])
+    assert fresh == table and fresh.system is not system
+    want = [_items(fresh.sample_admissible(bound=b, limit=n)) for b, n in order + order[::-1]]
+    assert got == want
+
+
+def test_counter_matches_brute_force_enumeration():
+    for k in range(4):
+        for caps in itertools.product(range(4), repeat=k):
+            room, count = tables._counter(caps)
+            assert room == tuple(sum(caps[i:]) for i in range(k + 1)), caps
+            for i in range(k + 1):
+                sums = Counter(map(sum, itertools.product(*(range(c + 1) for c in caps[i:]))))
+                assert [count(i, r) for r in range(room[i] + 1)] == [
+                    sums[r] for r in range(room[i] + 1)], (caps, i)
+    assert tables._counter((3, 0, 2)) is tables._counter((3, 0, 2))
+
+
+def test_compile_reduces_each_definition_constraint_and_entry_once(monkeypatch):
+    calls = []
+    substitute = ParamExpr.substitute
+    monkeypatch.setattr(ParamExpr, "substitute",
+                        lambda expr, values: calls.append(expr) or substitute(expr, values))
+    tried = [(rel, t) for rel, t in CORPUS if t.params]
+    tried += [(name, SYNTHETIC[name]) for name in ("chain", "mixed", "long pruned prefix")]
+    for rel, table in tried:
+        calls.clear()
+        system = tables.ParamSystem.compile(table)
+        assert system.order is not None and system.entry_box, rel
+        assert len(calls) == len(system.defined) + len(table.constraints) + len(
+            system.entries), rel
+    assert len(tried) > 10
 
 
 def _random_form(rng, names, const_range=(0, 9)):

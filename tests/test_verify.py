@@ -269,8 +269,8 @@ def _fresh_table(rel):
 
 
 def test_compiled_check_inputs_belong_to_their_object(monkeypatch):
-    # trees keep their encoding and systems their entry bounds and search
-    # plans: a second pass compiles none of them, and reruns every check
+    # trees keep their encoding and tables their parameter systems: a
+    # second pass compiles none of them, and reruns every check
     first = list(verify.corpus_reports())
     calls = Counter()
 
@@ -284,9 +284,9 @@ def test_compiled_check_inputs_belong_to_their_object(monkeypatch):
     monkeypatch.setattr(blocks, "_packed", counted("packed", blocks._packed))
     monkeypatch.setattr(verify.ParamBox, "bounds",
                         lambda box, expr: bounded.append(expr) or box_bounds(box, expr))
-    monkeypatch.setattr(tables.ParamSystem, "_reduced_bounds", counted(
-        "reduced_bounds", tables.ParamSystem._reduced_bounds))
-    monkeypatch.setattr(tables, "_SearchPlan", counted("plan", tables._SearchPlan))
+    monkeypatch.setattr(tables, "_box", counted("box", tables._box))
+    monkeypatch.setattr(tables.ParamSystem, "compile", classmethod(
+        counted("compile", tables.ParamSystem.compile.__func__)))
     monkeypatch.setattr(blocks, "tree_check", counted("tree_check", blocks.tree_check))
     monkeypatch.setattr(verify, "tree_check", blocks.tree_check)
     second = list(verify.corpus_reports())
@@ -305,14 +305,19 @@ def test_compiled_check_inputs_belong_to_their_object(monkeypatch):
             got, want = blocks.tree_check(t), blocks.tree_check(fresh if t is mutant else tree)
             assert (got.status, got.evidence) == (want.status, want.evidence), t.chain
     assert calls["packed"] == 3 * len(trees[::10])
-    for rel in ("d2/B4.symbolic.dmx", "d3/B6.principal.dmx", "d6/E6.principal.dmx"):
+    copied = ("d2/B4.symbolic.dmx", "d3/B6.principal.dmx", "d6/E6.principal.dmx")
+    for rel in copied:
         table = load(rel)
         copy = dataclasses.replace(table)
         assert copy.system is not table.system
         assert copy.system.entry_box == table.system.entry_box
-        assert copy.system.entry_box is not table.system.entry_box or not table.params
-        assert copy.system.search_plan(8) is not table.system.search_plan(8)
+        assert copy.system.entry_box is not table.system.entry_box
+        assert copy.system.search == table.system.search
+        assert copy.system.search is not table.system.search
         assert verify.run_table_checks(copy) == verify.run_table_checks(_fresh_table(rel))
+    # the copy and the fresh parse compile once each, boxing each entry once
+    assert calls["compile"] == 2 * len(copied)
+    assert calls["box"] == 2 * sum(len(load(rel).system.entries) for rel in copied) > 0
     # a copy with other constraints has other bounds, and its own witnesses
     table = load("d2/B4.symbolic.dmx")
     edited = (DATA / "d2" / "B4.symbolic.dmx").read_text().replace(
@@ -339,7 +344,7 @@ def test_entry_box_and_search_plans_match_a_fresh_computation():
                 want = _fresh_table(rel).sample_admissible(bound=bound)
                 assert [list(w.items()) for w in got] == [
                     list(w.items()) for w in want], (rel, bound)
-        # a plan's count memo serves every limit
+        # the caps memo of the search serves every limit
         assert table.sample_admissible(bound=30, limit=5) == _fresh_table(
             rel).sample_admissible(bound=30, limit=5), rel
 
