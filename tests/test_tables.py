@@ -605,9 +605,8 @@ def test_param_system_hands_out_read_only_mappings():
 @pytest.mark.parametrize("name", ["cyclic", "negative constant", "lower bound above bound",
                                   "long pruned prefix", "mixed"])
 def test_compiled_system_matches_a_fresh_computation_on_synthetic(name):
-    # no corpus table has cyclic definitions, a negative constant or a
-    # lower bound above a searched bound: these carry the compiled data
-    # through each of them
+    # no corpus table has cyclic definitions, a negative constant entry or
+    # a lower bound above a searched bound; these synthetic tables cover each
     table = SYNTHETIC[name]
     system = table.system
     assert list(system.entry_box) == list(system.entries)
