@@ -1,21 +1,22 @@
 """Phi_d-block partitions and Brauer-tree consistency checks.
 
-Classical block partitions come from cores; two characters lie in the same
-block iff their cores agree, so a character's core is its block key
-(`_core_key`).  A core is read from the bead counts per abacus runner, not
-by removing hooks one at a time: the d-core of the beta-symbol for B, C, D
-and 2D (d-hooks for odd d, (d/2)-cohooks for even d), the e-core of the
-partition for A and 2A; both are memoised.  Exceptional-group partitions
-are shipped as data.  Brauer trees are open lines of distinct ordinary
-characters around one exceptional vertex; `tree_check` verifies defects,
-adjacent-degree divisibility, the positivity of the alternating degree sum
-and single-block membership, the last from the keys of the tree's own
-vertices for a classical group, without building its whole partition.
+Two unipotent characters lie in one Phi_d-block iff their `_block_key`s
+agree.  A classical key is a core, read from the bead counts per abacus
+runner, not by removing hooks one at a time: the d-core of the
+beta-symbol for B, C, D and 2D (d-hooks for odd d, (d/2)-cohooks for even
+d), the e-core of the partition for A and 2A; both are memoised.  An
+exceptional key is the character's block in the shipped data.  Brauer
+trees are open lines of distinct ordinary characters around one
+exceptional vertex; `tree_check` verifies defects, adjacent-degree
+divisibility, the positivity of the alternating degree sum and
+single-block membership, the last from the keys of the tree's own
+vertices, without building a whole partition.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
@@ -95,22 +96,6 @@ def partition_core(beta, e):
     return beta_to_partition(_runner_core(beta, e))
 
 
-def _core_key(group, d):
-    """The block key of a classical catalog character at d, as a function of
-    the character, or None for an exceptional group: the e-core of the
-    partition for A (e = d) and 2A (e the order of -q at a primitive d-th
-    root of unity: 2d for odd d, d/2 for d = 2 mod 4, d for d = 0 mod 4),
-    the d-core of the symbol for B, C, D and 2D.  Two unipotent characters
-    share a Phi_d-block iff their keys agree (Fong-Srinivasan 1982,
-    Broue-Malle-Michel 1993)."""
-    if group.series in ("A", "2A"):
-        e = d if group.series == "A" else _ennola_index(d)
-        return lambda c: partition_core(c.symbol.top, e)
-    if group.series in ("B", "C", "D", "2D"):
-        return lambda c: symbol_core(c.symbol, d)
-    return None
-
-
 @dataclass(frozen=True)
 class BlockPartition:
     group: GroupDescriptor
@@ -127,76 +112,80 @@ class BlockPartition:
         raise BlockError(f"{label} not in any block")
 
 
-def _split_labels(text):
-    """Split on commas that are not inside label braces like phi{20,2}."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur).strip())
-    return [x for x in out if x]
+# one label of a shipped block; a comma inside braces, as in phi{20,2}, is part of it
+_BLOCK_LABEL = re.compile(r"(?:[^,{\s]|\{[^}]*\})(?:[^,{]|\{[^}]*\})*")
 
 
 @lru_cache(maxsize=None)
 def _exceptional_blocks(group):
+    """d -> the shipped Phi_d-blocks of `group`, each a frozenset of labels."""
     ref = importlib.resources.files("unipdec").joinpath(f"data/blocks/{group}.blocks")
     out = {}
     for line in ref.read_text().splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, rest = line.split(":", 1)
-        d = int(head.strip().lstrip("d="))
-        groups = [frozenset(_split_labels(blk)) for blk in rest.split(";") if blk.strip()]
-        out[d] = groups
+        if line and not line.startswith("#"):
+            head, rest = line.split(":", 1)
+            out[int(head.strip().lstrip("d="))] = [
+                frozenset(lab.strip() for lab in _BLOCK_LABEL.findall(blk))
+                for blk in rest.split(";") if blk.strip()]
     return out
 
 
 @lru_cache(maxsize=None)
-def block_partition(group, d):
-    """Partition of the unipotent characters into Phi_d-blocks.
+def _block_key(group, d):
+    """The block key of `group`'s characters at d, as a function of the
+    character, or None without shipped blocks at d; memoised per (group,
+    d).  Two unipotent characters share a Phi_d-block iff their keys agree
+    (Fong-Srinivasan 1982, Broue-Malle-Michel 1993).  The key is the e-core
+    of the partition for A (e = d) and 2A (e the order of -q at a primitive
+    d-th root of unity: 2d for odd d, d/2 for d = 2 mod 4, d for d = 0 mod
+    4), the d-core of the symbol for B, C, D and 2D, and for an exceptional
+    group the index of the shipped block holding the label, or the label
+    itself (a defect-0 singleton).  A shipped label outside the catalog,
+    or in two blocks, raises BlockError."""
+    if group.series in ("A", "2A"):
+        e = d if group.series == "A" else _ennola_index(d)
+        return lambda c: partition_core(c.symbol.top, e)
+    if group.series in ("B", "C", "D", "2D"):
+        return lambda c: symbol_core(c.symbol, d)
+    listed = _exceptional_blocks(group).get(d)
+    if listed is None:
+        return None
+    index = {}
+    for i, labels in enumerate(listed):
+        for label in sorted(labels):
+            if label not in catalog_map(group):
+                raise BlockError(f"shipped block of {group} at d={d}: "
+                                 f"{label} is not in the catalog")
+            if label in index:
+                raise BlockError(f"shipped block of {group} at d={d}: "
+                                 f"{label} is in two blocks")
+            index[label] = i
+    return lambda c: index.get(c.label.text, c.label.text)
 
-    Classical characters are grouped by `_core_key`; the exceptional
-    groups' blocks are shipped as data, every character outside them in a
-    defect-0 singleton.  A block of non-constant defect raises BlockError.
+
+@lru_cache(maxsize=None)
+def block_partition(group, d):
+    """Partition of the unipotent characters into Phi_d-blocks: the
+    characters grouped by `_block_key`.  A group without shipped blocks at
+    d raises UnsupportedGroupError, and a block of non-constant defect
+    BlockError.
     """
     chars = catalog(group)
-    key = _core_key(group, d)
-    if key is not None:
-        keyed = {}
-        for c in chars:
-            keyed.setdefault(key(c), []).append(c)
-        blocks = []
-        for members in keyed.values():
-            labels = frozenset(str(c.label) for c in members)
-            dfts = {defect(c, d) for c in members}
-            if len(dfts) != 1:
-                raise BlockError(
-                    f"block of {group} at d={d} has non-constant defect: {sorted(labels)}")
-            blocks.append((labels, dfts.pop()))
-    else:
-        data = _exceptional_blocks(group)
-        if d not in data:
-            raise UnsupportedGroupError(f"no shipped block data for {group} at d={d}")
-        listed = data[d]
-        seen = set().union(*listed) if listed else set()
-        blocks = []
-        for labels in listed:
-            dfts = {defect(catalog_map(group)[l], d) for l in labels}
-            if len(dfts) != 1:
-                raise BlockError(f"shipped block {sorted(labels)} has mixed defect")
-            blocks.append((labels, dfts.pop()))
-        for c in chars:  # remaining characters sit in defect-0 singleton blocks
-            if str(c.label) not in seen:
-                blocks.append((frozenset([str(c.label)]), defect(c, d)))
+    key = _block_key(group, d)
+    if key is None:
+        raise UnsupportedGroupError(f"no shipped block data for {group} at d={d}")
+    keyed = {}
+    for c in chars:
+        keyed.setdefault(key(c), []).append(c)
+    blocks = []
+    for members in keyed.values():
+        labels = frozenset(str(c.label) for c in members)
+        dfts = {defect(c, d) for c in members}
+        if len(dfts) != 1:
+            raise BlockError(
+                f"block of {group} at d={d} has non-constant defect: {sorted(labels)}")
+        blocks.append((labels, dfts.pop()))
     blocks.sort(key=lambda b: (-len(b[0]), sorted(b[0])))
     return BlockPartition(group, d, tuple(blocks))
 
@@ -299,7 +288,6 @@ def load_trees(path_text, group, d):
 
 @dataclass
 class TreeReport:
-    tree: BrauerTree
     status: str
     evidence: str = ""
 
@@ -390,11 +378,10 @@ def tree_check(tree):
          is divisible by the full Phi_d-part Phi_d^M of the group order, and
          the alternating sum over the whole line is minus a positive multiple
          of a putative exceptional-character degree, divisible by Phi_d^(M-1);
-    (iii) all characters lie in one Phi_d-block.  For a classical group
-          that is one core for all of them (`_core_key`; Fong-Srinivasan,
-          Invent. Math. 69, 1982; Broue-Malle-Michel, Asterisque 212, 1993),
-          so only the tree's own vertices are keyed; an exceptional tree is
-          looked up in the shipped `block_partition`.
+    (iii) all characters lie in one Phi_d-block: they have one
+          `_block_key`, so only the tree's own vertices are keyed, and no
+          whole partition is built.  Without shipped blocks at d (an
+          exceptional group) (iii) is left undecided.
 
     After (i) every degree on the tree is D = Phi_d^(M-1) * s * u with Phi_d
     not dividing the integer polynomial u = q^k * prod over e != d of
@@ -437,7 +424,7 @@ def tree_check(tree):
         if c is not None:
             dft = M - c.degree.root_multiplicity(d)
             if dft != 1:
-                return TreeReport(tree, "fail", f"{lab} has Phi_{d}-defect {dft}, not 1")
+                return TreeReport("fail", f"{lab} has Phi_{d}-defect {dft}, not 1")
 
     # (ii) neighbouring ordinary characters: sum divisible by Phi_d^M
     bits, values, modulus = tree.encoding
@@ -445,8 +432,7 @@ def tree_check(tree):
         if pu is None or pv is None:
             continue
         if (pu + pv) % modulus:
-            return TreeReport(tree, "fail",
-                              f"edge {u} -- {v}: degree sum not divisible by P{d}^{M}")
+            return TreeReport("fail", f"edge {u} -- {v}: degree sum not divisible by P{d}^{M}")
 
     # alternating sum reconstructs (a positive multiple of) the exceptional degree
     j = chain.index(None)
@@ -454,24 +440,14 @@ def tree_check(tree):
     total = sum(v if i % 2 == 0 else -v for i, v in enumerate(values) if v is not None)
     shifted = _sum_digits(sign * total, bits)  # None: positive, nothing decoded
     if shifted == ():
-        return TreeReport(tree, "fail", "alternating degree sum vanishes")
+        return TreeReport("fail", "alternating degree sum vanishes")
     if shifted and (shifted[-1] < 0 or shifted[0] <= 0):
-        return TreeReport(tree, "fail",
-                          "alternating sum is not a positive multiple of a degree")
+        return TreeReport("fail", "alternating sum is not a positive multiple of a degree")
 
-    # (iii) one block
-    chars = [c for c in tree.chars if c is not None]
-    key = _core_key(group, d)
-    if key is not None:
-        split = len({key(c) for c in chars}) > 1
-    else:
-        try:
-            first, _ = block_partition(group, d).block_of(chars[0].label.text)
-            split = any(c.label.text not in first for c in chars)
-        except UnsupportedGroupError:
-            split = False  # exceptional group without block data at this d: defect check stands
-    if split:
-        return TreeReport(tree, "fail", "characters span several blocks")
+    # (iii) one block: one key for all the characters
+    key = _block_key(group, d)
+    if key is not None and len({key(c) for c in tree.chars if c is not None}) > 1:
+        return TreeReport("fail", "characters span several blocks")
     if shifted and min(shifted) < 0:
-        return TreeReport(tree, "warn", "alternating sum not proved positive for q >= 2")
-    return TreeReport(tree, "pass")
+        return TreeReport("warn", "alternating sum not proved positive for q >= 2")
+    return TreeReport("pass")

@@ -308,6 +308,23 @@ def parse_constraint(text):
     raise TableError(f"no relation in constraint {text!r}")
 
 
+def _definitions(constraints):
+    """For each constraint, (p, rest) if it is an equality p - rest = 0
+    that defines p, else None: p is its first parameter of coefficient +-1
+    that no earlier definition defines and that rest does not name."""
+    out, defined = [], set()
+    for c in constraints:
+        out.append(None)
+        for m, coeff in c.expr.terms.items() if c.rel == "=" else ():
+            if len(m) == 1 and abs(coeff) == 1 and m[0] not in defined:
+                rest = (c.expr - ParamExpr.var(m[0], coeff)) * (-coeff)
+                if m[0] not in rest.names():
+                    out[-1] = m[0], rest
+                    defined.add(m[0])
+                    break
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the table
 
@@ -385,17 +402,7 @@ class DecompTable:
 
     def free_and_defined(self):
         """Split params into free ones and ones defined by an equality."""
-        defined = {}
-        for c in self.constraints:
-            if c.rel != "=":
-                continue
-            # a definition looks like  p - rest = 0  with p not defined yet
-            for m, coeff in c.expr.terms.items():
-                if len(m) == 1 and abs(coeff) == 1 and m[0] not in defined:
-                    rest = (c.expr - ParamExpr.var(m[0], coeff)) * (-coeff)
-                    if m[0] not in rest.names():
-                        defined[m[0]] = rest
-                        break
+        defined = dict(filter(None, _definitions(self.constraints)))
         free = tuple(p for p in self.params if p not in defined)
         return free, defined
 
@@ -429,8 +436,8 @@ class DecompTable:
         outermost, so the last one takes the excess first.
 
         The candidates of one excess are walked depth first, carrying the
-        partial value of each form in `system.conditions`.  At a node where
-        parameters i.. share the remaining excess r, a form with value
+        partial value of each condition form (see `ParamSystem`).  At a node
+        where parameters i.. share the remaining excess r, a form with value
         v + r * max(coefficients i..) < 0 fails at every candidate below, and
         so does an equality with v + r * min(coefficients i..) > 0: the
         subtree is skipped.  Every other candidate still goes through
@@ -514,23 +521,23 @@ class ParamSystem:
 
     `compile` reduces each entry once, and that reduced form feeds both
     `entry_box`, which maps each entry to (its reduced form, lower, upper)
-    for the entry tests of `verify`, and `conditions`.  `_box` is the one
-    box arithmetic, behind `bounds` and `entry_box` alike.
+    for the entry tests of `verify`, and the condition forms.  `_box` is
+    the one box arithmetic, behind `bounds` and `entry_box` alike.
 
-    `conditions` holds every admissibility condition (each defined
+    The condition forms are every admissibility condition (each defined
     parameter >= 0, each constraint, each distinct non-constant entry >= 0)
     as an affine form over the excesses of the free parameters over `lows`:
     (is_equality, const, coeffs), with coeffs in the order of `free`.  The
     definitions are substituted and the lower bounds folded into const;
-    forms that hold at every excess are dropped and duplicates merged.  It
-    is () when the definitions are cyclic.  `search` holds what the witness
-    search of `DecompTable.sample_admissible` reads of them, for k free
-    parameters: (equalities, start, steps, highest, lowest), which forms are
-    equalities, each form's constant, `steps[i]` each form's coefficient of
-    parameter i, and `highest[i]` and `lowest[i]` each form's largest and
-    smallest coefficient over parameters i.. (0 at i = k).  The search's
-    only state that depends on `bound` is `_counter(caps)`, memoised on the
-    caps alone.
+    forms that hold at every excess are dropped and duplicates merged, and
+    there are none when the definitions are cyclic.  `search` holds what
+    the witness search of `DecompTable.sample_admissible` reads of them,
+    for k free parameters: (equalities, start, steps, highest, lowest),
+    which forms are equalities, each form's constant, `steps[i]` each
+    form's coefficient of parameter i, and `highest[i]` and `lowest[i]`
+    each form's largest and smallest coefficient over parameters i.. (0 at
+    i = k).  The search's only state that depends on `bound` is
+    `_counter(caps)`, memoised on the caps alone.
     """
 
     free: tuple
@@ -540,7 +547,6 @@ class ParamSystem:
     highs: MappingProxyType
     entries: tuple
     negative_constant: tuple | None
-    conditions: tuple
     entry_box: MappingProxyType
     search: tuple
 
@@ -614,7 +620,7 @@ class ParamSystem:
         return cls(free, MappingProxyType(defined),
                    None if order is None else MappingProxyType(order),
                    MappingProxyType(lows), MappingProxyType(highs), tuple(reduced),
-                   negative_constant, conditions, MappingProxyType(entry_box), search)
+                   negative_constant, MappingProxyType(entry_box), search)
 
     def reduce(self, expr):
         """`expr` with each defined parameter replaced by its expression over
@@ -810,6 +816,9 @@ def parse(text):
     if d < 1:
         raise TableError(f"line {meta_line['d']}: d must be positive, not {d}")
     params = tuple(meta.get("params", "").split())
+    for i, name in enumerate(params):
+        if name in params[:i]:
+            raise TableError(f"line {meta_line['params']}: parameter {name!r} declared twice")
     try:
         constraints = tuple(parse_constraint(c)
                             for c in meta.get("constraints", "").split(";") if c.strip())
@@ -890,7 +899,9 @@ def emit(table):
     if table.params:
         out.append("params = " + " ".join(table.params))
     if table.constraints:
-        out.append("constraints = " + "; ".join(_emit_constraint(c) for c in table.constraints))
+        out.append("constraints = " + "; ".join(
+            _emit_constraint(c, dfn) for c, dfn in
+            zip(table.constraints, _definitions(table.constraints))))
     out.append("[chars]")
     width = max(len(l) for l in table.rows)
     for lab, deg in zip(table.rows, table.row_degrees):
@@ -907,8 +918,13 @@ def emit(table):
     return "\n".join(out) + "\n"
 
 
-def _emit_constraint(c):
-    # print p>=k and p<=k style constraints back in a readable way
+def _emit_constraint(c, definition):
+    # a definition (p, rest) as p=rest, so that parsing it back defines p
+    # again; any other constraint with positive coefficients on both sides
+    if definition:
+        name, rest = definition
+        const = rest.constant()
+        return f"{name}={rest - const}{const:+d}" if const and rest.names() else f"{name}={rest}"
     pos = ParamExpr({m: v for m, v in c.expr.terms.items() if v > 0 and m != ()})
     neg = ParamExpr({m: -v for m, v in c.expr.terms.items() if v < 0 and m != ()})
     const = c.expr.constant()

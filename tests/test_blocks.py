@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from unipdec import blocks, tables
-from unipdec.blocks import (BlockPartition, BrauerTree, block_partition, load_trees,
+from unipdec.blocks import (BlockError, BrauerTree, block_partition, load_trees,
                             parse_tree_line, symbol_core, tree_check)
 from unipdec.cyclo import DensePoly, FactoredPoly, cyclotomic, euler_phi
 from unipdec.degrees import catalog, defect, find_char, group_order_poly
@@ -300,21 +300,29 @@ def test_sum_positive_at_sampled_points_is_not_proved_positive(monkeypatch):
 def test_block_failure_outranks_unproved_positivity(monkeypatch):
     # a classical tree is split through its block key: one key per vertex
     tree = _sample_tree_with_shifted_sum(monkeypatch, (15, -16, 4))
-    assert blocks._core_key(tree.group, tree.d) is not None
-    monkeypatch.setattr(blocks, "_core_key", lambda group, d: lambda c: c.label.text)
+    assert blocks._block_key(tree.group, tree.d) is not None
+    monkeypatch.setattr(blocks, "_block_key", lambda group, d: lambda c: c.label.text)
     rep = tree_check(tree)
     assert (rep.status, rep.evidence) == ("fail", "characters span several blocks")
 
 
-def test_exceptional_block_failure_goes_through_block_partition(monkeypatch):
-    # an E6 tree has no core key; its block is read from the shipped data
+def test_exceptional_block_failure_goes_through_the_block_key(monkeypatch):
+    # an E6 tree is keyed like a classical one, by the index of its shipped block
     tree = parse_tree_line(GroupDescriptor.parse("E6"), 2, "phi{64,4} -- O -- phi{64,13}")
-    assert blocks._core_key(tree.group, tree.d) is None and tree_check(tree).status == "pass"
-    split = BlockPartition(tree.group, tree.d, tuple(
-        (frozenset([c.label.text]), 1) for c in tree.chars if c is not None))
-    monkeypatch.setattr(blocks, "block_partition", lambda group, d: split)
+    key = blocks._block_key(tree.group, tree.d)
+    assert key(tree.chars[0]) == key(tree.chars[2]) and tree_check(tree).status == "pass"
+    monkeypatch.setattr(blocks, "_block_key", lambda group, d: lambda c: c.label.text)
     rep = tree_check(tree)
     assert (rep.status, rep.evidence) == ("fail", "characters span several blocks")
+
+
+def test_exceptional_tree_without_shipped_blocks_leaves_iii_undecided(monkeypatch):
+    # no shipped blocks at d: the key is None, and (iii) cannot fail
+    tree = parse_tree_line(GroupDescriptor.parse("E6"), 2, "phi{64,4} -- O -- phi{64,13}")
+    monkeypatch.setattr(blocks, "_block_key", lambda group, d: None)
+    assert tree_check(tree).status == "pass"
+    with pytest.raises(UnsupportedGroupError, match="no shipped block data for E6 at d=2"):
+        blocks.block_partition.__wrapped__(tree.group, tree.d)
 
 
 def test_block_check_matches_block_partition_on_two_vertex_trees():
@@ -345,9 +353,9 @@ def test_block_check_matches_block_partition_on_two_vertex_trees():
                         "5, not 1": 1}
 
 
-def test_verify_builds_block_partitions_only_for_exceptional_groups(monkeypatch):
-    # a classical tree keys its own vertices by their cores; only the
-    # exceptional trees read a whole-group partition, from the shipped data
+def test_verify_builds_no_block_partition(monkeypatch):
+    # every tree, classical or exceptional, keys its own vertices; no
+    # whole-group partition is built
     calls = Counter()
     whole = blocks.block_partition
 
@@ -357,7 +365,42 @@ def test_verify_builds_block_partitions_only_for_exceptional_groups(monkeypatch)
     monkeypatch.setattr(blocks, "block_partition", counted)
     statuses = Counter(rep.status for _, rep in tree_reports())
     assert statuses == {"pass": 124}
-    assert calls == {"E6": 2}
+    assert calls == {}
+
+
+def test_block_key_is_built_once_per_group_and_d():
+    blocks._block_key.cache_clear()
+    first = {(t.group, t.d): blocks._block_key(t.group, t.d) for _, t in corpus_trees()}
+    for _ in range(2):
+        assert Counter(rep.status for _, rep in tree_reports()) == {"pass": 124}
+    assert all(blocks._block_key(g, d) is key for (g, d), key in first.items())
+    assert len(first) == 53 and blocks._block_key.cache_info().misses == 53
+
+
+def _shipped_blocks_with(monkeypatch, group, d, edit):
+    """`_block_key(group, d)` with the shipped blocks of `group` at d
+    replaced by `edit(blocks)`, a list of label sets."""
+    shipped = blocks._exceptional_blocks(group)
+    patched = {**shipped, d: edit([set(b) for b in shipped[d]])}
+    monkeypatch.setattr(blocks, "_exceptional_blocks", lambda g: patched)
+    return blocks._block_key.__wrapped__(group, d)  # past the memo
+
+
+def test_shipped_label_outside_the_catalog_is_a_block_error(monkeypatch):
+    e6 = GroupDescriptor.parse("E6")
+    with pytest.raises(BlockError, match=r"shipped block of E6 at d=3: phi\{7,7\} is not in "
+                                         r"the catalog"):
+        _shipped_blocks_with(monkeypatch, e6, 3, lambda bs: bs[:1] + [bs[1] | {"phi{7,7}"}])
+
+
+def test_shipped_label_in_two_blocks_is_a_block_error(monkeypatch):
+    f4 = GroupDescriptor.parse("F4")
+    # the shipped data keys each of its labels to its one block
+    key = blocks._block_key(f4, 2)
+    assert key(find_char(f4, "phi{4,1}")) == 1 and key(find_char(f4, "phi{1,0}")) == 0
+    with pytest.raises(BlockError, match=r"shipped block of F4 at d=2: phi\{4,1\} is in two "
+                                         r"blocks"):
+        _shipped_blocks_with(monkeypatch, f4, 2, lambda bs: [bs[0] | {"phi{4,1}"}, bs[1]])
 
 
 @pytest.mark.parametrize("shifted", [(-1, 3, 4), (15, -16, -4), (0, 1)])

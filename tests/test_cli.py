@@ -236,6 +236,7 @@ _COLS = ".4 | 1\n[cols]\nseries=ps : .4=1\n"  # replaced to give a second row an
     (_COLS, ".4 | 1\n1.3\n[cols]\nseries=ps : .4=1\nseries=ps : .4=2 1.3=1\n",
      "line 9: column 2 has entries above the diagonal"),
     ("d = 2", "d = 2\nconstraints = a", "line 4: no relation in constraint 'a'"),
+    ("d = 2", "d = 2\nparams = a a", "line 4: parameter 'a' declared twice"),
     (_COLS, ".4 | 1\n1.3\n[cols]\nseries=ps : .4=1 1.3=b\nseries=ps : 1.3=1\n",
      "line 8: undeclared parameters ['b']"),
 ])

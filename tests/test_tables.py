@@ -130,6 +130,35 @@ def test_shipped_tables_roundtrip():
     assert count >= 20
 
 
+def test_roundtrip_keeps_each_table_its_parameter_system_and_verdicts():
+    # emit writes a definition with its defined parameter alone on the
+    # left, so the parsed copy defines the same parameters by the same
+    # expressions, and every per-table check gives the same record
+    changed = []
+    for f in all_dmx():
+        t = parse(f.read_text())
+        back = parse(emit(t))
+        if (back != t or back.free_and_defined() != t.free_and_defined()
+                or verify.run_table_checks(back) != verify.run_table_checks(t)):
+            changed.append(f"{f.parent.name}/{f.name}")
+    assert not changed
+
+
+def test_parameter_declared_twice_is_a_table_error():
+    # once accepted: the witness search then ran `a` as two free
+    # parameters, and returned one assignment as several witnesses
+    with pytest.raises(TableError, match="line 6: parameter 'a' declared twice"):
+        _synthetic("a b a", "", [(1, 0, "a")])
+
+
+def test_emit_writes_a_definition_with_its_parameter_on_the_left():
+    # until it was, d=2a-b came out as b+d=2a, and the copy defined b
+    t = _synthetic("a b c d", "d=2a-b; a>=1; 2c=2a")
+    assert t.free_and_defined() == (("a", "b", "c"), {"d": parse_expr("2a-b")})
+    assert "\nconstraints = d=2a-b; a>=1; 2c=2a\n" in emit(t)
+    assert parse(emit(t)).free_and_defined() == t.free_and_defined()
+
+
 def test_emit_matches_golden_hashes():
     # tests/data/emit.tsv holds, for each shipped .dmx (levi/ included), the
     # sha256 of emit(parse(file)); a change of representation must keep the
