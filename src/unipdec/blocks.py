@@ -118,9 +118,12 @@ _BLOCK_LABEL = re.compile(r"(?:[^,{\s]|\{[^}]*\})(?:[^,{]|\{[^}]*\})*")
 
 @lru_cache(maxsize=None)
 def _exceptional_blocks(group):
-    """d -> the shipped Phi_d-blocks of `group`, each a frozenset of labels."""
+    """d -> the shipped Phi_d-blocks of `group`, each a frozenset of labels;
+    empty for a group with no shipped blocks file (E7, E8)."""
     ref = importlib.resources.files("unipdec").joinpath(f"data/blocks/{group}.blocks")
     out = {}
+    if not ref.is_file():
+        return out
     for line in ref.read_text().splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
@@ -134,8 +137,8 @@ def _exceptional_blocks(group):
 @lru_cache(maxsize=None)
 def _block_key(group, d):
     """The block key of `group`'s characters at d, as a function of the
-    character, or None without shipped blocks at d; memoised per (group,
-    d).  Two unipotent characters share a Phi_d-block iff their keys agree
+    character, or None without shipped blocks at d (E7 and E8 ship none);
+    memoised per (group, d).  Two unipotent characters share a Phi_d-block iff their keys agree
     (Fong-Srinivasan 1982, Broue-Malle-Michel 1993).  The key is the e-core
     of the partition for A (e = d) and 2A (e the order of -q at a primitive
     d-th root of unity: 2d for odd d, d/2 for d = 2 mod 4, d for d = 0 mod

@@ -316,35 +316,13 @@ def _load_exceptional(series):
     return rows
 
 
-def catalog(g):
-    """All unipotent characters of g, ordered by (a, A, label).
-
-    Memoised, including the failure for a group without a catalog (E7, or
-    E8 when its file is missing): that raises a fresh UnsupportedGroupError
-    with the same message on every call, without a second attempt.
-    `catalog.cache_info` reports the memo's hits and misses.
-    """
-    built = _catalog(g)
-    if isinstance(built, UnsupportedGroupError):
-        raise type(built)(*built.args)
-    return built
-
-
 @lru_cache(maxsize=None)
-def _catalog(g):
-    """The catalog of g, or the UnsupportedGroupError saying why there is none."""
-    try:
-        return _build_catalog(g)
-    except UnsupportedGroupError as exc:
-        return exc.with_traceback(None)
-
-
-catalog.cache_info = _catalog.cache_info
-
-
-def _build_catalog(g):
-    """The characters of g, sorted by (a, A, label).  A classical character's
-    a and A come in closed form, so no classical degree is computed here."""
+def catalog(g):
+    """All unipotent characters of g, sorted by (a, A, label); memoised per
+    group.  A classical character's a and A come in closed form, so no
+    classical degree is computed here.  A group without a catalog (E7, or
+    E8 when its file is missing) raises UnsupportedGroupError on every
+    call; a table of such a group asks once per text (`tables.parse`)."""
     if g.series in ("E6", "2E6", "F4", "E8"):
         keyed = [(deg.a_value(), deg.A_value(), text,
                   UnipChar(g, UnipLabel("named", text), tag, _degree=deg))

@@ -266,13 +266,14 @@ _CORE_RANK = {"B2": 2, "B6": 6, "D4": 4, "2D9": 9}
 _CORE_DEFECT = {"B2": 3, "B6": 5, "D4": 4, "2D9": 6}
 
 
-@lru_cache(maxsize=None)
 def parse_label(text, group=None):
-    """Parse a label string; `group` only disambiguates named exceptional labels.
+    """Parse a label string into a frozen UnipLabel; `group` only
+    disambiguates named exceptional labels.
 
     A classical label's text is canonical (as `bip_label`, `split_label`,
-    `core_label` and `format_partition` spell it).  Memoised per (text,
-    group): the result is a frozen UnipLabel.
+    `core_label` and `format_partition` spell it).  Not memoised: its one
+    caller, `resolve_label`, is reached through `degrees.find_char`, which
+    memoises the same (group, text) key.
     """
     text = text.strip()
     if not text:

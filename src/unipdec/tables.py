@@ -23,9 +23,10 @@ File grammar, one table per file:
     series=ps tentative : 1.3=1
 
 Column i is led by row i (diagonal ones); only nonzero entries are listed.
-Every label is resolved once per file, by `_row_char`, to the character of
-the group's catalog that it names; `DecompTable.chars` holds the rows'
-characters (None for E7 and E8, which ship no catalog).  A parsed table is
+Every label is resolved once per file, by `degrees.find_char`, to the
+character of the group's catalog that it names; `DecompTable.chars` holds
+the rows' characters (None for E7 and E8, which ship no catalog: there a
+label is only held to the syntax of `_E78_LABEL`).  A parsed table is
 an immutable value (frozen, with read-only entries and terms), so entries
 are shared, `parse` hands out one table per text, and a changed table is a
 `dataclasses.replace` copy.
@@ -41,7 +42,7 @@ from math import inf
 from types import MappingProxyType
 
 from .cyclo import CycloError, parse_factored
-from .degrees import find_char, perversity_numerator
+from .degrees import catalog_map, find_char, perversity_numerator
 from .labels import GroupDescriptor, LabelError, UnsupportedGroupError
 
 
@@ -423,7 +424,7 @@ class DecompTable:
         if not all(c.holds(assignment) for c in self.constraints):
             return False
         # every matrix entry must be a nonnegative integer
-        return all(expr.evaluate(assignment) >= 0 for expr in system.entries)
+        return all(expr.evaluate(assignment) >= 0 for expr in system.entry_box)
 
     def sample_admissible(self, bound=30, limit=4000):
         """Deterministic search for admissible assignments of the free params.
@@ -507,22 +508,23 @@ class ParamSystem:
     """A table's parameters and conditions, derived once per table by
     `compile`, and a frozen value: nothing is added to it later.
 
-    `free` and `defined` are `free_and_defined()`.  `order` maps each
+    `free` is the first half of `free_and_defined()`.  `order` maps each
     defined parameter to its expression over the free parameters, in the
     order `resolve` assigns them; it is None if the definitions are cyclic,
     and `reduce` then substitutes nothing.  `lows` and `highs` bound each
     free parameter by the `>=` constraints that name it alone, `highs` by
     `math.inf` where none bounds it above (but never below `lows`), so the
-    box holds every admissible assignment.  `entries` holds the distinct
-    non-constant matrix entries, and `negative_constant` the first negative
-    constant entry as (row index, column index, value), or None.
-    `defined`, `order`, `lows`, `highs` and `entry_box` are read-only
-    mappings, since the system is kept per table.
+    box holds every admissible assignment.  `negative_constant` is the
+    first negative constant entry as (row index, column index, value), or
+    None.  `order`, `lows`, `highs` and `entry_box` are read-only mappings,
+    since the system is kept per table.
 
     `compile` reduces each entry once, and that reduced form feeds both
-    `entry_box`, which maps each entry to (its reduced form, lower, upper)
-    for the entry tests of `verify`, and the condition forms.  `_box` is
-    the one box arithmetic, behind `bounds` and `entry_box` alike.
+    `entry_box`, which maps each distinct non-constant matrix entry, in
+    first-seen order, to (its reduced form, lower, upper) for the entry
+    tests of `verify`, and the condition forms.  `is_admissible` evaluates
+    the keys of `entry_box`.  `_box` is the one box arithmetic, behind
+    `bounds` and `entry_box` alike.
 
     The condition forms are every admissibility condition (each defined
     parameter >= 0, each constraint, each distinct non-constant entry >= 0)
@@ -541,11 +543,9 @@ class ParamSystem:
     """
 
     free: tuple
-    defined: MappingProxyType
     order: MappingProxyType | None
     lows: MappingProxyType
     highs: MappingProxyType
-    entries: tuple
     negative_constant: tuple | None
     entry_box: MappingProxyType
     search: tuple
@@ -617,9 +617,8 @@ class ParamSystem:
                         for i in range(k + 1)),
                   tuple(tuple(min(coeffs[i:], default=0) for _, _, coeffs in conditions)
                         for i in range(k + 1)))
-        return cls(free, MappingProxyType(defined),
-                   None if order is None else MappingProxyType(order),
-                   MappingProxyType(lows), MappingProxyType(highs), tuple(reduced),
+        return cls(free, None if order is None else MappingProxyType(order),
+                   MappingProxyType(lows), MappingProxyType(highs),
                    negative_constant, MappingProxyType(entry_box), search)
 
     def reduce(self, expr):
@@ -698,21 +697,6 @@ _E78_LABEL = re.compile(r"(?:(?:D4|E[67]\[[^\[\]:]+\]):)?phi\{\d+,\d+\}'{0,2}"
                         r"|E[78]\[[^\[\]:]+\]")
 
 
-def _row_char(group, text):
-    """The catalog character of `group` labelled `text` (`find_char`, which
-    memoises it).  E7 and E8 ship no catalog: their labels are only held to
-    the syntax of `_E78_LABEL`, and give None.  A bad label raises
-    TableError."""
-    try:
-        return find_char(group, text)
-    except LabelError as exc:
-        raise TableError(str(exc)) from None
-    except UnsupportedGroupError:
-        if not _E78_LABEL.fullmatch(text):
-            raise TableError(f"bad {group} label {text!r}") from None
-        return None
-
-
 # FactoredPoly is frozen, so one parse per degree text can be shared
 _parse_degree = cache(parse_factored)
 
@@ -732,13 +716,15 @@ def parse(text):
     An edited text is a new key, and a malformed one raises its TableError
     on every call, since exceptions are not cached.
 
-    Each distinct label text is resolved once per file by `_row_char`: the
-    rows' texts first, then an entry's text on its first sight, into a dict
-    from raw text to row index.  A label must name a character of the
-    group's catalog, and is stored as that character's label text (for
-    E7 and E8, which ship no catalog, as it is written, once it matches
-    `_E78_LABEL`); `chars` holds the rows' characters, or None without a
-    catalog.  An entry is an int unless it names a parameter
+    Whether the group has a catalog is decided once per text, by asking
+    for its `catalog_map`.  Each distinct label text is then resolved once
+    per file by `find_char`: the rows' texts first, then an entry's text on
+    its first sight, into a dict from raw text to row index.  A label must
+    name a character of the group's catalog, and is stored as that
+    character's label text; for E7 and E8, which ship no catalog, no
+    label goes to `find_char`, and one is stored as it is written once it
+    matches `_E78_LABEL`.  `chars` holds the rows' characters, or None
+    without a catalog.  An entry is an int unless it names a parameter
     (`parse_entry`, one shared object per text); each column's entries are
     stored read-only.  An error in a row, entry, column or constraint names
     its line: the row's, the column's, the `constraints =` line, and for an
@@ -829,14 +815,24 @@ def parse(text):
         raise TableError(f"line {meta_line['degrees']}: degrees must be full, leading "
                          f"or none, not {degrees_kind!r}")
 
+    try:
+        catalog_map(group)
+        cataloged = True
+    except UnsupportedGroupError:  # E7 and E8 ship no catalog
+        cataloged = False
+
     def lookup(text, lineno):
         # (character, label text): the catalog's text, so that vectors
         # computed from the catalogs match up with the table rows
+        if not cataloged:
+            if not _E78_LABEL.fullmatch(text):
+                raise TableError(f"line {lineno}: bad {group} label {text!r}")
+            return None, text
         try:
-            char = _row_char(group, text)
-        except TableError as exc:
+            char = find_char(group, text)
+        except LabelError as exc:
             raise TableError(f"line {lineno}: {exc}") from exc
-        return char, text if char is None else str(char.label)
+        return char, str(char.label)
 
     def degree(text, lineno):
         try:
@@ -919,10 +915,14 @@ def emit(table):
 
 
 def _emit_constraint(c, definition):
-    # a definition (p, rest) as p=rest, so that parsing it back defines p
-    # again; any other constraint with positive coefficients on both sides
+    # a definition (p, rest) as p=rest, or as -p=-rest where p has
+    # coefficient -1, so that parsing it back gives the same expression and
+    # defines p again; any other constraint with positive coefficients on
+    # both sides
     if definition:
         name, rest = definition
+        if c.expr.terms[(name,)] < 0:
+            name, rest = f"-{name}", -rest
         const = rest.constant()
         return f"{name}={rest - const}{const:+d}" if const and rest.names() else f"{name}={rest}"
     pos = ParamExpr({m: v for m, v in c.expr.terms.items() if v > 0 and m != ()})

@@ -377,6 +377,18 @@ def test_block_key_is_built_once_per_group_and_d():
     assert len(first) == 53 and blocks._block_key.cache_info().misses == 53
 
 
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_group_without_a_blocks_file_has_no_block_key(name):
+    # once a FileNotFoundError: no blocks are shipped for E7 or E8, which is
+    # the same as no shipped blocks at d, while block_partition still needs
+    # the catalog that neither ships
+    group = GroupDescriptor.parse(name)
+    assert blocks._exceptional_blocks(group) == {}
+    assert all(blocks._block_key(group, d) is None for d in (1, 2, 6))
+    with pytest.raises(UnsupportedGroupError, match=f"no (shipped catalog for )?{name}"):
+        block_partition(group, 2)
+
+
 def _shipped_blocks_with(monkeypatch, group, d, edit):
     """`_block_key(group, d)` with the shipped blocks of `group` at d
     replaced by `edit(blocks)`, a list of label sets."""

@@ -288,7 +288,7 @@ def _counter_symbol_degree(g, sym, degenerate=False):
 
 
 def _counter_catalog(g):
-    """`degrees._build_catalog` of a classical group, on the reference
+    """`degrees.catalog` of a classical group, on the reference
     degrees: (label, degree, HC series) sorted by the degree's (a, A, label)."""
     rows = []
     for lab in classical_label_list(g):
@@ -424,7 +424,7 @@ def _ref_gl_degree(lam):
 
 
 def _ref_type_a_catalog(g):
-    """`degrees._build_catalog` of a type-A or 2A group, on the reference
+    """`degrees.catalog` of a type-A or 2A group, on the reference
     degrees: (label, degree, HC series) sorted by the degree's (a, A, label)."""
     rows = []
     for lab in classical_label_list(g):

@@ -139,7 +139,7 @@ class Reference:
                 continue
             if not isinstance(c, ParamExpr) and c == 0:
                 continue
-            parsed = parse_label.__wrapped__(lab, group)
+            parsed = parse_label(lab, group)
             core = parsed.core or "ps"
             parts.setdefault(core, {})[parsed] = c
         return parts
@@ -579,20 +579,36 @@ def test_label_caches_hand_out_frozen_values():
         degrees.catalog_map(d4)["1.3"] = None
 
 
-def test_catalog_failure_is_cached():
+def test_corpus_walk_tries_the_e8_catalog_once_and_finds_no_e8_label(monkeypatch):
+    tried, found = [], []
+    load_exceptional, find = degrees._load_exceptional, tables.find_char
+
+    def loading(series):
+        tried.append(series)
+        return load_exceptional(series)
+
+    def finding(group, text):
+        found.append(str(group))
+        return find(group, text)
+
+    monkeypatch.setattr(degrees, "_load_exceptional", loading)
+    monkeypatch.setattr(tables, "find_char", finding)
+    tables.parse.cache_clear()  # parse is memoised per text: decode each one here
+    e8 = [rel for rel, t in verify.corpus_tables() if str(t.group) == "E8"]
+    assert e8 == ["d6/E8.phi6sq.dmx"]
+    assert tried.count("E8") == 1
+    assert found and "E8" not in found
+
+
+def test_catalog_of_a_group_without_one_raises_on_every_call():
     e8 = GroupDescriptor.parse("E8")
     with pytest.raises(UnsupportedGroupError) as first:
         catalog(e8)
-    misses = catalog.cache_info().misses
     with pytest.raises(UnsupportedGroupError) as second:
         catalog(e8)
-    assert catalog.cache_info().misses == misses
-    assert str(second.value) == str(first.value)
-    assert second.value is not first.value
-    # catalog_map and find_char go through the same cached failure
-    with pytest.raises(UnsupportedGroupError):
+    assert str(second.value) == str(first.value) == "no shipped catalog for E8"
+    with pytest.raises(UnsupportedGroupError, match="no shipped catalog for E8"):
         degrees.catalog_map(e8)
-    assert catalog.cache_info().misses == misses
 
 
 def test_table_column_vector_wraps_ints_as_shared_constants():

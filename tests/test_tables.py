@@ -159,6 +159,19 @@ def test_emit_writes_a_definition_with_its_parameter_on_the_left():
     assert parse(emit(t)).free_and_defined() == t.free_and_defined()
 
 
+@pytest.mark.parametrize("constraints, emitted", [
+    ("1-a=b", "-a=b-1"), ("2b-a=1; a>=1", "-a=-2b+1; a>=1"), ("-a=0", "-a=0")])
+def test_roundtrip_keeps_a_definition_of_coefficient_minus_one(constraints, emitted):
+    # until it kept its sign, 1-a=b came out as a=-b+1: the same condition,
+    # but with the constraint negated, so the parsed copy was another table
+    t = _synthetic("a b c", constraints, [(1, 0, "a"), (2, 0, "b")])
+    assert t.free_and_defined()[1].keys() == {"a"}
+    assert f"\nconstraints = {emitted}\n" in emit(t)
+    back = parse(emit(t))
+    assert back == t and back.free_and_defined() == t.free_and_defined()
+    assert verify.run_table_checks(back) == verify.run_table_checks(t)
+
+
 def test_emit_matches_golden_hashes():
     # tests/data/emit.tsv holds, for each shipped .dmx (levi/ included), the
     # sha256 of emit(parse(file)); a change of representation must keep the
@@ -278,6 +291,9 @@ def test_e7_e8_label_syntax():
     for bad in ("phi{1,0}'''", "phi{1}", "E6[z3]", "E8[]", "D4:E7[xi]", "F4[i]"):
         with pytest.raises(TableError, match=r"line 5: bad E7 label"):
             parse(text.replace("phi{1,0}\n", bad + "\n", 1))
+    # no catalog names an empty label either: it is held to the same syntax
+    with pytest.raises(TableError, match=r"^line 5: bad E7 label ''$"):
+        parse(text.replace("phi{1,0}\n", "| 1\n", 1))
 
 
 def test_rows_hold_their_catalog_characters():
@@ -529,7 +545,7 @@ def test_resolve_and_is_admissible_match_reference_on_corpus():
     for rel, table in CORPUS + unconstrained:
         ref = Reference(with_param_entries(table))
         free, defined = ref.free_and_defined()
-        assert table.system.free == free and table.system.defined == defined, rel
+        assert table.system.free == free and table.free_and_defined()[1] == defined, rel
         for _ in range(40):
             assign = {p: rng.randint(0, 12) for p in free}
             full = table.resolve(assign)
@@ -602,7 +618,7 @@ def test_synthetic_cases_exercise_their_conditions():
     with pytest.raises(TableError, match="cyclic"):
         s["cyclic"].resolve({"c": 0})
     assert [list(w) for w in s["chain"].sample_admissible(bound=8)][0] == ["c", "b", "a"]
-    assert s["equality without definition"].system.defined == {}
+    assert s["equality without definition"].free_and_defined()[1] == {}
     assert s["negative constant"].system.negative_constant
     assert s["negative constant"].sample_admissible() == []
     assert s["no parameters"].sample_admissible() == [{}]
@@ -622,7 +638,7 @@ def test_param_system_hands_out_read_only_mappings():
     table = parse((DATA / "d2" / "B4.symbolic.dmx").read_text())
     system = table.system
     assert system.order is not None
-    for field in (system.defined, system.order, system.lows, system.highs):
+    for field in (system.order, system.lows, system.highs, system.entry_box):
         assert isinstance(field, MappingProxyType)
     assert "x1" in system.lows
     with pytest.raises(TypeError):
@@ -638,7 +654,8 @@ def test_compiled_system_matches_a_fresh_computation_on_synthetic(name):
     # a lower bound above a searched bound; these synthetic tables cover each
     table = SYNTHETIC[name]
     system = table.system
-    assert list(system.entry_box) == list(system.entries)
+    assert list(system.entry_box) == list(dict.fromkeys(
+        e for col in table.columns for e in col.entries.values() if type(e) is not int))
     for expr, got in system.entry_box.items():
         assert got == (system.reduce(expr), *system.bounds(expr)), expr
     order = [(bound, limit) for limit in (5, 4000) for bound in (0, 3, 8, 12, 30)]
@@ -673,8 +690,8 @@ def test_compile_reduces_each_definition_constraint_and_entry_once(monkeypatch):
         calls.clear()
         system = tables.ParamSystem.compile(table)
         assert system.order is not None and system.entry_box, rel
-        assert len(calls) == len(system.defined) + len(table.constraints) + len(
-            system.entries), rel
+        assert len(calls) == len(table.free_and_defined()[1]) + len(table.constraints) + len(
+            system.entry_box), rel
     assert len(tried) > 10
 
 

@@ -291,7 +291,7 @@ def test_compiled_check_inputs_belong_to_their_object(monkeypatch):
     monkeypatch.setattr(verify, "tree_check", blocks.tree_check)
     second = list(verify.corpus_reports())
     assert second == first
-    entries = {e for _, t in verify.corpus_tables() for e in t.system.entries}
+    entries = {e for _, t in verify.corpus_tables() for e in t.system.entry_box}
     assert len(entries) > 80 and not [e for e in bounded if e in entries]
     assert calls == {"tree_check": 124}
     # a dataclasses.replace copy compiles its own, and reports as a fresh parse
@@ -317,7 +317,7 @@ def test_compiled_check_inputs_belong_to_their_object(monkeypatch):
         assert verify.run_table_checks(copy) == verify.run_table_checks(_fresh_table(rel))
     # the copy and the fresh parse compile once each, boxing each entry once
     assert calls["compile"] == 2 * len(copied)
-    assert calls["box"] == 2 * sum(len(load(rel).system.entries) for rel in copied) > 0
+    assert calls["box"] == 2 * sum(len(load(rel).system.entry_box) for rel in copied) > 0
     # a copy with other constraints has other bounds, and its own witnesses
     table = load("d2/B4.symbolic.dmx")
     edited = (DATA / "d2" / "B4.symbolic.dmx").read_text().replace(
@@ -334,7 +334,8 @@ def test_entry_box_and_search_plans_match_a_fresh_computation():
     # the per-system data against the box arithmetic and a fresh system
     for rel, table in verify.corpus_tables():
         system, box = table.system, verify.ParamBox(table)
-        assert set(system.entry_box) == set(system.entries), rel
+        assert set(system.entry_box) == {e for col in table.columns
+                                         for e in col.entries.values() if type(e) is not int}, rel
         for expr, (red, lo, hi) in system.entry_box.items():
             assert (lo, hi) == box.bounds(expr), (rel, expr)
             assert red == system.reduce(expr), (rel, expr)
@@ -602,7 +603,8 @@ class Reference:
         self.table = table
         self.hi = hi
         system = table.system
-        self.free, self.defined, self.low = system.free, system.defined, system.lows
+        self.free, self.low = system.free, system.lows
+        self.defined = table.free_and_defined()[1]
         self.high = {}
         for p in self.free:
             up = hi
@@ -760,7 +762,7 @@ def test_param_box_matches_reference_on_fuzzed_tables():
     chained = 0
     for _ in range(150):
         table = _random_synthetic(rng)
-        defined = table.system.defined
+        defined = table.free_and_defined()[1]
         chained += any(expr.names() & defined.keys() for expr in defined.values())
         assert_box_matches_reference(table, rng)
     assert chained > 10  # some definitions use another defined parameter
