@@ -9,15 +9,19 @@ attached to the principal-series members of its family.
 
 What is memoised, each handed out read-only: the families of a group
 (`families`), the members' coordinates and 2^m of each family (`_family`,
-per entry multiset), and each character's Fourier row, both as Fractions
-over the whole family (`family_fourier`) and as integer signs over its
-principal-series members with the common denominator 2^m (`_signed_row`).
-So <rho, R_w> is one sum of signed Weyl values and one Fraction, and
-`dl_vector` computes each principal-series Weyl value once per call for
-all characters.
+per entry multiset), each character's Fourier row as Fractions over its
+whole family (`family_fourier`), and one table per group (`_dl_table`),
+built family by family, of every character's row as integer signs over
+the principal-series members of its family with the common denominator
+2^m.  So <rho, R_w> is one table lookup, one sum of signed Weyl values and
+one Fraction, and `dl_vector` walks the table in catalog order and
+computes each principal-series Weyl value once per call for all
+characters.
 
-A character's label text is read by `degrees.find_char` once `families`
-has accepted the group: any spelling of a catalog label, else LabelError.
+A character's label text is looked up as it is once `families` has
+accepted the group; only a text that is not a catalog label is read by
+`degrees.find_char`: any other spelling of a catalog label, else
+LabelError.
 
 Only untwisted classical groups are supported; twisted and exceptional
 multiplicities are deliberately not guessed at.
@@ -80,10 +84,17 @@ def families(group):
             MappingProxyType({key: tuple(labs) for key, labs in fams.items()}))
 
 
+def _label_key(keys, group, label_text):
+    """The catalog key of a character's label text: the text itself when it
+    is one of `keys` (the catalog's labels), else the label `find_char`
+    reads it as."""
+    return label_text if label_text in keys else str(find_char(group, label_text).label)
+
+
 def family_of(group, label_text):
     """All catalog labels in the family of the given character."""
     keyed, fams = families(group)
-    return tuple(sorted(fams[keyed[str(find_char(group, label_text).label)].entries()]))
+    return tuple(sorted(fams[keyed[_label_key(keyed, group, label_text)].entries()]))
 
 
 def _singles(entries):
@@ -127,14 +138,9 @@ def _family(group, entries):
     return MappingProxyType(coords), 2 ** (twom // 2)
 
 
-def _signs(group, label_text):
-    """(coordinates of the family of a character, its 2^m, and the sign
-    (-1)^|M cap M'| of each member against it)."""
-    keyed, _ = families(group)
-    key = str(find_char(group, label_text).label)
-    coords, den = _family(group, keyed[key].entries())
-    me = coords[key]
-    return coords, den, tuple(-1 if len(me & c) % 2 else 1 for c in coords.values())
+def _sign(me, other):
+    """(-1)^|M cap M'| for the coordinates of two members of a family."""
+    return -1 if len(me & other) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -144,20 +150,39 @@ def family_fourier(group, label_text):
     Returns a read-only mapping {member label: Fraction} with denominator
     2^m; it is memoised and shared by every caller.
     """
-    coords, den, signs = _signs(group, label_text)
-    return MappingProxyType({lab: Fraction(s, den) for lab, s in zip(coords, signs)})
+    keyed, _ = families(group)
+    key = _label_key(keyed, group, label_text)
+    coords, den = _family(group, keyed[key].entries())
+    me = coords[key]
+    return MappingProxyType({lab: Fraction(_sign(me, c), den) for lab, c in coords.items()})
 
 
 @lru_cache(maxsize=None)
+def _dl_table(group):
+    """Every catalog character's Fourier row on the principal-series members
+    of its family, built one family at a time: a read-only mapping, in
+    catalog order, label -> (2^m, ((sign, bipartition, degenerate type-D
+    label), ...)) with the members in family order."""
+    keyed, fams = families(group)
+    cm = catalog_map(group)
+    rows = {}
+    for entries, members in fams.items():
+        coords, den = _family(group, entries)
+        ps = [(coords[lab], cm[lab].label.bip,
+               group.series == "D" and cm[lab].label.kind == "split")
+              for lab in members if cm[lab].hc_series == "ps"]
+        for lab in members:
+            me = coords[lab]
+            rows[lab] = den, tuple((_sign(me, c), bip, deg) for c, bip, deg in ps)
+    return MappingProxyType({lab: rows[lab] for lab in keyed})
+
+
 def _signed_row(group, label_text):
     """The Fourier row of a character on the principal-series members of its
-    family: (2^m, ((sign, bipartition, degenerate type-D label), ...)), in
-    family order."""
-    coords, den, signs = _signs(group, label_text)
-    cm = catalog_map(group)
-    labels = [(cm[lab].label, s) for lab, s in zip(coords, signs) if cm[lab].hc_series == "ps"]
-    return den, tuple((s, label.bip, group.series == "D" and label.kind == "split")
-                      for label, s in labels)
+    family, looked up in the group's table: (2^m, ((sign, bipartition,
+    degenerate type-D label), ...)), in family order."""
+    table = _dl_table(group)
+    return table[_label_key(table, group, label_text)]
 
 
 def _check_class(group, cls):
@@ -190,9 +215,7 @@ def dl_vector(group, cls):
     _check_class(group, cls)
     values = {}
     out = {}
-    for c in catalog(group):
-        lab = str(c.label)
-        den, terms = _signed_row(group, lab)
+    for lab, (den, terms) in _dl_table(group).items():
         total = 0
         for s, bip, deg in terms:
             v = values.get((bip, deg))

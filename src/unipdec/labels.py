@@ -101,11 +101,21 @@ def parse_partition(text):
 
 
 def format_partition(parts):
+    """The exponent spelling of a partition: (2, 1, 1) -> '21^2', () -> ''.
+
+    A pure function of the parts, memoised per tuple (a list or any other
+    iterable is made a tuple first), since catalog builds and label texts
+    spell the same few partitions over and over.
+    """
+    return _format_partition(parts if type(parts) is tuple else tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _format_partition(parts):
     if not parts:
         return ""
     out = []
     i = 0
-    parts = list(parts)
     while i < len(parts):
         j = i
         while j < len(parts) and parts[j] == parts[i]:
@@ -152,7 +162,17 @@ class Bipartition:
 # beta-symbols
 
 def beta_set(partition, length):
-    """Beta-set of given length: increasing parts + index shift."""
+    """Beta-set of given length: increasing parts + index shift, as a tuple.
+
+    Memoised per (partition tuple, length) (a list or any other iterable is
+    made a tuple first), since catalog builds ask for the same few beta-sets
+    over and over; a length shorter than the partition raises LabelError.
+    """
+    return _beta_set(partition if type(partition) is tuple else tuple(partition), length)
+
+
+@lru_cache(maxsize=None)
+def _beta_set(partition, length):
     parts = sorted(partition)
     if len(parts) > length:
         raise LabelError("beta-set length too small")

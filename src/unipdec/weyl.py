@@ -15,6 +15,9 @@ induction asks for the same few products over and over, so `mult_B`,
 single-character induction `induce_char` are memoised.  Their cached
 results are handed out as read-only mappings (`MappingProxyType`), so no
 caller can alter a later result; `induce` builds a fresh dict on every call.
+The Murnaghan-Nakayama recursion memoises its values (`_mn_value`) and the
+rim hooks of each (partition, length) it strips (`_remove_hooks`, handed
+out as tuples).
 """
 
 from __future__ import annotations
@@ -92,11 +95,13 @@ def sign_value(cls):
 # ---------------------------------------------------------------------------
 # hooks on partitions via beta-sets
 
+@lru_cache(maxsize=None)
 def _remove_hooks(partition, length):
-    """All ways to strip a rim hook of given length: (smaller partition, height sign)."""
-    beta = [p + i for i, p in enumerate(sorted(partition))]
+    """All ways to strip a rim hook of given length, as a tuple of (smaller
+    partition, height sign); memoised per (partition tuple, length)."""
     if not partition:
-        return []
+        return ()
+    beta = [p + i for i, p in enumerate(sorted(partition))]
     out = []
     bset = set(beta)
     for b in beta:
@@ -105,7 +110,7 @@ def _remove_hooks(partition, length):
             ht = sum(1 for x in bset if b - length < x < b)
             parts = tuple(sorted((x - i for i, x in enumerate(nb)), reverse=True))
             out.append((check_partition(parts), (-1) ** ht))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +165,9 @@ def char_value_D(n, label_bip, cls):
             "value of a degenerate type-D character at a split class is not implemented")
     v = char_value_B(n, label_bip, cls)
     if degenerate:
-        assert v % 2 == 0
+        if v % 2:
+            raise WeylError(f"degenerate type-D character {label_bip} has the odd "
+                            f"B_{n} value {v} at {cls}, which does not halve")
         return v // 2
     return v
 

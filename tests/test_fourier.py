@@ -160,6 +160,37 @@ def test_fourier_caches_are_read_only():
         cover[0][1] = 7
     assert dl_multiplicity(B3, "3.", w0) == before
     assert fourier._signed_row(B3, ".3") == (row_den, terms)
+    # the group's table of signed rows, and every row in it
+    table = fourier._dl_table(B3)
+    with pytest.raises(TypeError):
+        table["3."] = table[".3"]
+    with pytest.raises(TypeError):
+        del table["3."]
+    assert all(isinstance(row, tuple) and isinstance(row[1], tuple)
+               and all(isinstance(term, tuple) for term in row[1]) for row in table.values())
+    assert table[".3"] is fourier._signed_row(B3, ".3")
+    assert dl_multiplicity(B3, "3.", w0) == before
+
+
+def test_dl_vector_builds_one_table_and_reads_no_catalog_label(monkeypatch):
+    # the group's table is built once, family by family, and a catalog label
+    # is looked up in it as it is; only another spelling reaches find_char
+    B6 = GroupDescriptor.parse("B6")
+    read = []
+    find_char = fourier.find_char
+    monkeypatch.setattr(fourier, "find_char",
+                        lambda group, text: read.append(text) or find_char(group, text))
+    fourier._dl_table.cache_clear()
+    w0 = w0_class(6)
+    vector = dl_vector(B6, w0)
+    assert fourier._dl_table.cache_info().misses == 1
+    assert read == []
+    assert list(vector) == [str(c.label) for c in catalog(B6)]
+    assert list(fourier._dl_table(B6)) == list(vector)
+    assert all(dl_multiplicity(B6, lab, w0) == value for lab, value in vector.items())
+    assert read == [] and fourier._dl_table.cache_info().misses == 1
+    assert dl_multiplicity(B6, ".111111", w0) == vector[".1^6"]
+    assert read == [".111111"]
 
 
 def test_entry_key_rejects_wrong_parity():

@@ -16,7 +16,9 @@ calls `parse_label`, so label text reaches a character one way.  Only
 degree is computed one way, on its first read.  `object.__setattr__` is
 called only in a `__post_init__` and in `UnipChar.degree`: parsed tables,
 trees and catalog characters are memoised and shared by every caller, so
-none may be changed in place after it is built.
+none may be changed in place after it is built.  `src/unipdec` holds no
+`assert` statement, since `python -O` strips them: a check that guards a
+result raises an error of the package.
 """
 
 import ast
@@ -264,3 +266,21 @@ def test_frozen_store_scan_sees_a_call():
               "def f(t):\n    object.__setattr__(t, 'rows', ())\n"
               "object.__setattr__(x, 'y', 2)\nobject.__setattr__\nself.__setattr__('z', 3)\n")
     assert frozen_stores(source) == [("__post_init__", 3), ("f", 5), (None, 6)]
+
+
+def assert_lines(source):
+    """The lines of `source` that hold an `assert` statement, in source order."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_package_holds_no_assert():
+    found = {path.name: assert_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_assert_scan_sees_an_assert():
+    source = ("x = 1\nassert x\ndef f():\n    assert x > 0, 'positive'\n"
+              "    return 'assert x'\n")
+    assert assert_lines(source) == [2, 4]

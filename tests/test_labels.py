@@ -5,9 +5,9 @@ import pytest
 
 from unipdec.degrees import catalog_map, find_char
 from unipdec.labels import (BetaSymbol, Bipartition, GroupDescriptor, LabelError,
-                            bipartition_to_symbol, bipartitions, check_partition,
-                            classical_label_list, d_canonical_bip, parse_label,
-                            parse_partition, partitions, symbol_to_bipartition)
+                            beta_set, bipartition_to_symbol, bipartitions, check_partition,
+                            classical_label_list, d_canonical_bip, format_partition,
+                            parse_label, parse_partition, partitions, symbol_to_bipartition)
 from unipdec.weyl import sym_to_hyper
 
 
@@ -42,6 +42,20 @@ def test_partition_grammar():
     assert parse_partition("") == ()
     with pytest.raises(LabelError):
         parse_partition("12")  # increasing parts are not a partition
+
+
+def test_partition_kernels_take_a_list_as_its_tuple():
+    # format_partition and beta_set are memoised per tuple; a list (which
+    # cannot be a memo key) is read as the tuple of its parts
+    assert format_partition([2, 1, 1]) is format_partition((2, 1, 1))
+    assert beta_set([2, 1, 1], 4) is beta_set((2, 1, 1), 4)
+    for parts, text in (([2, 1, 1], "21^2"), ([3, 3, 1], "3^21"), ([], ""), ([4], "4")):
+        assert format_partition(parts) == format_partition(tuple(parts)) == text
+        assert format_partition(iter(parts)) == text
+    assert beta_set([2, 1, 1], 4) == beta_set((2, 1, 1), 4) == (0, 2, 3, 5)
+    assert beta_set([], 2) == (0, 1)
+    with pytest.raises(LabelError, match="beta-set length too small"):
+        beta_set([2, 1, 1], 2)
 
 
 @pytest.mark.parametrize("text", ["310", "1^0", "1^10", "0", "2^", "^2", "²"])

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from unipdec import weyl
 from unipdec.labels import Bipartition, bipartitions
 from unipdec.weyl import (SignedClass, char_value_B, char_value_D, class_size,
                           induce, restrict_B, sign_value,
@@ -202,6 +203,31 @@ def test_d_values_match_b_on_nonsplit():
 def test_degenerate_split_class_flagged():
     with pytest.raises(WeylError):
         char_value_D(4, Bipartition((2,), (2,)), SignedClass((2, 2), ()))
+
+
+def test_degenerate_value_that_does_not_halve_raises(monkeypatch):
+    # a degenerate type-D value is half the B_n value; an odd B_n value is
+    # an error, also under python -O, rather than silently floored
+    bip, cls = Bipartition((2,), (2,)), w0_class(4)
+    assert char_value_D(4, bip, cls) * 2 == char_value_B(4, bip, cls)
+    monkeypatch.setattr(weyl, "char_value_B", lambda n, chi, c: 3)
+    with pytest.raises(WeylError, match=r"odd B_4 value 3 at \(-;1,1,1,1\), "
+                                        r"which does not halve"):
+        char_value_D(4, bip, cls)
+
+
+def test_remove_hooks_is_memoised_and_hands_out_tuples():
+    weyl._remove_hooks.cache_clear()
+    hooks = weyl._remove_hooks((3, 1), 2)
+    assert hooks == (((1, 1), 1),)
+    assert weyl._remove_hooks((3, 1), 2) is hooks
+    assert weyl._remove_hooks((2, 2), 2) == (((2,), 1), ((1, 1), -1))
+    assert weyl._remove_hooks((), 1) == ()
+    for partition in ((3, 1), (2, 2), (4, 2, 1), (1, 1, 1)):
+        for length in (1, 2, 3):
+            got = weyl._remove_hooks(partition, length)
+            assert isinstance(got, tuple) and all(isinstance(h, tuple) for h in got)
+    assert weyl._remove_hooks.cache_info().currsize == 13
 
 
 def test_sign_value_is_det():
