@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .cyclo import DensePoly, cyclotomic, euler_phi
-from .degrees import (_ennola_index, catalog, catalog_map, defect, find_char,
-                      group_order_poly)
+from .cyclo import DensePoly, cyclotomic, euler_phi, root_order
+from .degrees import catalog, catalog_map, defect, find_char, group_order_poly
 from .labels import GroupDescriptor, LabelError, UnsupportedGroupError, beta_to_partition
 
 
@@ -140,14 +139,15 @@ def _block_key(group, d):
     character, or None without shipped blocks at d (E7 and E8 ship none);
     memoised per (group, d).  Two unipotent characters share a Phi_d-block iff their keys agree
     (Fong-Srinivasan 1982, Broue-Malle-Michel 1993).  The key is the e-core
-    of the partition for A (e = d) and 2A (e the order of -q at a primitive
-    d-th root of unity: 2d for odd d, d/2 for d = 2 mod 4, d for d = 0 mod
-    4), the d-core of the symbol for B, C, D and 2D, and for an exceptional
-    group the index of the shipped block holding the label, or the label
-    itself (a defect-0 singleton).  A shipped label outside the catalog,
-    or in two blocks, raises BlockError."""
+    of the partition for A (e = d, the order of q at a primitive d-th root
+    of unity) and 2A (e the order of -q: 2d for odd d, d/2 for d = 2 mod 4,
+    d for d = 0 mod 4; both from `root_order`), the d-core of the symbol
+    for B, C, D and 2D, and for an exceptional group the index of the
+    shipped block holding the label, or the label itself (a defect-0
+    singleton).  A shipped label outside the catalog, or in two blocks,
+    raises BlockError."""
     if group.series in ("A", "2A"):
-        e = d if group.series == "A" else _ennola_index(d)
+        e = root_order(2 if group.series == "A" else d + 2, d)
         return lambda c: partition_core(c.symbol.top, e)
     if group.series in ("B", "C", "D", "2D"):
         return lambda c: symbol_core(c.symbol, d)

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 
 
 class CycloError(ValueError):
@@ -174,6 +175,13 @@ def cyclotomic(d):
 def euler_phi(d):
     """The degree of Phi_d; memoised per d."""
     return cyclotomic(d).degree()
+
+
+def root_order(k, d):
+    """The order of w^k for w a primitive 2d-th root of unity.  With q = w^2
+    and -1 = w^d this is the order of every specialised parameter: q^j is
+    w^(2j), -q^j is w^(2j + d)."""
+    return 2 * d // gcd(k, 2 * d)
 
 
 # ---------------------------------------------------------------------------

@@ -159,20 +159,6 @@ def group_order_poly(g):
     return _from_counts(1, sum(k - 1 for k, _ in factors), minus, plus)
 
 
-def _ennola_index(e):
-    """The d with Phi_e(-q) = +-Phi_d(q): Ennola duality exchanges Phi_e of
-    G with Phi_d of its twisted form."""
-    if e == 1:
-        return 2
-    if e == 2:
-        return 1
-    if e % 2 == 1:
-        return 2 * e
-    if e % 4 == 2:
-        return e // 2
-    return e
-
-
 # ---------------------------------------------------------------------------
 # symbol degrees
 

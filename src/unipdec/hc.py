@@ -15,9 +15,9 @@ HC series of a source label and its cover of W(B_n)-characters
 a cover reads back as catalog labels of the target, halved or not, and
 which swapped partner must carry the same coefficient in type D
 (`_read_back`); the induction of one W(B_m)-character into W(B_n)
-(`weyl.induce_char`, keyed by the bipartition, n and the GL-factor
-partitions); and the induction matrix of a (source, target) pair
-(`induction_matrix`, which `hc_restrict` reads on every call).
+(`weyl.induce_char`, keyed by the bipartition and n); and the induction
+matrix of a (source, target) pair (`induction_matrix`, which `hc_restrict`
+reads on every call).
 `hc_induce` itself is not memoised: it sums the source labels' covers over
 the whole vector, in vector order, then sums the cached W(B_n)-characters
 over that cover and only then reads the sum back as labels of the target.
@@ -129,14 +129,13 @@ def _half(c):
     return c // 2
 
 
-def hc_induce(source_group, vector, target_group, extra_a_factors=()):
+def hc_induce(source_group, vector, target_group):
     """Unipotent part of R_L^G applied to a unipotent-part vector.
 
     `vector` maps source catalog labels, in any spelling, to coefficients;
     the source sits inside the target as a Levi of the same classical
-    family, optionally times GL-factors carrying the partitions in
-    `extra_a_factors`; leftover rank is torus.  A source of another series
-    than the target's (type A aside) raises UnsupportedGroupError.
+    family, leftover rank torus.  A source of another series than the
+    target's (type A aside) raises UnsupportedGroupError.
     """
     if source_group.series not in (target_group.series, "A"):
         raise UnsupportedGroupError("mixed-series HC induction not supported")
@@ -151,13 +150,12 @@ def hc_induce(source_group, vector, target_group, extra_a_factors=()):
             cover[bip] = cover.get(bip, 0) + c * k
     if covers:
         _cover_rank(source_group)  # raises for a source outside A, B, C, D, 2D
-    a_factors = tuple(tuple(p) for p in extra_a_factors)
     out = {}
     for core, cover in covers.items():
         n = _rel_rank(target_group, core)
         acc = {}
         for bip, c in cover.items():
-            for b2, k in induce_char(bip, n, a_factors).items():
+            for b2, k in induce_char(bip, n).items():
                 acc[b2] = acc.get(b2, 0) + c * k
         if core == "ps":
             _from_b_cover(target_group, acc, out)

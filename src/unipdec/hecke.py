@@ -7,6 +7,11 @@ combinatorics: e-regular partitions in type A, Uglov/Kleshchev bipartitions
 of a level-2 Fock space in type B, with a Dipper-James splitting into a sum
 of type-A pairs when the B_1-eigenvalue is not tied to the branch parameter.
 
+Every specialised parameter is a power of w, a primitive 2d-th root of
+unity, with q = w^2 and -1 = w^d (`Param.exponent`); its order is
+`cyclo.root_order`.  For H(B_n; Q; v), -Q = v^k gives the Fock charges
+(k, 0); otherwise the algebra splits.
+
 Type D is out of computational scope beyond the semisimple case (the
 number of irreducible characters of W(D_n)); the paper's |Irr H| counts at
 an order-2 branch parameter are stored for the small ranks that appear in
@@ -17,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
+from .cyclo import root_order
 from .labels import partitions
 
 
@@ -140,6 +145,13 @@ class Param:
             return cls("pow", int(text[2:]))
         raise HeckeError(f"cannot parse Hecke parameter {text!r}")
 
+    def exponent(self, d):
+        """The exponent k in Z/2d with this parameter = w^k, for w a primitive
+        2d-th root of unity: q = w^2 and -1 = w^d."""
+        if self.kind == "pow":
+            return 2 * self.value % (2 * d)
+        return 0 if self.value == 1 else d
+
     def __str__(self):
         if self.kind == "lit":
             return str(self.value)
@@ -159,27 +171,6 @@ class HeckeSpec:
         return f"H({self.coxeter_type}{self.rank};{self.branch})"
 
 
-class _Mu:
-    """Element bookkeeping in <q> union -<q> for q of order d."""
-
-    def __init__(self, d, param):
-        self.d = d
-        if param.kind == "pow":
-            self.exp, self.negated = param.value % d, False
-        else:
-            if param.value == 1:
-                self.exp, self.negated = 0, False
-            elif d % 2 == 0:
-                self.exp, self.negated = d // 2, False
-            else:
-                self.exp, self.negated = 0, True  # -1 itself, outside <q>
-
-    def order(self):
-        if self.negated:  # -1 itself, which __init__ only builds with exp 0
-            return 2
-        return self.d // gcd(self.exp, self.d) if self.exp else 1
-
-
 @dataclass(frozen=True)
 class FockCharge:
     e: int
@@ -193,45 +184,36 @@ class SemisimpleMarker:
 
 
 def specialize(spec, d):
-    """Charge data of the specialised algebra, or a splitting/semisimple marker."""
+    """Charge data of the specialised algebra, or a splitting/semisimple marker.
+
+    Every parameter is a power of w, a primitive 2d-th root of unity.  In
+    type B, -Q = v^k gives the charges (k, 0); any other -Q splits the
+    algebra (Dipper-James).
+    """
     if d < 1:
         raise HeckeError("d must be >= 1")
-    if spec.coxeter_type == "A":
-        v = _Mu(d, spec.branch)
-        e = v.order()
-        if e == 1:
-            return SemisimpleMarker("partitions")
-        return FockCharge(e, (0,))
-    if spec.coxeter_type != "B":
+    if spec.coxeter_type not in ("A", "B"):
         raise HeckeError(f"specialize does not handle type {spec.coxeter_type}")
-    v = _Mu(d, spec.branch)
-    Q = _Mu(d, spec.b1)
-    ev = v.order()
-    if ev == 1:
-        # branch parameter is 1: the branch factor is a symmetric group
+    v = spec.branch.exponent(d)
+    e = root_order(v, d)
+    if spec.coxeter_type == "A":
+        return SemisimpleMarker("partitions") if e == 1 else FockCharge(e, (0,))
+    minus_q = (spec.b1.exponent(d) + d) % (2 * d)
+    if e == 1:
+        # branch parameter 1: the branch factor is a symmetric group
         # algebra in large characteristic
-        if not Q.negated and Q.exp == 0:
+        if minus_q == d:  # Q = 1
             return SemisimpleMarker("bipartitions")
-        if (Q.negated and Q.exp == 0) or (not Q.negated and d % 2 == 0 and Q.exp == d // 2):
-            # eigenvalues of T_0 collide at -1: one partition per simple
+        if minus_q == 0:
+            # Q = -1: eigenvalues of T_0 collide at -1, one partition per simple
             return SemisimpleMarker("partitions")
         return SemisimpleMarker("split", e=None)
-    # -Q in <v>?  c*k = exp(-Q) (mod d) solvable in k
-    c = v.exp if v.exp else d  # ord issues: exp 0 handled above
-    if Q.negated:
-        minus_q_exp, outside = Q.exp, False  # -Q = q^exp
-    else:
-        if d % 2 == 0:
-            minus_q_exp, outside = (Q.exp + d // 2) % d, False
-        else:
-            minus_q_exp, outside = None, True
-    if not outside:
-        g = gcd(c, d)
-        if minus_q_exp % g == 0:
-            # solve k*c = minus_q_exp mod d
-            k = (minus_q_exp // g) * pow(c // g, -1, d // g) % (d // g)
-            return FockCharge(ev, (k % ev, 0))
-    return SemisimpleMarker("split", e=ev)
+    # -Q in <v> iff gcd(v, 2d) = 2d / e divides its exponent; then solve
+    # k v = -Q (mod 2d) for k mod e
+    g = 2 * d // e
+    if minus_q % g:
+        return SemisimpleMarker("split", e=e)
+    return FockCharge(e, (minus_q // g * pow(v // g, -1, e) % e, 0))
 
 
 def count_simples(spec, d):
@@ -276,8 +258,7 @@ def d_reference_count(spec, d):
     parameter that specialises to 1 leaves the group algebra of W(D_n),
     whose classes are counted; order 2 reads stored data."""
     n = spec.rank
-    v = _Mu(d, spec.branch)
-    ev = v.order()
+    ev = root_order(spec.branch.exponent(d), d)
     if n <= 1:
         return 1
     if n == 2:

@@ -496,13 +496,10 @@ def hcr_candidates(target_group, target_table, combo, levis):
     for mults in iproduct(*ranges):
         if not any(mults) or list(mults) == [combo[j] for j in cols]:
             continue
-        vec = {}
+        coeffs = [0] * target_table.size()
         for j, m in zip(cols, mults):
-            if not m:
-                continue
-            for i, e in target_table.columns[j].entries.items():
-                lab = target_table.rows[i]
-                vec[lab] = vec.get(lab, 0) + m * e
+            coeffs[j] = m
+        vec = _recompose(target_table, coeffs)
         if all(restriction_nonneg(target_group, target_table, vec, lg, lt)
                for lg, lt in levis):
             out.append(tuple((j, m) for j, m in zip(cols, mults) if m))

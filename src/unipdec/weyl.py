@@ -329,14 +329,13 @@ def induce(factors, n):
 
 
 @lru_cache(maxsize=None)
-def induce_char(chi, n, a_factors=()):
-    """Induce chi (a bipartition) times the S_k-characters `a_factors` (a
-    tuple of partition tuples) up to W(B_n), filling the rest with torus.
+def induce_char(chi, n):
+    """Induce chi (a bipartition) up to W(B_n), filling the rest with torus.
 
-    This is `induce([("B", {chi: 1})] + [("A", p) for p in a_factors], n)`,
-    memoised, as a read-only mapping on bipartitions.
+    This is `induce([("B", {chi: 1})], n)`, memoised, as a read-only mapping
+    on bipartitions.
     """
-    return MappingProxyType(induce([("B", {chi: 1})] + [("A", p) for p in a_factors], n))
+    return MappingProxyType(induce([("B", {chi: 1})], n))
 
 
 @lru_cache(maxsize=None)

@@ -31,6 +31,15 @@ def test_hecke_count():
     assert code == 0 and out.strip() == "5"
 
 
+def test_hecke_literal_parameters_list_the_d2_crystal():
+    # H(B4; 1; -1) has literal parameters, so odd d gives the d = 2 algebra
+    argv = ["hecke", "--type", "B", "--rank", "4", "--b1", "1", "--branch", "-1", "--list"]
+    code, out = run(argv + ["--d", "3"])
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "6" and len(lines) == 7
+    assert run(argv + ["--d", "2"]) == (0, out)
+
+
 def test_hecke_spec_product():
     code, out = run(["hecke", "--spec", "A1;q x B2;q^2;q", "--d", "2"])
     assert code == 0 and out.strip() == "2"

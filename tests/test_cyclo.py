@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from unipdec.cyclo import (DensePoly, FactoredPoly, cyclotomic, factor_dense,
-                           format_factored, normalize, parse_factored)
+                           format_factored, normalize, parse_factored, root_order)
 
 
 def test_cyclotomic_basics():
@@ -21,6 +21,14 @@ def test_cyclotomic_product_identity():
             if n % e == 0:
                 prod = prod * cyclotomic(e)
         assert prod == DensePoly([-1] + [0] * (n - 1) + [1])
+
+
+def test_root_order_is_the_angle_denominator():
+    # w^k for w a primitive 2d-th root of unity sits at the angle k/(2d) of
+    # a turn; its order is that angle's denominator
+    for d in range(1, 31):
+        for k in range(2 * d):
+            assert root_order(k, d) == (Fraction(k, 2 * d) % 1).denominator, (k, d)
 
 
 def test_expand_examples():

@@ -12,8 +12,8 @@ from itertools import combinations, product
 import pytest
 
 from unipdec.cyclo import CycloError, FactoredPoly, parse_factored
-from unipdec.degrees import (A_value, UnipChar, UnsupportedGroupError, _ennola_index,
-                             _hooks, _minus_divisors, _order_factors, _partition_a_A,
+from unipdec.degrees import (A_value, UnipChar, UnsupportedGroupError, _hooks,
+                             _minus_divisors, _order_factors, _partition_a_A,
                              _plus_divisors, _series_tag, _shift_exponent, _symbol_a_A,
                              a_value, catalog, catalog_map, defect, degree_poly, find_char,
                              group_order_poly, perversity, perversity_2_shortcut,
@@ -405,7 +405,10 @@ def _ref_ennola(p):
     if p.q_exp % 2 == 1:
         sign = -sign
     for e, m in p.cyclo_mults:
-        mults[_ennola_index(e)] = mults.get(_ennola_index(e), 0) + m
+        # q -> -q sends Phi_e to +-Phi_f, f the order of -q for q of order
+        # e: the denominator of the angle 1/e + 1/2
+        f = ((Fraction(1, e) + Fraction(1, 2)) % 1).denominator
+        mults[f] = mults.get(f, 0) + m
         if e in (1, 2) and m % 2 == 1:
             sign = -sign
     scalar = abs(p.scalar)

@@ -20,7 +20,8 @@ import pytest
 from unipdec import degrees, hc, tables, verify, weyl
 from unipdec.degrees import UnsupportedGroupError, catalog, find_char
 from unipdec.hc import HCError, hc_induce, hc_restrict, table_column_vector
-from unipdec.labels import Bipartition, GroupDescriptor, LabelError, parse_label, partitions
+from unipdec.labels import (Bipartition, GroupDescriptor, LabelError, bipartitions, parse_label,
+                            partitions)
 from unipdec.tables import ParamExpr
 
 from test_tables import with_param_entries
@@ -210,7 +211,7 @@ class Reference:
         return c // 2
 
     @staticmethod
-    def hc_induce(source_group, vector, target_group, extra_a_factors=()):
+    def hc_induce(source_group, vector, target_group):
         if target_group.series in ("B", "C", "D") and source_group.series != target_group.series:
             if not (source_group.series in ("A", "D", "B", "C")):
                 raise UnsupportedGroupError("mixed-series HC induction not supported")
@@ -233,8 +234,7 @@ class Reference:
             n = Reference._rel_rank(target_group, core)
             acc = {}
             for bip, c in cover.items():
-                factors = [("B", {bip: 1})] + [("A", tuple(p)) for p in extra_a_factors]
-                res = Reference.induce(factors, n)
+                res = Reference.induce([("B", {bip: 1})], n)
                 for b2, k in res.items():
                     acc[b2] = acc.get(b2, 0) + c * k
             if core == "ps":
@@ -381,16 +381,15 @@ def test_hc_induce_matches_reference_on_levi_columns(levi):
 def test_hc_induce_matches_reference_on_random_vectors():
     rng = random.Random(6)
     names = ("x", "y")
-    for source, target, extra in (("A1", "D4", ()), ("A2", "B4", ()), ("D3", "D5", ()),
-                                  ("D4", "D5", ()), ("D4", "D6", ((1,),)),
-                                  ("B2", "B4", ()), ("B4", "B6", ((2,),)),
-                                  ("2D4", "2D6", ()), ("A1", "B3", ((1,),))):
+    for source, target in (("A1", "D4"), ("A2", "B4"), ("D3", "D5"), ("D4", "D5"),
+                           ("D4", "D6"), ("B2", "B4"), ("B4", "B6"), ("2D4", "2D6"),
+                           ("A1", "B3")):
         gs, gt = GroupDescriptor.parse(source), GroupDescriptor.parse(target)
         labs = [str(c.label) for c in catalog(gs)]
         for _ in range(30):
             vec = random_vector(rng, labs, names)
-            got = outcome(hc_induce, gs, vec, gt, extra)
-            want = outcome(Reference.hc_induce, gs, vec, gt, extra)
+            got = outcome(hc_induce, gs, vec, gt)
+            want = outcome(Reference.hc_induce, gs, vec, gt)
             assert got[0] == want[0] and same(got[1], want[1]), (source, target, vec)
 
 
@@ -528,7 +527,7 @@ def test_weyl_caches_are_read_only():
     chi, psi = Bipartition((2,), ()), Bipartition((), (1,))
     before = dict(weyl.mult_B(chi, psi))
     for value in (weyl.mult_B(chi, psi), weyl.regular_B(2), weyl.sym_to_hyper((2, 1)),
-                  weyl.induce_char(chi, 4), weyl.induce_char(chi, 5, ((1,),)),
+                  weyl.induce_char(chi, 4),
                   weyl.lr_expand_product((1,), (1,))):
         with pytest.raises(TypeError):
             value[chi] = 99
@@ -541,6 +540,17 @@ def test_weyl_caches_are_read_only():
     res.clear()
     assert weyl.induce([("B", {chi: 1})], 3) == want == dict(weyl.induce_char(chi, 3))
     assert weyl.induce_char(chi, 3) == Reference.induce([("B", {chi: 1})], 3)
+
+
+def test_induce_with_gl_factors_matches_reference():
+    # a W(B_m)-character times S_k-characters, the rest torus, up to W(B_n)
+    for a_factors in (((1,),), ((2,),), ((1, 1),), ((1,), (2,))):
+        k = sum(map(sum, a_factors))
+        for m in range(4):
+            for chi in bipartitions(m):
+                factors = [("B", {chi: 1})] + [("A", p) for p in a_factors]
+                for n in range(m + k, 7):
+                    assert weyl.induce(factors, n) == Reference.induce(factors, n), (chi, n)
 
 
 def test_induction_matrix_is_read_only():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from unipdec.hecke import (HeckeError, HeckeSpec, Param, SemisimpleMarker,
@@ -22,6 +24,15 @@ def test_type_b_rows_of_the_irr_table():
     assert row("-1", "1", 2, 5) == [1, 2, 3, 5, 7]
     assert row("1", "-1", 2, 6) == [2, 2, 4, 6, 8, 12]
     assert row("-1", "-1", 2, 6) == [1, 2, 3, 4, 6, 9]
+
+
+@pytest.mark.parametrize("b1, branch", [("1", "-1"), ("-1", "-1"), ("1", "1"), ("-1", "1")])
+def test_literal_parameters_do_not_depend_on_d(b1, branch):
+    # 1 and -1 specialise to themselves at every d, so the algebra, and its
+    # Fock charges, are those of d = 2
+    want = row(b1, branch, 2, 6)
+    for d in range(1, 9):
+        assert row(b1, branch, d, 6) == want, d
 
 
 def test_d6_specialisation_rows():
@@ -118,13 +129,23 @@ def test_bad_spec():
         Param.parse("q^")
 
 
+def angle_order(param, d):
+    """The order of `param` at a primitive d-th root of unity q: the
+    denominator of its angle as a fraction of a turn (q^j at j/d, the
+    literal 1 at 0 and -1 at 1/2)."""
+    if param.kind == "pow":
+        turn = Fraction(param.value, d)
+    else:
+        turn = Fraction(0 if param.value == 1 else 1, 2)
+    return (turn % 1).denominator
+
+
 def reference_d_count(spec, d):
     """d_reference_count with both rows of the paper's type-D table stored."""
-    from unipdec.hecke import _Mu
     table = {1: {1: 1, 2: 2, 3: 3, 4: 13, 5: 18, 6: 37},
              2: {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 6}}
     n = spec.rank
-    ev = _Mu(d, spec.branch).order() or 2
+    ev = angle_order(spec.branch, d)
     if n <= 1:
         return 1
     if n == 2:
