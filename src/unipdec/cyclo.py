@@ -364,11 +364,6 @@ def factor_dense(p):
     return FactoredPoly.from_parts(p.coeffs[0], k, mults)
 
 
-def normalize(p):
-    """Canonical factored form: re-factor through the dense expansion."""
-    return factor_dense(p.expand())
-
-
 # ---------------------------------------------------------------------------
 # text format, e.g.  1/2*q^3*P1^4*P3
 

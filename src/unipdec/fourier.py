@@ -34,7 +34,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .degrees import catalog, catalog_map, find_char
-from .labels import BetaSymbol, UnsupportedGroupError
+from .labels import HC_SERIES, BetaSymbol, UnsupportedGroupError
 from .weyl import char_value_B, char_value_D
 
 
@@ -58,11 +58,6 @@ def _entry_key(sym, parity):
     return sym
 
 
-def _family_parity(group):
-    # B/C: odd number of entries; D/2D: even
-    return 1 if group.series in ("B", "C") else 0
-
-
 @lru_cache(maxsize=None)
 def families(group):
     """Partition of the catalog into families, keyed by shifted entry multisets.
@@ -72,7 +67,8 @@ def families(group):
     """
     if group.series not in ("B", "C", "D"):
         raise UnsupportedGroupError(f"families implemented for untwisted classical {group}")
-    parity = _family_parity(group)
+    # a symbol's number of entries has the parity of its defect: odd for B/C
+    parity = HC_SERIES[group.series][0][0]
     reduced = {str(c.label): _entry_key(c.symbol, parity) for c in catalog(group)}
     # grow every symbol to a common size so multisets are comparable
     maxlen = max(_size(s) for s in reduced.values())

@@ -2,8 +2,10 @@
 
 Induction acts series by series: principal-series parts go through Weyl-group
 induction (type D via the symmetrised B_n-cover), cuspidal-core parts (B2:,
-B6:, D4:) through their relative type-B Weyl groups.  This is what the
-(HCi)/(HCr) checks of the verification engine consume.
+B6:, D4:, 2D9:) through their relative type-B Weyl groups.  A series of
+symbol defect D in `labels.HC_SERIES` has the relative Weyl group W(B_m),
+m = n - D*D // 4.  This is what the (HCi)/(HCr) checks of the verification
+engine consume.
 
 Every label text is read by `degrees.find_char`: a source label must name
 a character of the source catalog, in any spelling, or LabelError is raised.
@@ -38,7 +40,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .degrees import catalog, find_char
-from .labels import _CORE_RANK, UnsupportedGroupError, d_canonical_bip, format_partition
+from .labels import HC_SERIES, UnsupportedGroupError, d_canonical_bip, format_partition
 from .tables import ParamExpr
 from .weyl import induce_char, sym_to_hyper
 
@@ -57,8 +59,8 @@ def _label_cover(group, text):
     symmetrised, {lam, mu} contributing both orientations and each half of
     a degenerate pair its bipartition once.
     """
-    label = find_char(group, text).label
-    core = label.core or "ps"
+    char = find_char(group, text)
+    core, label = char.hc_series, char.label
     bip = label.bip
     if core != "ps":
         return core, ((bip, 1),)
@@ -69,22 +71,17 @@ def _label_cover(group, text):
     return core, ((bip, 1),)
 
 
-def _cover_rank(group):
-    s, n = group.series, group.rank
-    if s in ("B", "C", "D"):
-        return n
-    if s == "2D":
-        return n - 1
-    if s == "A":
-        return None
-    raise UnsupportedGroupError(f"HC induction not implemented for {group}")
-
-
 def _rel_rank(group, core):
-    base = _cover_rank(group)
-    if base is None:  # a type-A target has no W(B_n) cover
-        raise UnsupportedGroupError(f"HC induction into {group} not implemented")
-    return base - _CORE_RANK.get(core, 0) if core != "ps" else base
+    """The rank m of the relative Weyl group W(B_m) of the group's series
+    with this core ("ps" for the principal series): n - D*D // 4 for the
+    series' symbol defect D in `HC_SERIES`.  None for type A, which has no
+    W(B_n) cover; any other series raises UnsupportedGroupError."""
+    if group.series == "A":
+        return None
+    for defect, c in HC_SERIES.get(group.series, ()):
+        if (c or "ps") == core:
+            return group.rank - defect * defect // 4
+    raise UnsupportedGroupError(f"HC induction not implemented for {group}")
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +146,12 @@ def hc_induce(source_group, vector, target_group):
         for bip, k in terms:
             cover[bip] = cover.get(bip, 0) + c * k
     if covers:
-        _cover_rank(source_group)  # raises for a source outside A, B, C, D, 2D
+        _rel_rank(source_group, "ps")  # raises for a source outside A, B, C, D, 2D
     out = {}
     for core, cover in covers.items():
         n = _rel_rank(target_group, core)
+        if n is None:  # a type-A target has no W(B_n) cover
+            raise UnsupportedGroupError(f"HC induction into {target_group} not implemented")
         acc = {}
         for bip, c in cover.items():
             for b2, k in induce_char(bip, n).items():

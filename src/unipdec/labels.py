@@ -1,9 +1,13 @@
 """Combinatorial labels for unipotent characters and per-group catalogs.
 
 Classical-group characters are labelled by bipartitions / beta-symbols,
-possibly prefixed with a cuspidal core ("B2:", "D4:", "B6:").  Degenerate
-type-D labels come in +/- pairs ("3+", "3-").  Exceptional-group labels are
-names loaded from the shipped catalog files ("phi{20,10}", "E6[z3]", ...).
+possibly prefixed with a cuspidal core ("B2:", "B6:", "D4:", "2D9:").
+`HC_SERIES` is the one table of each classical series' ordinary
+Harish-Chandra series: its symbol defect D and cuspidal core, of rank
+D*D // 4, so that in rank n a series is labelled by the bipartitions of
+n - D*D // 4.  Degenerate type-D labels come in +/- pairs ("3+", "3-").
+Exceptional-group labels are names loaded from the shipped catalog files
+("phi{20,10}", "E6[z3]", ...).
 
 Label grammar (bit-exact, shared with the table files):
     bipartitions    21.1^3      (empty side allowed: "3." or ".1^4")
@@ -282,8 +286,23 @@ class UnipLabel:
         return self.text
 
 
-_CORE_RANK = {"B2": 2, "B6": 6, "D4": 4, "2D9": 9}
-_CORE_DEFECT = {"B2": 3, "B6": 5, "D4": 4, "2D9": 6}
+#: The ordinary Harish-Chandra series of each classical series, as (symbol
+#: defect D, cuspidal core or None for the principal series), defects
+#: increasing.  By Lusztig's classification a core of defect D is cuspidal
+#: in rank D*D // 4, so a series of defect D is labelled in rank n by the
+#: bipartitions of n - D*D // 4.  The next core's defect is the next step
+#: of the same size (2 for B/C, 4 for D/2D); a rank that reaches it is
+#: refused (`classical_label_list`), not extended, since a part above 9
+#: has no spelling in a table file (`parse_partition`).
+HC_SERIES = {
+    "B": ((1, None), (3, "B2"), (5, "B6")),
+    "C": ((1, None), (3, "B2"), (5, "B6")),
+    "D": ((0, None), (4, "D4")),
+    "2D": ((2, None), (6, "2D9")),
+}
+#: (series, core or None) -> symbol defect, read off HC_SERIES
+_DEFECT = {(s, core): defect for s, series in HC_SERIES.items() for defect, core in series}
+_CORES = frozenset(core for _, core in _DEFECT if core)
 
 
 def parse_label(text, group=None):
@@ -300,13 +319,11 @@ def parse_label(text, group=None):
         raise LabelError("empty label")
     if group is not None and group.series in FIXED_RANK:
         return UnipLabel("named", text)
-    m = re.match(r"^(B2|B6|D4|2D9):(.*)$", text)
-    if m:
-        if "." not in m.group(2):
+    core, colon, rest = text.partition(":")
+    if core in _CORES:
+        if colon and "." not in rest:
             raise LabelError(f"core label needs a bipartition: {text!r}")
-        return core_label(m.group(1), Bipartition.parse(m.group(2)))
-    if text in _CORE_RANK:
-        return core_label(text, Bipartition((), ()))
+        return core_label(core, Bipartition.parse(rest) if colon else Bipartition((), ()))
     if text.endswith("+") or text.endswith("-"):
         return split_label(parse_partition(text[:-1]), text[-1])
     if "." in text:
@@ -362,27 +379,19 @@ def bipartitions(n):
 # symbol normalisation per series
 
 def label_symbol(group, label):
-    """The reduced beta-symbol attached to a classical-group label."""
+    """The reduced beta-symbol attached to a classical-group label: a
+    label of the series of defect D (`HC_SERIES`) has its bipartition put
+    on a symbol of defect D, unordered in type D's principal series."""
     s = group.series
-    n = group.rank
-    if s in ("B", "C"):
-        if label.kind == "bip":
-            return bipartition_to_symbol(label.bip, 1)
-        if label.kind == "core" and label.core in ("B2", "B6"):
-            return bipartition_to_symbol(label.bip, _CORE_DEFECT[label.core])
-    elif s == "D":
-        if label.kind in ("bip", "split"):
-            return d_canonical_symbol(bipartition_to_symbol(label.bip, 0))
-        if label.kind == "core" and label.core == "D4":
-            return bipartition_to_symbol(label.bip, 4)
-    elif s == "2D":
-        if label.kind == "bip":
-            return bipartition_to_symbol(label.bip, 2)
-        if label.kind == "core" and label.core == "2D9":
-            return bipartition_to_symbol(label.bip, 6)
-    elif s == "A" or s == "2A":
+    if s in ("A", "2A"):
         if label.kind in ("partition", "bip"):
             return BetaSymbol(beta_set(label.bip.left, len(label.bip.left) or 1), ())
+    elif label.kind in ("bip", "core") or (label.kind, s) == ("split", "D"):
+        defect = _DEFECT.get((s, label.core))
+        if defect == 0:
+            return d_canonical_symbol(bipartition_to_symbol(label.bip, 0))
+        if defect is not None:
+            return bipartition_to_symbol(label.bip, defect)
     raise LabelError(f"no symbol for {label} in {group}")
 
 
@@ -404,48 +413,37 @@ def d_canonical_bip(bip):
 # catalogs
 
 def classical_label_list(group):
-    """All unipotent character labels of a classical group, unordered."""
+    """All unipotent character labels of a classical group, unordered: a
+    series of defect D in `HC_SERIES` gives one label per bipartition of
+    n - D*D // 4, type D's principal series one per unordered pair and a
+    +/- pair per degenerate one.  A rank that reaches a cuspidal series
+    the table does not hold raises UnsupportedGroupError."""
     s, n = group.series, group.rank
-    out = []
     if s in ("A", "2A"):
-        for lam in partitions(n + 1):
-            out.append(UnipLabel("partition", format_partition(lam),
-                                 bip=Bipartition(lam, ())))
-        return out
-    if s in ("B", "C"):
-        for bip in bipartitions(n):
-            out.append(bip_label(bip))
-        if n >= 2:
-            for bip in bipartitions(n - 2):
-                out.append(core_label("B2", bip))
-        if n >= 6:
-            for bip in bipartitions(n - 6):
-                out.append(core_label("B6", bip))
-        return out
-    if s == "D":
-        seen = set()
-        for bip in bipartitions(n):
-            if bip.left == bip.right:
-                out.append(split_label(bip.left, "+"))
-                out.append(split_label(bip.left, "-"))
-                continue
-            c = d_canonical_bip(bip)
-            if c in seen:
-                continue
-            seen.add(c)
-            out.append(bip_label(c))
-        if n >= 4:
-            for bip in bipartitions(n - 4):
-                out.append(core_label("D4", bip))
-        return out
-    if s == "2D":
-        for bip in bipartitions(n - 1):
-            out.append(bip_label(bip))
-        if n >= 9:
-            for bip in bipartitions(n - 9):
-                out.append(core_label("2D9", bip))
-        return out
-    raise UnsupportedGroupError(f"no classical catalog for {group}")
+        return [UnipLabel("partition", format_partition(lam), bip=Bipartition(lam, ()))
+                for lam in partitions(n + 1)]
+    if s not in HC_SERIES:
+        raise UnsupportedGroupError(f"no classical catalog for {group}")
+    series = HC_SERIES[s]
+    missing = 2 * series[-1][0] - series[-2][0]
+    if n >= missing * missing // 4:
+        raise UnsupportedGroupError(
+            f"{group} has a cuspidal series of defect {missing} that labels.HC_SERIES "
+            f"does not hold")
+    out = []
+    for defect, core in series:
+        if n < defect * defect // 4:
+            break
+        for bip in bipartitions(n - defect * defect // 4):
+            if core:
+                out.append(core_label(core, bip))
+            elif s != "D":
+                out.append(bip_label(bip))
+            elif bip.left == bip.right:
+                out += (split_label(bip.left, "+"), split_label(bip.left, "-"))
+            elif bip == d_canonical_bip(bip):
+                out.append(bip_label(bip))
+    return out
 
 
 def resolve_label(group, text):

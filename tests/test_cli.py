@@ -451,8 +451,9 @@ def test_python_dash_m_runs_verify_from_a_checkout():
     (["hecke", "--spec", "B;q;q", "--d", "2"], 3, "error: no rank in 'B;q;q'"),
     (["induce", "--char", "3.1", "--rank", "2"], 3,
      "error: factor sizes exceed the target rank"),
+    (["degrees", "--group", "B12"], 3, "error: B12 has a cuspidal series of defect 7"),
 ], ids=["degrees-d-0", "degrees-d-minus-2", "hecke-no-rank", "hecke-spec-no-rank",
-        "induce-too-large"])
+        "induce-too-large", "degrees-b12"])
 def test_bad_requests_exit_without_a_traceback(capsys, argv, code, message):
     # 1 means "a check failed"; a bad argument is 2, an unsupported request 3
     try:

@@ -176,8 +176,10 @@ class Reference:
 
     @staticmethod
     def _rel_rank(group, core):
-        base = Reference._cover_rank(group)
-        return base - hc._CORE_RANK.get(core, 0) if core != "ps" else base
+        # the cuspidal core of rank r leaves the relative Weyl group W(B_{n-r})
+        if core == "ps":
+            return Reference._cover_rank(group)
+        return group.rank - {"B2": 2, "B6": 6, "D4": 4, "2D9": 9}[core]
 
     @staticmethod
     def _from_b_cover(group, cover):
@@ -391,6 +393,16 @@ def test_hc_induce_matches_reference_on_random_vectors():
             got = outcome(hc_induce, gs, vec, gt)
             want = outcome(Reference.hc_induce, gs, vec, gt)
             assert got[0] == want[0] and same(got[1], want[1]), (source, target, vec)
+
+
+def test_2d9_series_induces_through_its_relative_weyl_group():
+    # the cuspidal 2D9 leaves W(B_{n-9}) in 2D_n: from 2D9 to 2D10 its
+    # series induces as the trivial character of W(B_0) into W(B_1)
+    d9, d10, d11 = (GroupDescriptor.parse(name) for name in ("2D9", "2D10", "2D11"))
+    assert hc_induce(d9, {"2D9": 1}, d10) == {"2D9:1.": 1, "2D9:.1": 1}
+    for source, vec, target in ((d9, {"2D9": 2}, d11), (d10, {"2D9:1.": 1, "2D9:.1": -1}, d11),
+                                (d10, {"2D9:.1": 1, "1^3.21^4": 1}, d11)):
+        assert hc_induce(source, vec, target) == Reference.hc_induce(source, vec, target)
 
 
 def test_hc_induce_unsupported_source_still_raises():

@@ -18,11 +18,15 @@ called only in a `__post_init__` and in `UnipChar.degree`: parsed tables,
 trees and catalog characters are memoised and shared by every caller, so
 none may be changed in place after it is built.  `src/unipdec` holds no
 `assert` statement, since `python -O` strips them: a check that guards a
-result raises an error of the package.
+result raises an error of the package.  Only `labels.py` holds a string
+constant equal to a cuspidal core's name, so that `labels.HC_SERIES` is the
+one place that pairs a core with its defect and rank.
 """
 
 import ast
 import pathlib
+
+from unipdec.labels import HC_SERIES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "unipdec"
@@ -284,3 +288,29 @@ def test_assert_scan_sees_an_assert():
     source = ("x = 1\nassert x\ndef f():\n    assert x > 0, 'positive'\n"
               "    return 'assert x'\n")
     assert assert_lines(source) == [2, 4]
+
+
+CORE_NAMES = frozenset(core for series in HC_SERIES.values() for _, core in series if core)
+
+
+def core_name_constants(source):
+    """The lines of `source` that hold a string constant equal to the name
+    of a cuspidal core, in source order."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in CORE_NAMES)
+
+
+def test_only_labels_names_a_cuspidal_core():
+    found = {path.name: core_name_constants(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "labels.py"}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert core_name_constants((SRC / "labels.py").read_text())
+
+
+def test_core_name_scan_sees_a_constant():
+    assert CORE_NAMES == {"B2", "B6", "D4", "2D9"}
+    source = ('x = "B2"\ny = "B2:"\nif core == "D4":\n    pass\nz = f"{c}:2D9"\n'
+              'w = ("B6", 6)\n"""2D9"""\n')
+    assert core_name_constants(source) == [1, 3, 6, 7]

@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from unipdec.degrees import catalog_map, find_char
-from unipdec.labels import (BetaSymbol, Bipartition, GroupDescriptor, LabelError,
-                            beta_set, bipartition_to_symbol, bipartitions, check_partition,
+from unipdec.degrees import catalog, catalog_map, find_char
+from unipdec.labels import (HC_SERIES, BetaSymbol, Bipartition, GroupDescriptor, LabelError,
+                            UnsupportedGroupError, beta_set, bipartition_to_symbol,
+                            bipartitions, check_partition,
                             classical_label_list, d_canonical_bip, format_partition,
                             parse_label, parse_partition, partitions, symbol_to_bipartition)
 from unipdec.weyl import sym_to_hyper
@@ -111,6 +112,43 @@ def test_catalog_counts():
     assert labels == {"2", "1^2"}  # trivial and Steinberg
 
 
+@pytest.mark.parametrize("name, defect", [("B12", 7), ("C12", 7), ("D16", 8), ("2D25", 10)])
+def test_a_rank_with_a_series_missing_from_the_table_is_refused(name, defect):
+    # B12 and C12 have a cuspidal unipotent character of defect 7, D16 one of
+    # defect 8 and 2D25 one of defect 10; without them a catalog is short
+    g = GroupDescriptor.parse(name)
+    for call in (classical_label_list, catalog, lambda g: find_char(g, "1.")):
+        with pytest.raises(UnsupportedGroupError, match=f"defect {defect} "):
+            call(g)
+
+
+def test_the_last_ranks_the_series_table_covers_still_list():
+    # bipartitions of 11, 9 and 5; the unordered pairs of 15 (none of them
+    # degenerate) and the bipartitions of 11; the bipartitions of 23 and 15
+    for name, count in (("B11", 752 + 300 + 36), ("D15", 3956 // 2 + 752),
+                        ("2D24", 68150 + 3956)):
+        assert len(classical_label_list(GroupDescriptor.parse(name))) == count, name
+
+
+def _lusztig_rank(sym):
+    """The rank of a symbol with L entries: their sum less (L - 1)^2 // 4."""
+    entries = sym.top + sym.bottom
+    return sum(entries) - (len(entries) - 1) ** 2 // 4
+
+
+def test_every_series_in_the_table_starts_at_the_rank_of_its_core():
+    # the bare core of defect D is the symbol of the empty bipartition, of
+    # rank D^2 // 4; a core is named after the group it is cuspidal in
+    pairs = [pair for series in HC_SERIES.values() for pair in series]
+    assert len(pairs) == 10
+    for defect, core in pairs:
+        sym = bipartition_to_symbol(Bipartition((), ()), defect)
+        assert sym.defect() == defect
+        assert _lusztig_rank(sym) == defect * defect // 4, (defect, core)
+        if core:
+            assert GroupDescriptor.parse(core).rank == _lusztig_rank(sym), core
+
+
 def test_bn_equals_cn():
     b = [str(l) for l in classical_label_list(GroupDescriptor("B", 5))]
     c = [str(l) for l in classical_label_list(GroupDescriptor("C", 5))]
@@ -136,10 +174,12 @@ def test_trivial_symbol():
 
 
 def test_symbol_roundtrip_exhaustive():
-    # every bipartition of total <= 6, for the defects used by B/C, D and 2D
+    # every bipartition of total <= 6, for every defect of a series of B/C, D or 2D
+    defects = sorted({defect for series in HC_SERIES.values() for defect, _ in series})
+    assert defects == list(range(7))
     for n in range(7):
         for bip in bipartitions(n):
-            for defect in (0, 1, 2, 3, 4):
+            for defect in defects:
                 sym = bipartition_to_symbol(bip, defect)
                 assert sym.defect() == defect or (defect == 0 and bip.left == bip.right
                                                   and sym.defect() == 0)
