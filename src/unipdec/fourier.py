@@ -72,12 +72,20 @@ def families(group):
     reduced = {str(c.label): _entry_key(c.symbol, parity) for c in catalog(group)}
     # grow every symbol to a common size so multisets are comparable
     maxlen = max(_size(s) for s in reduced.values())
-    keyed = {lab: sym.shifted((maxlen - _size(sym)) // 2) for lab, sym in reduced.items()}
+    keyed = {lab: _shift(sym, (maxlen - _size(sym)) // 2) for lab, sym in reduced.items()}
     fams = {}
     for lab, sym in keyed.items():
         fams.setdefault(sym.entries(), []).append(lab)
     return (MappingProxyType(keyed),
             MappingProxyType({key: tuple(labs) for key, labs in fams.items()}))
+
+
+def _shift(sym, k):
+    """`sym.shifted(k)` for k >= 0, built from the rows of the checked
+    symbol without checking them again."""
+    head = tuple(range(k))
+    return BetaSymbol(head + tuple(x + k for x in sym.top),
+                      head + tuple(x + k for x in sym.bottom), checked=True)
 
 
 def _label_key(keys, group, label_text):

@@ -10,22 +10,29 @@ engine consume.
 Every label text is read by `degrees.find_char`: a source label must name
 a character of the source catalog, in any spelling, or LabelError is raised.
 
-What is memoised, each handed out read-only: per (group, label text), the
-HC series of a source label and its cover of W(B_n)-characters
-(`_label_cover`), and the catalog character of a target label
-(`degrees.find_char`); per (group, bipartition), how a W(B_n)-character of
-a cover reads back as catalog labels of the target, halved or not, and
-which swapped partner must carry the same coefficient in type D
-(`_read_back`); the induction of one W(B_m)-character into W(B_n)
-(`weyl.induce_char`, keyed by the bipartition and n); and the induction
-matrix of a (source, target) pair (`induction_matrix`, which `hc_restrict`
-reads on every call).
+What is memoised, each handed out read-only: one integer kernel per
+(source, target) pair (`_kernel`).  It numbers the pair's source-cover and
+target-cover W(B_n)-characters (per HC series) once and holds, for each
+source catalog text, its series and its cover (cover slots and their
+multiplicities); for each cover slot, its induction into the target's
+relative Weyl group (target slots and their multiplicities), from
+`weyl.induce_char`; and for each target slot, how it reads back as
+catalog labels of the target: the texts it lands on, whether it lands
+halved, and the slot of the swapped partner that must carry the same
+coefficient in type D.  Below the kernel: per
+(group, label text), the HC series of a source label and its cover
+(`_label_cover`); the catalog character of a label (`degrees.find_char`);
+the induction of one W(B_m)-character into W(B_n) (`weyl.induce_char`);
+and the induction matrix of a (source, target) pair (`induction_matrix`,
+which `hc_restrict` reads on every call).  A pair whose kernel cannot be
+built raises on every call and keeps no memo entry.
 `hc_induce` itself is not memoised: it sums the source labels' covers over
-the whole vector, in vector order, then sums the cached W(B_n)-characters
-over that cover and only then reads the sum back as labels of the target.
-The halving at a degenerate type-D label stays on that sum because a
-coefficient there can be odd for one source label and even for the vector:
-lam+ and lam- each put their coefficient once on the cover, the pair twice.
+the whole vector, in vector order, then sums the inductions of the summed
+cover, slot by slot, and only then reads the sum back as labels of the
+target, so every result keeps the key and term order of the plain dict
+sums.  The halving at a degenerate type-D label stays on that sum because
+a coefficient there can be odd for one source label and even for the
+vector: lam+ and lam- each put their coefficient once on the cover, the pair twice.
 Halving label by label would raise on such vectors; an odd coefficient of
 the summed vector is a real gap and raises HCError (the A3 -> D4 Levi table
 is one).  The source must be of the target's series or of type A (a GL_n
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .degrees import catalog, find_char
 from .labels import HC_SERIES, UnsupportedGroupError, d_canonical_bip, format_partition
@@ -84,16 +92,18 @@ def _rel_rank(group, core):
     raise UnsupportedGroupError(f"HC induction not implemented for {group}")
 
 
-@lru_cache(maxsize=None)
-def _read_back(group, bip):
-    """How a W(B_n)-character of a cover reads back as labels of the group:
-    (catalog texts it lands on, whether it lands halved, the bipartition
-    whose coefficient must equal its own or None).
+def _slot_read_back(group, core, bip):
+    """How a W(B_n)-character of a cover of the series `core` reads back as
+    labels of the group: (catalog texts it lands on, whether it lands
+    halved, the bipartition whose coefficient must equal its own or None).
 
-    In type D a degenerate bipartition lands halved on its +/- pair, and
-    the two orientations of any other land once, on the canonical one's
-    label; each orientation names the other as its partner.
+    A cuspidal series' character lands once on its core-prefixed label.  In
+    type D a degenerate bipartition lands halved on its +/- pair, and the
+    two orientations of any other land once, on the canonical one's label;
+    each orientation names the other as its partner.
     """
+    if core != "ps":
+        return (str(find_char(group, f"{core}:{bip}" if bip.size() else core).label),), False, None
     if group.series != "D":
         return (str(find_char(group, str(bip)).label),), False, None
     if bip.left == bip.right:
@@ -103,12 +113,70 @@ def _read_back(group, bip):
     return texts, False, bip.swapped()
 
 
-def _from_b_cover(group, cover, out):
-    """Add a symmetrised B-cover vector into `out`, read back as catalog
-    labels of the group."""
-    for bip, c in cover.items():
-        texts, halved, partner = _read_back(group, bip)
-        if partner is not None and cover.get(partner) != c:
+class _Kernel(NamedTuple):
+    """HC induction of one (source, target) pair on numbered W(B_n)-characters.
+
+    `labels` maps each source catalog text to (series, cover slots, their
+    multiplicities); `inductions[s]` is (target slots, their multiplicities)
+    for cover slot s; `read_backs[t]` is (texts, halved, partner slot or
+    None) for target slot t, and `targets[t]` its (series, bipartition).
+    Slots and multiplicities are kept as two parallel tuples rather than
+    one tuple of pairs, which would take one more object per term.
+    """
+    labels: MappingProxyType
+    inductions: tuple
+    read_backs: tuple
+    targets: tuple
+
+
+@lru_cache(maxsize=None)
+def _kernel(source_group, target_group):
+    """The pair's `_Kernel`, built over the whole source catalog.
+
+    A source outside A, B, C, D and 2D, a type-A target or one outside the
+    classical series, and a target of too small a rank raise; lru_cache
+    keeps nothing for a call that raises.
+    """
+    _rel_rank(source_group, "ps")
+    covers, targets = {}, {}  # (series, bipartition) -> slot
+    labels = {}
+    for char in catalog(source_group):
+        text = str(char.label)
+        core, cover = _label_cover(source_group, text)
+        labels[text] = (core,
+                        tuple(covers.setdefault((core, bip), len(covers)) for bip, _ in cover),
+                        tuple(k for _, k in cover))
+    ranks = {}
+    inductions = []
+    for core, bip in covers:
+        if core not in ranks:
+            ranks[core] = _rel_rank(target_group, core)
+            if ranks[core] is None:  # a type-A target has no W(B_n) cover
+                raise UnsupportedGroupError(f"HC induction into {target_group} not implemented")
+        induced = induce_char(bip, ranks[core])
+        inductions.append((tuple(targets.setdefault((core, b2), len(targets)) for b2 in induced),
+                           tuple(induced.values())))
+    order = list(targets)
+    read_backs = []
+    for core, bip in order:  # a type-D partner met only here joins the end
+        texts, halved, partner = _slot_read_back(target_group, core, bip)
+        if partner is not None:
+            key = core, partner
+            if key not in targets:
+                targets[key] = len(targets)
+                order.append(key)
+            partner = targets[key]
+        read_backs.append((texts, halved, partner))
+    return _Kernel(MappingProxyType(labels), tuple(inductions), tuple(read_backs), tuple(order))
+
+
+def _read_back(kernel, acc, out):
+    """Add a summed target-cover vector (target slot -> coefficient) into
+    `out`, read back as catalog labels of the kernel's target."""
+    read_backs = kernel.read_backs
+    for t, c in acc.items():
+        texts, halved, partner = read_backs[t]
+        if partner is not None and acc.get(partner) != c:
             raise HCError("asymmetric cover vector for a type-D group")
         if halved:
             c = _half(c)
@@ -136,32 +204,33 @@ def hc_induce(source_group, vector, target_group):
     """
     if source_group.series not in (target_group.series, "A"):
         raise UnsupportedGroupError("mixed-series HC induction not supported")
+    terms = [(lab, c) for lab, c in vector.items() if c]
+    if not terms:
+        return {}
+    try:
+        kernel = _kernel(source_group, target_group)
+    except ValueError:
+        for lab, _ in terms:  # a bad source label is reported before a bad pair
+            find_char(source_group, lab)
+        raise
+    labels, inductions = kernel.labels, kernel.inductions
     # the covers of the source labels, summed per series in vector order
     covers = {}
-    for lab, c in vector.items():
-        if not c:
-            continue
-        core, terms = _label_cover(source_group, lab)
+    for lab, c in terms:
+        entry = labels.get(lab)
+        if entry is None:
+            entry = labels[str(find_char(source_group, lab).label)]
+        core, slots, mults = entry
         cover = covers.setdefault(core, {})
-        for bip, k in terms:
-            cover[bip] = cover.get(bip, 0) + c * k
-    if covers:
-        _rel_rank(source_group, "ps")  # raises for a source outside A, B, C, D, 2D
+        for s, k in zip(slots, mults):
+            cover[s] = cover.get(s, 0) + c * k
     out = {}
-    for core, cover in covers.items():
-        n = _rel_rank(target_group, core)
-        if n is None:  # a type-A target has no W(B_n) cover
-            raise UnsupportedGroupError(f"HC induction into {target_group} not implemented")
+    for cover in covers.values():
         acc = {}
-        for bip, c in cover.items():
-            for b2, k in induce_char(bip, n).items():
-                acc[b2] = acc.get(b2, 0) + c * k
-        if core == "ps":
-            _from_b_cover(target_group, acc, out)
-            continue
-        for bip, c in acc.items():
-            key = str(find_char(target_group, f"{core}:{bip}" if bip.size() else core).label)
-            out[key] = out.get(key, 0) + c
+        for s, c in cover.items():
+            for t, k in zip(*inductions[s]):
+                acc[t] = acc.get(t, 0) + c * k
+        _read_back(kernel, acc, out)
     return out
 
 

@@ -24,7 +24,7 @@ kept as "1^4.", "D4:." as "D4".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property, lru_cache
 
 SERIES = ("A", "2A", "B", "C", "D", "2D", "E6", "2E6", "E7", "E8", "F4")
@@ -196,10 +196,16 @@ class BetaSymbol:
 
     top: tuple
     bottom: tuple
+    _: KW_ONLY
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        # a strictly increasing row is nonnegative iff its first entry is,
-        # and strictly increasing iff it equals its sorted set
+    def __post_init__(self, checked):
+        # `checked=True` takes rows already known to be strictly increasing
+        # tuples of nonnegative ints as they are (a shift of a checked
+        # symbol).  A strictly increasing row is nonnegative iff its first
+        # entry is, and strictly increasing iff it equals its sorted set
+        if checked:
+            return
         for row in (self.top, self.bottom):
             if row and (row[0] < 0 or list(row) != sorted(set(row))):
                 raise LabelError(f"bad symbol row {row}")

@@ -442,8 +442,10 @@ def hc_induced_columns(levi_group, levi_table, target_group, target_table):
     """(HCi): induce every Levi PIM and decompose it in the target columns.
 
     Returns a CheckReport whose `data["decompositions"]` holds the list of
-    coefficient vectors; failure means some induced projective has a
-    provably negative coefficient.
+    coefficient vectors (ParamExprs, as `decompose_in_columns` gives them);
+    failure means some induced projective has a provably negative
+    coefficient.  The back-substitution runs on ints while it can
+    (`_backsub`), and only a ParamExpr coefficient is bounded on the box.
     """
     from .hc import hc_induce
     box = ParamBox(target_table)
@@ -453,12 +455,11 @@ def hc_induced_columns(levi_group, levi_table, target_group, target_table):
     for j, column in enumerate(levi_table.columns):
         vec = hc_induce(levi_group, {rows[i]: e for i, e in column.entries.items()},
                         target_group)
-        coeffs = decompose_in_columns(target_table, vec)
-        decomps.append(coeffs)
+        coeffs = _backsub(target_table, vec)
+        decomps.append([_expr(c) for c in coeffs])
         for k, c in enumerate(coeffs):
-            lo, hi = box.bounds(c)
-            if hi < 0:
-                bad.append(f"Levi column {j + 1}: coefficient {c} on column {k + 1} "
+            if (box.bounds(c)[1] if isinstance(c, ParamExpr) else c) < 0:
+                bad.append(f"Levi column {j + 1}: coefficient {_expr(c)} on column {k + 1} "
                            "is negative")
     rep = CheckReport("hc-induce", "fail" if bad else "pass",
                       bad or [f"{levi_table.size()} induced projectives decompose "
@@ -467,22 +468,27 @@ def hc_induced_columns(levi_group, levi_table, target_group, target_table):
     return rep
 
 
-def restriction_nonneg(target_group, target_table, vector, levi_group, levi_table):
-    """Does the HC restriction of `vector` decompose nonnegatively in Levi PIMs?"""
+def restriction_nonneg(target_group, target_table, vector, levi_group, levi_table, box=None):
+    """Does the HC restriction of `vector` decompose nonnegatively in Levi PIMs?
+
+    `box` is the `ParamBox` of `levi_table`, built here if not given; only
+    a ParamExpr coefficient is bounded on it."""
     from .hc import hc_restrict
     res = hc_restrict(target_group, vector, levi_group)
-    coeffs = decompose_in_columns(levi_table, res)
-    box = ParamBox(levi_table)
-    return all(box.bounds(c)[0] >= 0 for c in coeffs)
+    if box is None:
+        box = ParamBox(levi_table)
+    return all((box.bounds(c)[0] if isinstance(c, ParamExpr) else c) >= 0
+               for c in _backsub(levi_table, res))
 
 
 def hcr_candidates(target_group, target_table, combo, levis):
     """All proper nonzero subsums of a projective passing (HCr) restriction tests.
 
     `combo` maps column indices to multiplicities; `levis` is a list of
-    (levi_group, levi_table) pairs used for the restriction test.  Subsums
-    are returned as sorted tuples of (column index, multiplicity).  A column
-    index outside 0..size-1 raises ValueError.
+    (levi_group, levi_table) pairs used for the restriction test, each
+    table's `ParamBox` built once per call.  Subsums are returned as sorted
+    tuples of (column index, multiplicity).  A column index outside
+    0..size-1 raises ValueError.
     """
     from itertools import product as iproduct
     for j in combo:
@@ -491,6 +497,7 @@ def hcr_candidates(target_group, target_table, combo, levis):
     cols = sorted(combo)
     if sum(combo.values()) > MAX_SUBSUM_SUPPORT:
         raise ValueError("subsum support too large; refusing the exponential search")
+    levis = [(lg, lt, ParamBox(lt)) for lg, lt in levis]
     out = []
     ranges = [range(combo[j] + 1) for j in cols]
     for mults in iproduct(*ranges):
@@ -500,8 +507,8 @@ def hcr_candidates(target_group, target_table, combo, levis):
         for j, m in zip(cols, mults):
             coeffs[j] = m
         vec = _recompose(target_table, coeffs)
-        if all(restriction_nonneg(target_group, target_table, vec, lg, lt)
-               for lg, lt in levis):
+        if all(restriction_nonneg(target_group, target_table, vec, lg, lt, box)
+               for lg, lt, box in levis):
             out.append(tuple((j, m) for j, m in zip(cols, mults) if m))
     return out
 

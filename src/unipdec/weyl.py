@@ -11,10 +11,11 @@ and raise instead of guessing.
 
 Induction is a pure function of small hashable arguments, and Harish-Chandra
 induction asks for the same few products over and over, so `mult_B`,
-`regular_B`, `sym_to_hyper`, the Littlewood-Richardson expansions and the
+`sym_to_hyper`, the Littlewood-Richardson expansions, the one-box Pieri
+step of the torus (`_add_box`, handed out as tuples) and the
 single-character induction `induce_char` are memoised.  Their cached
-results are handed out as read-only mappings (`MappingProxyType`), so no
-caller can alter a later result; `induce` builds a fresh dict on every call.
+mappings are handed out read-only (`MappingProxyType`), so no caller can
+alter a later result; `induce` builds a fresh dict on every call.
 The Murnaghan-Nakayama recursion memoises its values (`_mn_value`) and the
 rim hooks of each (partition, length) it strips (`_remove_hooks`, handed
 out as tuples).
@@ -284,19 +285,21 @@ def sym_to_hyper(nu):
     return MappingProxyType(out)
 
 
+def _grow(lam):
+    """The partitions with one box more than lam, in `partitions()` order:
+    the box in an earlier row first, a new last row last."""
+    return tuple(lam[:i] + (lam[i] + 1,) + lam[i + 1:]
+                 for i in range(len(lam)) if not i or lam[i - 1] > lam[i]) + (lam + (1,),)
+
+
 @lru_cache(maxsize=None)
-def regular_B(k):
-    """Regular character of W(B_k) (k = 0 gives the trivial one), as a
-    read-only mapping on bipartitions."""
-    if k == 0:
-        return MappingProxyType({Bipartition((), ()): 1})
-    out = {}
-    for a in range(k + 1):
-        for alpha in partitions(a):
-            for beta in partitions(k - a):
-                bip = Bipartition(alpha, beta)
-                out[bip] = char_dim_B(k, bip)
-    return MappingProxyType(out)
+def _add_box(bip):
+    """The bipartitions with one box more than `bip`, each once (Pieri):
+    grown on the right first, then on the left, each side in `partitions()`
+    order.  That is the order of `mult_B_dicts({bip: 1}, reg)` for the
+    regular W(B_1)-character reg = {.1: 1, 1.: 1}."""
+    return (tuple(Bipartition(bip.left, r) for r in _grow(bip.right))
+            + tuple(Bipartition(l, bip.right) for l in _grow(bip.left)))
 
 
 def induce(factors, n):
@@ -305,7 +308,10 @@ def induce(factors, n):
     `factors` is a list of ("B", bipartition or mapping on bipartitions) or
     ("A", partition) entries; sizes plus the torus deficit must add up to n.
     The deficit is filled with regular W(B_1)-characters, which is exactly
-    induction from the parabolic W(B_m) <= W(B_n).
+    induction from the parabolic W(B_m) <= W(B_n): one Pieri step per
+    torus factor adds a box to every bipartition, on the right side, then
+    on the left (`_add_box`), so the result has the keys, and the key order,
+    of multiplying by the regular character .1 + 1. one factor at a time.
     """
     acc = {Bipartition((), ()): 1}
     used = 0
@@ -324,7 +330,11 @@ def induce(factors, n):
     if t < 0:
         raise WeylError("factor sizes exceed the target rank")
     for _ in range(t):
-        acc = mult_B_dicts(acc, regular_B(1))
+        step = {}
+        for bip, c in acc.items():
+            for grown in _add_box(bip):
+                step[grown] = step.get(grown, 0) + c
+        acc = step
     return acc
 
 

@@ -193,6 +193,25 @@ def test_dl_vector_builds_one_table_and_reads_no_catalog_label(monkeypatch):
     assert read == [".111111"]
 
 
+@pytest.mark.parametrize("name", [f"B{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)])
+def test_families_shift_like_a_checked_symbol(name):
+    # families shifts the checked reduced symbols without checking them
+    # again; the result equals sym.shifted(k), key for key, in order
+    g = GroupDescriptor.parse(name)
+    parity = 1 if g.series == "B" else 0
+    reduced = {str(c.label): fourier._entry_key(c.symbol, parity) for c in catalog(g)}
+    maxlen = max(len(s.top) + len(s.bottom) for s in reduced.values())
+    want = {lab: sym.shifted((maxlen - len(sym.top) - len(sym.bottom)) // 2)
+            for lab, sym in reduced.items()}
+    fams = {}
+    for lab, sym in want.items():
+        fams.setdefault(sym.entries(), []).append(lab)
+    keyed, got_fams = families(g)
+    assert list(keyed.items()) == list(want.items())
+    assert all(type(s.top) is tuple and type(s.bottom) is tuple for s in keyed.values())
+    assert list(got_fams.items()) == [(key, tuple(labs)) for key, labs in fams.items()]
+
+
 def test_entry_key_rejects_wrong_parity():
     # a shift adds one entry to each row, so no number of shifts fixes the
     # parity: this used to loop for ever

@@ -451,13 +451,46 @@ def test_hc_induce_refuses_a_zero_part(text):
 def test_hc_induce_raises_on_an_asymmetric_type_d_cover():
     # a cover that only a mixed-series source could give: either orientation
     # first, the asymmetry raises rather than dropping the non-canonical entry
-    d4 = GroupDescriptor.parse("D4")
-    for bip in (Bipartition((3,), (1,)), Bipartition((1,), (3,))):
+    kernel = hc._kernel(GroupDescriptor.parse("D3"), GroupDescriptor.parse("D4"))
+    slot = {bip: kernel.targets.index(("ps", bip))
+            for bip in (Bipartition((3,), (1,)), Bipartition((1,), (3,)))}
+    for bip in slot:
         with pytest.raises(HCError, match="asymmetric cover vector"):
-            hc._from_b_cover(d4, {bip: 1}, {})
+            hc._read_back(kernel, {slot[bip]: 1}, {})
     out = {}
-    hc._from_b_cover(d4, {Bipartition((1,), (3,)): 2, Bipartition((3,), (1,)): 2}, out)
+    hc._read_back(kernel, {slot[Bipartition((1,), (3,))]: 2,
+                           slot[Bipartition((3,), (1,))]: 2}, out)
     assert out == {"1.3": 2}
+
+
+def test_known_gap_raises_on_every_call_and_leaves_the_pair_usable():
+    # the A3 -> D4 gap column raises each time; a raise (or a bad label)
+    # leaves no memo behind that changes a later good call on the pair
+    lt, tt = load("levi/A3.d2.dmx"), load("d2/D4.all.dmx")
+    gap = next(j for j in range(lt.size())
+               if outcome(hc_induce, lt.group, table_column_vector(lt, j), tt.group)[0] != "ok")
+    gap_vec = {lab: e.constant() for lab, e in table_column_vector(lt, gap).items()}
+    good = {"4": 2, "31": ParamExpr.var("x", 2), "22": 4}  # even: every halving works
+    with pytest.raises(HCError, match="odd coefficient at a degenerate label"):
+        hc_induce(lt.group, gap_vec, tt.group)
+    assert same(hc_induce(lt.group, good, tt.group), Reference.hc_induce(lt.group, good, tt.group))
+    with pytest.raises(HCError, match="odd coefficient at a degenerate label"):
+        hc_induce(lt.group, gap_vec, tt.group)
+    with pytest.raises(LabelError, match="bad partition"):
+        hc_induce(lt.group, {"4": 2, "x": 1}, tt.group)
+    assert same(hc_induce(lt.group, good, tt.group), Reference.hc_induce(lt.group, good, tt.group))
+
+
+def test_hc_induce_raises_for_a_bad_label_before_a_bad_pair():
+    # B4 -> B3 cannot induce (the target is too small), but a bad label in
+    # the vector is still the error reported, on every call
+    b3, b4 = GroupDescriptor.parse("B3"), GroupDescriptor.parse("B4")
+    for _ in range(2):
+        with pytest.raises(LabelError, match="bad partition"):
+            hc_induce(b4, {"4.": 1, "zz": 1}, b3)
+        with pytest.raises(weyl.WeylError, match="factor sizes exceed the target rank"):
+            hc_induce(b4, {"4.": 1}, b3)
+    assert hc_induce(b4, {"4.": 0}, b3) == {}
 
 
 def test_hc_restrict_matches_reference_on_d4_d5_narrative():
@@ -538,7 +571,7 @@ def test_below_diagonal_is_the_lower_triangle():
 def test_weyl_caches_are_read_only():
     chi, psi = Bipartition((2,), ()), Bipartition((), (1,))
     before = dict(weyl.mult_B(chi, psi))
-    for value in (weyl.mult_B(chi, psi), weyl.regular_B(2), weyl.sym_to_hyper((2, 1)),
+    for value in (weyl.mult_B(chi, psi), weyl.sym_to_hyper((2, 1)),
                   weyl.induce_char(chi, 4),
                   weyl.lr_expand_product((1,), (1,))):
         with pytest.raises(TypeError):
@@ -552,6 +585,16 @@ def test_weyl_caches_are_read_only():
     res.clear()
     assert weyl.induce([("B", {chi: 1})], 3) == want == dict(weyl.induce_char(chi, 3))
     assert weyl.induce_char(chi, 3) == Reference.induce([("B", {chi: 1})], 3)
+
+
+def test_induce_char_matches_reference_item_for_item():
+    # the Pieri torus step keeps the keys and their order of multiplying by
+    # the regular W(B_1)-character one factor at a time
+    for m in range(7):
+        for chi in bipartitions(m):
+            for n in range(m, m + 5):
+                got = list(weyl.induce_char(chi, n).items())
+                assert got == list(Reference.induce([("B", {chi: 1})], n).items()), (chi, n)
 
 
 def test_induce_with_gl_factors_matches_reference():

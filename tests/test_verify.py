@@ -9,7 +9,7 @@ import pytest
 from unipdec import blocks, degrees, tables, verify
 from unipdec.degrees import (A_value, a_value, find_char, group_order_poly, perversity,
                              perversity_numerator)
-from unipdec.hc import table_column_vector
+from unipdec.hc import hc_induce, table_column_vector
 from unipdec.labels import GroupDescriptor
 from unipdec.roots import coxeter_number, regular_height_bound
 from unipdec.tables import ParamExpr
@@ -436,6 +436,42 @@ def test_hc_induce_d5_from_d4_narrative():
     assert {11: "1", 15: "2"} in as_dicts          # Psi~_11 = Psi_11 + 2 Psi_15
     assert {13: "1", 15: "1", 19: "1"} in as_dicts  # Psi~_13
     assert {18: "1", 20: "1"} in as_dicts           # Steinberg series
+
+
+def test_hc_checks_bound_only_parameter_coefficients(monkeypatch):
+    # an int coefficient is its own bound; the box is asked only about a
+    # ParamExpr, and (HCr) builds one box per Levi table per call
+    bounded, boxes = [], []
+    real_bounds, real_init = tables.ParamSystem.bounds, verify.ParamBox.__init__
+
+    def counting_bounds(self, expr):
+        bounded.append(expr)
+        return real_bounds(self, expr)
+
+    def counting_init(self, table):
+        boxes.append(table)
+        real_init(self, table)
+
+    monkeypatch.setattr(tables.ParamSystem, "bounds", counting_bounds)
+    monkeypatch.setattr(verify.ParamBox, "__init__", counting_init)
+    tA1, tD4, tB4 = load("levi/A1.d2.dmx"), load("d2/D4.all.dmx"), load("d2/B4.symbolic.dmx")
+    assert verify.hc_induced_columns(tA1.group, tA1, tD4.group, tD4).status == "pass"
+    assert bounded == []
+    rep = verify.hc_induced_columns(tA1.group, tA1, tB4.group, tB4)
+    assert rep.status == "pass" and bounded == []
+    # D4.all's parameters reach the back-substitution into D5
+    tD5 = load("d2/D5.principal.dmx")
+    assert verify.hc_induced_columns(tD4.group, tD4, tD5.group, tD5).status == "pass"
+    symbolic = [c for column in tD4.columns
+                for c in verify._backsub(tD5, hc_induce(
+                    tD4.group, {tD4.rows[i]: e for i, e in column.entries.items()}, tD5.group))
+                if type(c) is not int]
+    assert symbolic and bounded == symbolic
+    assert all(type(c) is ParamExpr for c in bounded)
+    del boxes[:]
+    cands = verify.hcr_candidates(tD5.group, tD5, {2: 1, 5: 2}, [(tD4.group, tD4)])
+    assert set(cands) == {((2, 1),), ((5, 1),), ((5, 2),), ((2, 1), (5, 1))}
+    assert boxes == [tD4]
 
 
 def test_hcr_subsum_narrative():
